@@ -1,6 +1,6 @@
 """Transfer-operator thermodynamics for skew products with intermittent fibers."""
 
-from .base import BasePoint, base_forward, base_preimages, circle_distance
+from .base import BasePoint, circle_distance
 from .errors import (
     CapacityExhaustedError,
     ConeEscapeError,

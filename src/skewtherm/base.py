@@ -1,8 +1,10 @@
 """Exact arithmetic for the doubling map on the circle.
 
-A point x in [0,1) is stored as its binary expansion, most significant digit
-first.  The doubling map is then a left shift, so forward orbits are exact:
-each iterate consumes one digit instead of losing one bit of float precision.
+A point x in [0,1) is stored as an exact dyadic rational num / 2**capacity,
+with num a Python integer of capacity binary digits, most significant digit
+first.  The doubling map drops the leading digit, so forward orbits are
+exact: each iterate consumes one digit of capacity instead of losing one bit
+of float precision.
 """
 
 from __future__ import annotations
@@ -23,69 +25,58 @@ _FLOAT_BITS = 96
 
 @dataclass(frozen=True)
 class BasePoint:
-    """A circle point with an explicit fixed-point binary expansion.
+    """The circle point num / 2**capacity.
 
-    ``bits`` is the full expansion that remains available; its length is the
-    capacity (number of forward iterates that can still be taken).  Dropped
-    digits are gone for good: a point of capacity c carries exactly c digits.
+    ``capacity`` is the number of binary digits that remain available, i.e.
+    the number of forward iterates that can still be taken.  Dropped digits
+    are gone for good: a point of capacity c carries exactly c digits.
     """
 
-    bits: tuple[int, ...]
+    num: int
+    capacity: int
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("digits must be 0 or 1")
-
-    @property
-    def capacity(self) -> int:
-        return len(self.bits)
+        if self.capacity < 0 or not 0 <= self.num < 1 << self.capacity:
+            raise ValueError("need 0 <= num < 2**capacity")
 
     @classmethod
     def from_bits(cls, s: str) -> "BasePoint":
-        return cls(tuple(int(ch) for ch in s))
+        if s.strip("01"):
+            raise ValueError("digits must be 0 or 1")
+        return cls(int(s, 2) if s else 0, len(s))
 
     @classmethod
     def from_float(cls, x: float, capacity: int = DEFAULT_CAPACITY) -> "BasePoint":
+        """The leading capacity digits of x (mod 1), taken exactly."""
         if not 0.0 <= x < 1.0:
             x = x % 1.0
-        bits = []
-        for _ in range(capacity):
-            x *= 2.0
-            b = int(x)
-            bits.append(b)
-            x -= b
-        return cls(tuple(bits))
+        p, q = float(x).as_integer_ratio()  # q is a power of two
+        return cls((p << capacity) // q, capacity)
 
     @classmethod
     def from_fraction(cls, num: int, den: int, capacity: int = DEFAULT_CAPACITY) -> "BasePoint":
         """Exact binary expansion of the rational num/den (mod 1)."""
         if den <= 0:
             raise ValueError("denominator must be positive")
-        num %= den
-        bits = []
-        for _ in range(capacity):
-            num *= 2
-            bits.append(num // den)
-            num %= den
-        return cls(tuple(bits))
+        return cls(((num % den) << capacity) // den, capacity)
 
     @classmethod
     def random(cls, rng: np.random.Generator, capacity: int = DEFAULT_CAPACITY) -> "BasePoint":
-        return cls(tuple(int(b) for b in rng.integers(0, 2, size=capacity)))
+        """capacity independent fair digits drawn from rng."""
+        digits = rng.integers(0, 2, size=capacity)
+        packed = int.from_bytes(np.packbits(digits).tobytes(), "big")
+        return cls(packed >> (-capacity % 8), capacity)
 
     def value(self) -> float:
         """Float value of the stored expansion (truncated past double precision)."""
         k = min(self.capacity, _FLOAT_BITS)
-        if k == 0:
-            return 0.0
-        n = int("".join("01"[b] for b in self.bits[:k]), 2)
-        return math.ldexp(n, -k)
+        return math.ldexp(self.num >> (self.capacity - k), -k)
 
     def __float__(self) -> float:
         return self.value()
 
     def bit_string(self) -> str:
-        return "".join("01"[b] for b in self.bits)
+        return format(self.num, f"0{self.capacity}b") if self.capacity else ""
 
     def forward(self, n: int = 1) -> "BasePoint":
         """n-fold doubling map: drop the n leading digits."""
@@ -94,11 +85,13 @@ class BasePoint:
         if n > self.capacity:
             raise CapacityExhaustedError(
                 f"need {n} digits, only {self.capacity} remain")
-        return BasePoint(self.bits[n:])
+        cap = self.capacity - n
+        return BasePoint(self.num & ((1 << cap) - 1), cap)
 
     def preimages(self) -> tuple["BasePoint", "BasePoint"]:
         """The two doubling-map preimages x/2 and (x+1)/2, branch 0 then 1."""
-        return BasePoint((0,) + self.bits), BasePoint((1,) + self.bits)
+        cap = self.capacity + 1
+        return BasePoint(self.num, cap), BasePoint(self.num | (1 << self.capacity), cap)
 
     def add_dyadic(self, num: int, scale: int) -> "BasePoint":
         """Exact circle addition of num * 2**-scale; needs scale <= capacity."""
@@ -106,25 +99,12 @@ class BasePoint:
         if scale > cap:
             raise CapacityExhaustedError(
                 f"offset scale {scale} exceeds capacity {cap}")
-        if cap == 0:
-            return self
-        n = int(self.bit_string(), 2) if cap else 0
-        n = (n + num * (1 << (cap - scale))) % (1 << cap)
-        s = format(n, f"0{cap}b")
-        return BasePoint.from_bits(s)
+        return BasePoint((self.num + num * (1 << (cap - scale))) % (1 << cap), cap)
 
     def __repr__(self) -> str:  # keep reprs short in test output
         head = self.bit_string()[:24]
         tail = "..." if self.capacity > 24 else ""
         return f"BasePoint(0.{head}{tail}, cap={self.capacity})"
-
-
-def base_forward(x: BasePoint, n: int) -> BasePoint:
-    return x.forward(n)
-
-
-def base_preimages(x: BasePoint) -> tuple[BasePoint, BasePoint]:
-    return x.preimages()
 
 
 def circle_distance(a, b):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +51,10 @@ def _fmt(v) -> str:
 
 class Runner:
     def __init__(self, cfg: ExperimentConfig, out_dir: Path,
-                 phi_cache: Path | None, threads: int):
+                 phi_cache: Path | None):
         self.cfg = cfg
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
-        self.threads = max(1, threads)
         self.hash = cfg.config_hash()
         self.phi_cache_path = phi_cache
         if phi_cache is not None and phi_cache.exists():
@@ -105,12 +103,6 @@ class Runner:
         rng = rng or self.rng()
         return [BasePoint.random(rng, self.cfg.capacity) for _ in range(count)]
 
-    def parallel(self, fn, items):
-        if self.threads == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
-
     # -- subcommands -----------------------------------------------------
 
     def cmd_check_hypotheses(self, args) -> int:
@@ -137,14 +129,13 @@ class Runner:
 
     def cmd_compute_phi(self, args) -> int:
         points = self.sample_points(args.points)
-        def work(x):
-            return compute_phi(self.cfg.potential, self.cfg.family, x,
-                               tol=self.cfg.phi_tol, table=self.phi_table,
-                               anchor_y=self.cfg.anchor_y,
-                               n_nodes=self.cfg.n_fiber)
-        results = self.parallel(work, points)
-        rows = [(x.bit_string(), v, n, b)
-                for x, (v, n, b) in zip(points, results)]
+        rows = []
+        for x in points:
+            v, n, b = compute_phi(self.cfg.potential, self.cfg.family, x,
+                                  tol=self.cfg.phi_tol, table=self.phi_table,
+                                  anchor_y=self.cfg.anchor_y,
+                                  n_nodes=self.cfg.n_fiber)
+            rows.append((x.bit_string(), v, n, b))
         self.write_csv("phi_values.csv", ["bits", "value", "n_used", "bound"], rows)
         try:
             fit = fit_convergence_rate(self.cfg.potential, self.cfg.family,
@@ -203,20 +194,17 @@ class Runner:
                              for k, a in enumerate(amps))
             test_fns.append(GridFn(vals))
 
-        def work(x):
+        rows = []
+        for x in points:
             phi_val = compute_phi(self.cfg.potential, self.cfg.family, x,
                                   tol=min(self.cfg.phi_tol, 1e-12),
                                   table=None, anchor_y=self.cfg.anchor_y,
                                   n_nodes=self.cfg.n_fiber)[0]
-            return [eigen_equation_residual(self.cfg.potential, self.cfg.family,
+            for trial, fn in enumerate(test_fns):
+                r = eigen_equation_residual(self.cfg.potential, self.cfg.family,
                                             x, fn, args.depth,
                                             anchor_y=self.cfg.anchor_y,
                                             phi_value=phi_val)
-                    for fn in test_fns]
-
-        rows = []
-        for x, residuals in zip(points, self.parallel(work, points)):
-            for trial, r in enumerate(residuals):
                 rows.append((x.bit_string(), trial, args.depth, r))
         self.write_csv("eigen_residuals.csv",
                        ["bits", "function", "depth", "residual"], rows)
@@ -377,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     parser.add_argument("--phi-cache", type=Path, default=None,
                         help="path of the transverse-potential cache file")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sample sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("check-hypotheses")
@@ -424,10 +410,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    runner = Runner(cfg, args.out, args.phi_cache, args.threads)
+    runner = Runner(cfg, args.out, args.phi_cache)
     handler = getattr(runner, "cmd_" + args.command.replace("-", "_"))
     try:
-        return handler(args)
+        # a NaN or overflow anywhere aborts the run instead of reaching an
+        # artifact; underflow to zero is routine in cascades and stays quiet
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return handler(args)
     except HypothesisViolatedError as exc:
         _write_error(args.out, "hypothesis", str(exc))
         print(f"hypothesis check failed: {exc}", file=sys.stderr)

@@ -124,11 +124,8 @@ class GridFn2D:
 
     def slice_at(self, x: float) -> GridFn:
         """The fiber restriction Psi(x, .) as a GridFn (interpolated in x)."""
-        n_x, n_y = self.values.shape
-        s = (np.asarray(x, dtype=float) % 1.0) * n_x
-        j = int(s) % n_x
-        frac = float(s - int(s))
-        row = (1.0 - frac) * self.values[j] + frac * self.values[(j + 1) % n_x]
+        (j0, j1), (w0, w1) = interp_nodes(x, self.values.shape[0])
+        row = w0 * self.values[j0] + w1 * self.values[j1]
         return GridFn(row, self.log_offset)
 
     def renormalize(self) -> "GridFn2D":
@@ -143,13 +140,23 @@ class GridFn2D:
         return GridFn2D(self.values.copy(), self.log_offset)
 
 
+def interp_nodes(t, n: int):
+    """Periodic linear interpolation at circle point(s) t on the grid j/n.
+
+    Returns ((j0, j1), (w0, w1)): the left and right nodes of the grid cell
+    holding t and their interpolation weights, each shaped like t.
+    """
+    s = (np.asarray(t, dtype=float) % 1.0) * n
+    cell = np.floor(s)
+    frac = s - cell
+    j = cell.astype(np.intp) % n
+    return (j, (j + 1) % n), (1.0 - frac, frac)
+
+
 def periodic_interp(values: np.ndarray, t):
     """Linear interpolation of node samples (nodes j/N) at circle points t."""
-    n = values.size
-    s = (np.asarray(t, dtype=float) % 1.0) * n
-    j = np.floor(s).astype(int) % n
-    frac = s - np.floor(s)
-    out = (1.0 - frac) * values[j] + frac * values[(j + 1) % n]
+    (j0, j1), (w0, w1) = interp_nodes(t, values.size)
+    out = w0 * values[j0] + w1 * values[j1]
     if out.ndim == 0:
         return float(out)
     return out
@@ -157,19 +164,10 @@ def periodic_interp(values: np.ndarray, t):
 
 def periodic_interp_2d(values: np.ndarray, x, y):
     """Bilinear interpolation on the torus grid (nodes (i/NX, j/NY))."""
-    n_x, n_y = values.shape
-    sx = (np.asarray(x, dtype=float) % 1.0) * n_x
-    sy = (np.asarray(y, dtype=float) % 1.0) * n_y
-    ix = np.floor(sx).astype(int) % n_x
-    iy = np.floor(sy).astype(int) % n_y
-    fx = sx - np.floor(sx)
-    fy = sy - np.floor(sy)
-    ixp = (ix + 1) % n_x
-    iyp = (iy + 1) % n_y
-    out = ((1.0 - fx) * (1.0 - fy) * values[ix, iy]
-           + fx * (1.0 - fy) * values[ixp, iy]
-           + (1.0 - fx) * fy * values[ix, iyp]
-           + fx * fy * values[ixp, iyp])
-    if out.ndim == 0:
+    jx, wx = interp_nodes(x, values.shape[0])
+    jy, wy = interp_nodes(y, values.shape[1])
+    out = sum(wx[a] * wy[b] * values[jx[a], jy[b]]
+              for b in (0, 1) for a in (0, 1))
+    if np.ndim(out) == 0:
         return float(out)
     return out

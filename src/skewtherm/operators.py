@@ -1,5 +1,12 @@
 """Fiberwise, base and full transfer operators on grid functions.
 
+Every operator is built from one set of weights: for a base point x and a
+fiber grid of n nodes, ``fiber_weights`` lists the interpolation nodes of
+both g_x-preimages of every grid node, weighted by e^phi at the preimage.
+The fiber step gathers with them, and the full operator multiplies them by
+the interpolation weights of the base preimages.  The base operator uses the
+same interpolation routine (``gridfn.interp_nodes``) with e^Phi weights.
+
 Every application renormalizes its output and accumulates the scale factor in
 log_offset, so n-fold cascades never overflow even though the raw iterates
 grow like e^(n * pressure).
@@ -8,15 +15,32 @@ grow like e^(n * pressure).
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 
 import numpy as np
 
 from .base import BasePoint
 from .errors import CapacityExhaustedError, NonpositiveFunctionError
 from .fibers import MpFamily, grid_preimages
-from .gridfn import GridFn, GridFn2D
+from .gridfn import GridFn, GridFn2D, interp_nodes
 from .potential import TrigPotential
+
+
+def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int):
+    """Transfer weights of the fiber operators over the base points xs.
+
+    Returns (idx, wgt), each of shape (len(xs), 4, n_nodes).  Entry
+    (i, 2 * branch + side, j) is the left (side 0) or right (side 1)
+    interpolation node of the g_x-preimage of j / n_nodes on that branch,
+    x = xs[i], and its interpolation weight times e^phi(x, preimage).
+    """
+    xv = np.array([float(x) for x in xs])
+    ys = np.array([grid_preimages(family, x, n_nodes) for x in xv])
+    (j0, j1), (w0, w1) = interp_nodes(ys, n_nodes)
+    e_phi = np.exp(pot(xv[:, None, None], ys))
+    shape = (len(xv), 4, n_nodes)
+    return (np.stack([j0, j1], axis=2).reshape(shape),
+            np.stack([w0 * e_phi, w1 * e_phi], axis=2).reshape(shape))
 
 
 def apply_fiber_operator(pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -32,9 +56,8 @@ def apply_fiber_operator(pot: TrigPotential, family: MpFamily, x: BasePoint,
         raise CapacityExhaustedError("one operator step needs capacity >= 1")
     if require_positive and np.any(psi.values <= 0.0):
         raise NonpositiveFunctionError("cone semantics need psi > 0 at all nodes")
-    y1, y2 = grid_preimages(family, x, psi.n_nodes)
-    out = (np.exp(pot(x, y1)) * psi.interp(y1)
-           + np.exp(pot(x, y2)) * psi.interp(y2))
+    idx, wgt = fiber_weights(pot, family, [x], psi.n_nodes)
+    out = np.einsum("kj,kj->j", wgt[0], psi.values[idx[0]])
     return GridFn(out, psi.log_offset).renormalize()
 
 
@@ -73,14 +96,6 @@ class _Stencil:
                            minlength=self.size)
 
 
-def _interp_stencil(points: np.ndarray, n: int):
-    """Indices and weights of linear interpolation at the given circle points."""
-    s = (points % 1.0) * n
-    j = np.floor(s).astype(np.int64) % n
-    frac = s - np.floor(s)
-    return j, (j + 1) % n, 1.0 - frac, frac
-
-
 @functools.lru_cache(maxsize=8)  # a 512x512 stencil holds ~70 MB
 def _full_stencil(pot: TrigPotential, family: MpFamily,
                   n_x: int, n_y: int) -> _Stencil:
@@ -91,33 +106,20 @@ def _full_stencil(pot: TrigPotential, family: MpFamily,
     e^phi(xb, yb) times the bilinear interpolation stencil at (xb, yb).
     """
     xs = np.arange(n_x, dtype=float) / n_x
-    size = n_x * n_y
-    idx_blocks = []
-    wgt_blocks = []
-    for b in (0.0, 1.0):
+    idx = np.empty((n_x, n_y, 16), dtype=np.intp)
+    wgt = np.empty((n_x, n_y, 16))
+    for b in (0, 1):
         xbar = (xs + b) / 2.0
-        jx0, jx1, wx0, wx1 = _interp_stencil(xbar, n_x)
-        for branch in (0, 1):
-            yb = np.empty((n_x, n_y))
-            for i, xv in enumerate(xbar):
-                yb[i] = grid_preimages(family, xv, n_y)[branch]
-            jy0, jy1, wy0, wy1 = _interp_stencil(yb, n_y)
-            w_pot = np.exp(_phi_on_curve(pot, xbar, yb))
-            for jx, wx in ((jx0, wx0), (jx1, wx1)):
-                for jy, wy in ((jy0, wy0), (jy1, wy1)):
-                    idx_blocks.append(jx[:, None] * n_y + jy)
-                    wgt_blocks.append(w_pot * wx[:, None] * wy)
-    idx = np.stack([blk.reshape(size) for blk in idx_blocks], axis=1)
-    wgt = np.stack([blk.reshape(size) for blk in wgt_blocks], axis=1)
-    return _Stencil(idx, wgt, size)
-
-
-def _phi_on_curve(pot: TrigPotential, xbar: np.ndarray, yb: np.ndarray) -> np.ndarray:
-    """phi evaluated at (xbar[i], yb[i, j]) without materializing a mesh."""
-    out = np.full(yb.shape, pot.constant, dtype=float)
-    for kx, ky, a in pot.terms:
-        out += a * np.cos(2.0 * math.pi * (kx * xbar[:, None] + ky * yb))
-    return out
+        jx, wx = interp_nodes(xbar, n_x)
+        jy, wy = fiber_weights(pot, family, xbar, n_y)
+        # columns ordered (base branch, fiber branch, x side, y side)
+        for branch, side, y_side in itertools.product((0, 1), repeat=3):
+            col = 8 * b + 4 * branch + 2 * side + y_side
+            k = 2 * branch + y_side
+            idx[:, :, col] = jx[side][:, None] * n_y + jy[:, k]
+            wgt[:, :, col] = wx[side][:, None] * wy[:, k]
+    size = n_x * n_y
+    return _Stencil(idx.reshape(size, 16), wgt.reshape(size, 16), size)
 
 
 def apply_full_operator(pot: TrigPotential, family: MpFamily,
@@ -134,26 +136,28 @@ def full_operator_column(pot: TrigPotential, family: MpFamily, x: BasePoint,
     """The full operator's output restricted to the fiber over an exact x.
 
     Uses the exact base preimages of x (digit-prepended), so no interpolation
-    happens at x itself; Psi is still read by bilinear interpolation.
+    happens at x itself; Psi is read by interpolating its slices at the base
+    preimages along the fiber, which is its bilinear interpolation.
     """
-    n_y = big_psi.shape[1]
-    out = np.zeros(n_y)
-    for xbar in x.preimages():
-        y1, y2 = grid_preimages(family, xbar, n_y)
-        for yb in (y1, y2):
-            out += np.exp(pot(xbar, yb)) * big_psi.interp(float(xbar), yb)
+    xbars = x.preimages()
+    idx, wgt = fiber_weights(pot, family, xbars, big_psi.shape[1])
+    out = sum(np.einsum("kj,kj->j", w, big_psi.slice_at(float(xb)).values[i])
+              for xb, i, w in zip(xbars, idx, wgt))
     return GridFn(out, big_psi.log_offset)
 
 
 @functools.lru_cache(maxsize=16)
 def _base_stencil_geometry(n_x: int):
-    """Interpolation stencils at the two preimage families of the base grid."""
+    """Interpolation stencils at the two preimage families of the base grid:
+    read-only (idx, w), each of shape (n_x, 4), ordered (node, 2 * branch +
+    side).  Every base stencil of this size shares them."""
     xs = np.arange(n_x, dtype=float) / n_x
-    rows = []
-    for b in (0.0, 1.0):
-        xbar = (xs + b) / 2.0
-        rows.append((xbar, _interp_stencil(xbar, n_x)))
-    return rows
+    xbar = np.stack([xs / 2.0, (xs + 1.0) / 2.0], axis=-1)
+    out = tuple(np.stack(pair, axis=-1).reshape(n_x, 4)
+                for pair in interp_nodes(xbar, n_x))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def base_stencil(phi_values, n_x: int) -> _Stencil:
@@ -165,16 +169,8 @@ def base_stencil(phi_values, n_x: int) -> _Stencil:
     phi_values = np.asarray(phi_values, dtype=float)
     if phi_values.shape != (2, n_x):
         raise ValueError("need phi at both preimages of every node")
-    idx_blocks = []
-    wgt_blocks = []
-    for (xbar, (j0, j1, w0, w1)), phis in zip(_base_stencil_geometry(n_x),
-                                              phi_values):
-        w_pot = np.exp(phis)
-        idx_blocks.extend([j0, j1])
-        wgt_blocks.extend([w_pot * w0, w_pot * w1])
-    idx = np.stack(idx_blocks, axis=1)
-    wgt = np.stack(wgt_blocks, axis=1)
-    return _Stencil(idx, wgt, n_x)
+    idx, w = _base_stencil_geometry(n_x)
+    return _Stencil(idx, np.repeat(np.exp(phi_values).T, 2, axis=1) * w, n_x)
 
 
 def base_preimage_points(n_x: int, capacity: int) -> list[list[BasePoint]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +93,10 @@ class PhiEntry:
 
 
 class PhiTable:
-    """Cache of converged transverse-potential values keyed by digit string.
+    """Cache of converged transverse-potential values.
 
-    Inserts are serialized behind a lock so parallel sweeps can share one
-    table; reads are lock-free on the underlying dict.
+    An entry is keyed on everything besides the config that changes the
+    value: the digits of x, the fiber grid size and the anchor.
     """
 
     def __init__(self, config_hash: str = "", tau_emp: float | None = None,
@@ -106,14 +105,10 @@ class PhiTable:
         self.tau_emp = tau_emp
         self.c1_emp = c1_emp
         self.entries: dict[str, PhiEntry] = {}
-        self._lock = threading.Lock()
 
-    def get(self, x: BasePoint) -> PhiEntry | None:
-        return self.entries.get(x.bit_string())
-
-    def put(self, x: BasePoint, entry: PhiEntry) -> None:
-        with self._lock:
-            self.entries[x.bit_string()] = entry
+    @staticmethod
+    def key(x: BasePoint, n_nodes: int, anchor: str, anchor_y: float) -> str:
+        return f"{x.bit_string()}:{n_nodes}:{anchor}:{anchor_y!r}"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -123,8 +118,8 @@ class PhiTable:
             "config_hash": self.config_hash,
             "tau_emp": self.tau_emp,
             "c1_emp": self.c1_emp,
-            "entries": {bits: [e.value, e.n_used, e.bound]
-                        for bits, e in self.entries.items()},
+            "entries": {key: [e.value, e.n_used, e.bound]
+                        for key, e in self.entries.items()},
         }
 
     def save(self, path) -> None:
@@ -142,8 +137,8 @@ class PhiTable:
         if raw.get("config_hash") != config_hash:
             return cls(config_hash)
         table = cls(config_hash, raw.get("tau_emp"), raw.get("c1_emp"))
-        for bits, (value, n_used, bound) in raw.get("entries", {}).items():
-            table.entries[bits] = PhiEntry(float(value), int(n_used), float(bound))
+        for key, (value, n_used, bound) in raw.get("entries", {}).items():
+            table.entries[key] = PhiEntry(float(value), int(n_used), float(bound))
         return table
 
 
@@ -162,8 +157,9 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    key = PhiTable.key(x, n_nodes, anchor, anchor_y)
     if table is not None:
-        hit = table.get(x)
+        hit = table.entries.get(key)
         if hit is not None and hit.bound <= tol:
             return hit.value, hit.n_used, hit.bound
     tau = tau_guess
@@ -182,7 +178,7 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
             bound = inc / (1.0 - tau)
             value = cur + (cur - prev) * tau / (1.0 - tau) if extrapolate else cur
             if table is not None:
-                table.put(x, PhiEntry(value, n, bound))
+                table.entries[key] = PhiEntry(value, n, bound)
             return value, n, bound
         prev = cur
     raise NoConvergenceError(

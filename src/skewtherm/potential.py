@@ -44,21 +44,15 @@ class TrigPotential:
         return 2.0 * self.amplitude_sum
 
     def __call__(self, x, y):
-        """Evaluate at (x, y); x is a BasePoint or float, y may be an array."""
-        xv = float(x)
+        """Evaluate at (x, y); x is a BasePoint, a float or an array that
+        broadcasts against y."""
+        x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.full(y.shape, self.constant, dtype=float)
+        out = np.full(np.broadcast_shapes(x.shape, y.shape), self.constant)
         for kx, ky, a in self.terms:
-            out += a * np.cos(2.0 * math.pi * (kx * xv + ky * y))
+            out += a * np.cos(2.0 * math.pi * (kx * x + ky * y))
         if out.ndim == 0:
             return float(out)
-        return out
-
-    def eval_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Values on the product grid xs x ys, shape (len(xs), len(ys))."""
-        out = np.full((len(xs), len(ys)), self.constant, dtype=float)
-        for kx, ky, a in self.terms:
-            out += a * np.cos(2.0 * math.pi * (kx * xs[:, None] + ky * ys[None, :]))
         return out
 
     def to_json(self) -> dict:
@@ -148,7 +142,7 @@ def check_condition_P(pot: TrigPotential, constants: HypothesisConstants,
     proof.
     """
     xs = np.arange(grid, dtype=float) / grid
-    vals = pot.eval_grid(xs, xs)
+    vals = pot(xs[:, None], xs)
     sup_phi = float(np.max(vals))
     inf_phi = float(np.min(vals))
     exp_sem = _torus_holder_seminorm(np.exp(vals), constants.alpha)

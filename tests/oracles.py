@@ -1,10 +1,17 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
-These deliberately avoid the library's vectorized code paths: plain loops
-and scalar arithmetic only, so they stay independent of what they check.
+The brute-force oracles deliberately avoid the library's vectorized code
+paths: plain loops and scalar arithmetic only, so they stay independent of
+what they check.  The reference paths below them are the straightforward
+formulations that the library's shared transfer-weight builder and integer
+base points replaced; tests compare the two.
 """
 
 import math
+
+import numpy as np
+
+from skewtherm.fibers import grid_preimages
 
 
 def brute_force_theta(fv, gv, K, alpha):
@@ -36,3 +43,92 @@ def binomial_count_oracle(iota, n, q, d):
     kmin = max(0, math.ceil(iota * n - 1e-9))
     return sum(math.comb(n, k) * q ** k * (d - q) ** (n - k)
                for k in range(kmin, n + 1))
+
+
+def fiber_step_reference(pot, family, x, psi):
+    """One fiber transfer step as a branch sum: e^phi at each preimage times
+    psi interpolated there.  Returns total values (log offset applied), not
+    renormalized."""
+    y1, y2 = grid_preimages(family, x, psi.n_nodes)
+    out = (np.exp(pot(x, y1)) * psi.interp(y1)
+           + np.exp(pot(x, y2)) * psi.interp(y2))
+    return math.exp(psi.log_offset) * out
+
+
+def full_operator_column_reference(pot, family, x, big_psi):
+    """The full operator's column over an exact x, reading Psi by bilinear
+    interpolation at every (base preimage, fiber preimage) pair.  Returns
+    total values."""
+    n_y = big_psi.shape[1]
+    out = np.zeros(n_y)
+    for xbar in x.preimages():
+        for yb in grid_preimages(family, xbar, n_y):
+            out += np.exp(pot(xbar, yb)) * big_psi.interp(float(xbar), yb)
+    return math.exp(big_psi.log_offset) * out
+
+
+class DigitPoint:
+    """A circle point stored as its tuple of binary digits, most significant
+    first: digit-by-digit reference arithmetic for BasePoint."""
+
+    FLOAT_BITS = 96
+
+    def __init__(self, bits):
+        self.bits = tuple(bits)
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("digits must be 0 or 1")
+
+    @property
+    def capacity(self):
+        return len(self.bits)
+
+    @classmethod
+    def from_float(cls, x, capacity):
+        if not 0.0 <= x < 1.0:
+            x = x % 1.0
+        bits = []
+        for _ in range(capacity):
+            x *= 2.0
+            b = int(x)
+            bits.append(b)
+            x -= b
+        return cls(bits)
+
+    @classmethod
+    def from_fraction(cls, num, den, capacity):
+        num %= den
+        bits = []
+        for _ in range(capacity):
+            num *= 2
+            bits.append(num // den)
+            num %= den
+        return cls(bits)
+
+    @classmethod
+    def random(cls, rng, capacity):
+        return cls(int(b) for b in rng.integers(0, 2, size=capacity))
+
+    def value(self):
+        k = min(self.capacity, self.FLOAT_BITS)
+        if k == 0:
+            return 0.0
+        return math.ldexp(int(self.bit_string()[:k], 2), -k)
+
+    def bit_string(self):
+        return "".join("01"[b] for b in self.bits)
+
+    def forward(self, n):
+        if n > self.capacity:
+            raise ValueError("capacity exhausted")
+        return DigitPoint(self.bits[n:])
+
+    def preimages(self):
+        return DigitPoint((0,) + self.bits), DigitPoint((1,) + self.bits)
+
+    def add_dyadic(self, num, scale):
+        cap = self.capacity
+        if cap == 0:
+            return self
+        n = int(self.bit_string(), 2)
+        n = (n + num * (1 << (cap - scale))) % (1 << cap)
+        return DigitPoint(int(ch) for ch in format(n, f"0{cap}b"))

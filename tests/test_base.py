@@ -2,58 +2,58 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import DigitPoint
 from skewtherm import BasePoint, CapacityExhaustedError, circle_distance
-from skewtherm.base import base_forward, base_preimages
 
 
 class TestBasePoint:
     def test_forward_of_dyadic(self):
         x = BasePoint.from_float(0.25, capacity=32)
-        assert float(base_forward(x, 1)) == 0.5
+        assert float(x.forward(1)) == 0.5
 
     def test_zero_is_fixed(self):
         x = BasePoint.from_float(0.0, capacity=16)
         for k in range(1, 17):
-            assert float(base_forward(x, k)) == 0.0
+            assert float(x.forward(k)) == 0.0
 
     def test_forward_third_matches_rational_oracle(self):
         # rational oracle: 2*(2*(1/3) mod 1) mod 1 = 1/3, so two shifts must
         # reproduce the expansion of 1/3 truncated by two digits
         x = BasePoint.from_fraction(1, 3, capacity=128)
-        fwd = base_forward(x, 2)
-        assert fwd.bits == BasePoint.from_fraction(1, 3, capacity=126).bits
+        fwd = x.forward(2)
+        assert fwd == BasePoint.from_fraction(1, 3, capacity=126)
         assert abs(float(fwd) - 1.0 / 3.0) < 1e-15
 
     def test_forward_consumes_capacity(self):
         x = BasePoint.from_float(0.3, capacity=10)
-        assert base_forward(x, 4).capacity == 6
+        assert x.forward(4).capacity == 6
 
     def test_capacity_exhausted(self):
         x = BasePoint.from_float(0.3, capacity=5)
         with pytest.raises(CapacityExhaustedError):
-            base_forward(x, 6)
+            x.forward(6)
 
     def test_preimages_of_zero(self):
         x = BasePoint.from_float(0.0, capacity=8)
-        lo, hi = base_preimages(x)
+        lo, hi = x.preimages()
         assert float(lo) == 0.0 and float(hi) == 0.5
         assert lo.capacity == x.capacity + 1
 
     def test_preimages_of_half(self):
-        lo, hi = base_preimages(BasePoint.from_float(0.5, capacity=8))
+        lo, hi = BasePoint.from_float(0.5, capacity=8).preimages()
         assert float(lo) == 0.25 and float(hi) == 0.75
 
     def test_preimages_of_third_rational_oracle(self):
         x = BasePoint.from_fraction(1, 3, capacity=60)
-        lo, hi = base_preimages(x)
-        assert lo.bits == BasePoint.from_fraction(1, 6, capacity=61).bits
-        assert hi.bits == BasePoint.from_fraction(2, 3, capacity=61).bits
+        lo, hi = x.preimages()
+        assert lo == BasePoint.from_fraction(1, 6, capacity=61)
+        assert hi == BasePoint.from_fraction(2, 3, capacity=61)
 
     def test_preimages_invert_forward(self, rng):
         for _ in range(20):
             x = BasePoint.random(rng, capacity=40)
-            for branch in base_preimages(x):
-                assert base_forward(branch, 1).bits == x.bits
+            for branch in x.preimages():
+                assert branch.forward(1) == x
 
     def test_from_bits_round_trip(self):
         x = BasePoint.from_bits("0101")
@@ -72,7 +72,51 @@ class TestBasePoint:
 
     def test_rejects_bad_digits(self):
         with pytest.raises(ValueError):
-            BasePoint((0, 2, 1))
+            BasePoint.from_bits("021")
+
+
+class TestAgainstDigitOracle:
+    """The integer BasePoint against digit-by-digit arithmetic, exactly."""
+
+    CAPACITIES = (0, 1, 5, 96, 97, 200)
+
+    @staticmethod
+    def same(p, q):
+        return (p.capacity == q.capacity and p.bit_string() == q.bit_string()
+                and p.value() == q.value())
+
+    @pytest.mark.parametrize("cap", CAPACITIES)
+    def test_random_value_forward_preimages(self, cap):
+        x = BasePoint.random(np.random.default_rng(cap), cap)
+        ref = DigitPoint.random(np.random.default_rng(cap), cap)
+        assert self.same(x, ref)
+        for k in range(cap + 1):
+            assert self.same(x.forward(k), ref.forward(k))
+        for p, q in zip(x.preimages(), ref.preimages()):
+            assert self.same(p, q)
+
+    @pytest.mark.parametrize("cap", CAPACITIES)
+    def test_add_dyadic(self, cap, rng):
+        x = BasePoint.random(rng, cap)
+        ref = DigitPoint(int(ch) for ch in x.bit_string())
+        for scale in range(cap + 1):
+            for num in (1, -1, 3, 2 ** 70 + 5):
+                assert self.same(x.add_dyadic(num, scale),
+                                 ref.add_dyadic(num, scale))
+
+    @pytest.mark.parametrize("cap", CAPACITIES)
+    def test_from_fraction(self, cap):
+        for num, den in ((1, 3), (-2, 7), (5, 1), (22, 7), (1, 1024),
+                         (2 ** 80 + 1, 3 ** 40)):
+            assert self.same(BasePoint.from_fraction(num, den, cap),
+                             DigitPoint.from_fraction(num, den, cap))
+
+    @pytest.mark.parametrize("cap", CAPACITIES)
+    def test_from_float(self, cap, rng):
+        for x in (0.0, 0.5, 1.0 / 3.0, 0.999999999, -0.25, 1.75, 5e-324,
+                  *rng.uniform(0.0, 1.0, 10)):
+            assert self.same(BasePoint.from_float(x, cap),
+                             DigitPoint.from_float(x, cap))
 
 
 class TestCircleDistance:

@@ -115,14 +115,20 @@ class TestCli:
         csv_b = (out_b / "phi_values.csv").read_text()
         assert csv_a == csv_b
 
-    def test_threads_reproduce_serial(self, zero_config, tmp_path):
-        out_a, out_b = tmp_path / "s", tmp_path / "t"
-        assert main(["--config", str(zero_config), "--out", str(out_a),
-                     "compute-phi", "--points", "4"]) == 0
-        assert main(["--config", str(zero_config), "--out", str(out_b),
-                     "--threads", "4", "compute-phi", "--points", "4"]) == 0
-        assert (out_a / "phi_values.csv").read_text() == \
-            (out_b / "phi_values.csv").read_text()
+    def test_overflow_exits_3_without_nan_artifacts(self, tmp_path):
+        # e^800 overflows: the run must stop with a numerical failure
+        # instead of writing nan into its tables
+        cfg = write_config(tmp_path / "cfg.json",
+                           potential={"terms": [[0, 1, 0.002]],
+                                      "constant": 800.0},
+                           n_x=16, n_y=16, n_x_base=16, n_fiber=16)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "words",
+                     "--n", "10"]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "numerical"
+        for csv in out.glob("*.csv"):
+            assert "nan" not in csv.read_text()
 
     def test_phi_cache_round_trip(self, zero_config, tmp_path):
         out = tmp_path / "out"

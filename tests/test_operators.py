@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fiber_step_reference, full_operator_column_reference
 from skewtherm import (
     BasePoint,
     GridFn,
@@ -118,6 +119,35 @@ class TestFiberOperator:
         with pytest.raises(NonpositiveFunctionError):
             apply_fiber_operator(small_potential, family, x, bad,
                                  require_positive=True)
+
+
+class TestAgainstReferencePaths:
+    """The shared transfer-weight builder against the branch-sum paths."""
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_fiber_step(self, family, rng, n):
+        pot = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
+                            constant=0.1)
+        for _ in range(5):
+            x = BasePoint.random(rng, 60)
+            psi = GridFn(rng.uniform(0.2, 2.0, n), log_offset=0.3)
+            out = apply_fiber_operator(pot, family, x, psi)
+            np.testing.assert_allclose(
+                total_values(out), fiber_step_reference(pot, family, x, psi),
+                rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_full_operator_column(self, family, rng, n):
+        pot = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
+                            constant=0.1)
+        big = GridFn2D(rng.uniform(0.2, 2.0, (32, n)), log_offset=-0.2)
+        for _ in range(5):
+            x = BasePoint.random(rng, 60)
+            col = full_operator_column(pot, family, x, big)
+            np.testing.assert_allclose(
+                total_values(col),
+                full_operator_column_reference(pot, family, x, big),
+                rtol=1e-13, atol=0.0)
 
 
 class TestCascade:

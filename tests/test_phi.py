@@ -135,6 +135,20 @@ class TestPhiTable:
         loaded = PhiTable.load(path, "other")
         assert len(loaded) == 0
 
+    def test_shared_table_keys_on_grid_and_anchor(self, family, rng):
+        # one table serving two grid sizes and two anchors returns each
+        # query's own value, not the first one stored for the same digits
+        pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+        x = BasePoint.random(rng, 80)
+        table = PhiTable("h")
+        queries = [dict(n_nodes=16), dict(n_nodes=1024),
+                   dict(n_nodes=16, anchor="uniform")]
+        shared = [compute_phi(pot, family, x, tol=1e-10, table=table, **q)
+                  for q in queries]
+        fresh = [compute_phi(pot, family, x, tol=1e-10, **q) for q in queries]
+        assert shared == fresh
+        assert len(table) == 3
+
     def test_missing_file(self, tmp_path):
         loaded = PhiTable.load(tmp_path / "nope.json", "abc")
         assert len(loaded) == 0
