@@ -57,10 +57,11 @@ class Runner:
         self.out.mkdir(parents=True, exist_ok=True)
         self.hash = cfg.config_hash()
         self.phi_cache_path = phi_cache
-        if phi_cache is not None and phi_cache.exists():
-            self.phi_table = PhiTable.load(phi_cache, self.hash)
-        else:
-            self.phi_table = PhiTable(self.hash)
+        self.phi_table = (PhiTable.load(phi_cache, self.hash)
+                          if phi_cache is not None else PhiTable(self.hash))
+        if self.phi_table.discarded is not None:
+            print(f"warning: --phi-cache {phi_cache} discarded, starting an "
+                  f"empty table: {self.phi_table.discarded}", file=sys.stderr)
 
     # -- helpers ---------------------------------------------------------
 

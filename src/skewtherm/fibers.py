@@ -4,6 +4,9 @@ The fiber over x carries g_x(y) = y + y^(p(x)+1) mod 1 with exponent profile
 p(x) = p0 + p1*(1 - cos(2*pi*x))/2.  Each g_x has two monotone branches split
 at the point c_x solving c + c^(p+1) = 1; branch 1 (the one containing the
 neutral fixed point y=0) is the only branch whose inverse can fail to contract.
+Both inverse branches, and c_x itself, are roots of the increasing convex
+function y + y^(p+1) - target, found by unbracketed vectorized Newton
+iteration; the grid-node preimage tables are cached per exponent.
 """
 
 from __future__ import annotations
@@ -15,13 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import BasePoint, circle_distance
-from .errors import CapacityExhaustedError, HypothesisViolatedError
+from .errors import CapacityExhaustedError, HypothesisViolatedError, NoConvergenceError
 
 # Fiber circle with the wraparound metric: largest possible distance.
 DIAM_Y = 0.5
 
-_BISECT_WIDTH = 1e-12
-_NEWTON_STEPS = 5
+# Newton preimage solve: iteration cap and the step, in ulps of the target,
+# below which it has converged
+_NEWTON_CAP = 60
+_STEP_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -71,65 +76,66 @@ def fiber_forward(family: MpFamily, x, y):
     return out
 
 
-def branch_boundary_for_exponent(p: float) -> float:
-    """The split point c with c + c^(p+1) = 1, found to near machine precision."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid + mid ** (p + 1.0) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        f = c + c ** (p + 1.0) - 1.0
-        c -= f / (1.0 + (p + 1.0) * c ** p)
-    return c
+def _solve_increasing(p, target, y):
+    """Vectorized root of y + y^(p+1) = target by Newton iteration from y >= 0.
+
+    f(y) = y + y^(p+1) - target is increasing and convex on y >= 0.  A Newton
+    step from any y >= 0 therefore lands right of the root (or on it), and
+    from there the iterates decrease monotonically onto it: no bracket is
+    needed, and a start left of the root costs one overshoot.  Iterates stay
+    >= 0, so the fractional powers stay real.  Stops once every step is
+    within a few ulps of its target; raises NoConvergenceError after
+    _NEWTON_CAP steps instead of looping on.
+    """
+    # an ulp of the target; subnormal targets share the smallest one
+    fp = np.finfo(float)
+    tol = _STEP_ULPS * fp.eps * np.maximum(target, fp.tiny)
+    for _ in range(_NEWTON_CAP):
+        y_p = y ** p
+        step = (y + y * y_p - target) / (1.0 + (p + 1.0) * y_p)
+        y = y - step
+        if np.all(np.abs(step) <= tol):
+            return y
+    raise NoConvergenceError(
+        f"Newton preimage solve not converged in {_NEWTON_CAP} steps")
+
+
+def branch_boundary_for_exponent(p):
+    """The split point c with c + c^(p+1) = 1, for a scalar p or an array.
+
+    Newton from y = 1, right of the root.  The result is then taken one ulp
+    right where rounding left it short, so that c + c^(p+1) >= 1 in floating
+    point and g sends c to 0 rather than to just below 1.
+    """
+    p = np.asarray(p, dtype=float)
+    c = _solve_increasing(p, 1.0, np.ones_like(p))
+    c = np.where(c + c ** (p + 1.0) < 1.0, np.nextafter(c, 2.0), c)
+    return float(c) if c.ndim == 0 else c
 
 
 def branch_boundary(family: MpFamily, x) -> float:
     return branch_boundary_for_exponent(family.exponent(x))
 
 
-def _solve_increasing(p, target, lo, hi):
-    """Vectorized root of y + y^(p+1) = target on [lo, hi] (monotone in y)."""
-    p = np.asarray(p, dtype=float)
-    target = np.asarray(target, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
-    n_bisect = int(math.ceil(math.log2(1.0 / _BISECT_WIDTH)))
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        below = mid + mid ** (p + 1.0) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    y = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        f = y + y ** (p + 1.0) - target
-        y = y - f / (1.0 + (p + 1.0) * y ** p)
-        # rounding can push the iterate a hair outside the bracket (even
-        # below zero near the neutral root), where fractional powers blow up
-        y = np.minimum(np.maximum(y, lo), hi)
-    return y
-
-
 def inverse_branches_for_exponent(p, t):
     """Both g-preimages of t for exponent(s) p: neutral branch then expanding.
 
     y1 solves y + y^(p+1) = t on [0, c); y2 solves y + y^(p+1) = t + 1 on
-    [c, 1).  Fully vectorized over t (and p, if given as a matching array).
+    [c, 1).  Both are solved as one stacked (2, n) Newton iteration started on
+    the chords of the two convex branches, c*t and c + (1-c)*t, which lie left
+    of the roots.  Fully vectorized over t (and p, if given as a matching
+    array); y1 and y2 are the two rows of one (2, n) array.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if np.isscalar(p) or np.asarray(p).ndim == 0:
-        c = branch_boundary_for_exponent(float(p))
-    else:
-        c = _solve_increasing(p, np.ones_like(t), 0.0, 1.0)
-    y1 = _solve_increasing(p, t, 0.0, c)
-    y2 = _solve_increasing(p, t + 1.0, c, 1.0)
-    # the expanding branch ends at y=1 which is the same circle point as 0
-    y2 = np.where(y2 >= 1.0, 0.0, y2)
+    c = branch_boundary_for_exponent(p)
+    y1, y2 = _solve_increasing(p, np.stack((t, t + 1.0)),
+                               np.stack((c * t, c + (1.0 - c) * t)))
+    # rounding can leave the expanding root an ulp left of c; the branch ends
+    # at y=1, which is the same circle point as 0
+    np.maximum(y2, c, out=y2)
+    y2[y2 >= 1.0] = 0.0
     if scalar:
         return float(y1[0]), float(y2[0])
     return y1, y2

@@ -105,6 +105,8 @@ class PhiTable:
         self.tau_emp = tau_emp
         self.c1_emp = c1_emp
         self.entries: dict[str, PhiEntry] = {}
+        # why load() threw away the file it read, if it did
+        self.discarded: str | None = None
 
     @staticmethod
     def key(x: BasePoint, n_nodes: int, anchor: str, anchor_y: float) -> str:
@@ -128,18 +130,54 @@ class PhiTable:
 
     @classmethod
     def load(cls, path, config_hash: str) -> "PhiTable":
-        """Load a cache, discarding it wholesale on a config-hash mismatch."""
+        """Load a cache; a missing file gives an empty table.
+
+        A file that is not JSON, was written under another config hash or
+        does not have the shape ``to_json`` writes is discarded wholesale:
+        the result is an empty table whose ``discarded`` names the reason.
+        """
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except FileNotFoundError:
             return cls(config_hash)
+        except (OSError, ValueError) as exc:
+            return cls._discard(config_hash, f"unreadable or not JSON ({exc})")
+        if not isinstance(raw, dict):
+            return cls._discard(config_hash, "top level is not a JSON object")
         if raw.get("config_hash") != config_hash:
-            return cls(config_hash)
-        table = cls(config_hash, raw.get("tau_emp"), raw.get("c1_emp"))
-        for key, (value, n_used, bound) in raw.get("entries", {}).items():
-            table.entries[key] = PhiEntry(float(value), int(n_used), float(bound))
+            return cls._discard(config_hash, f"config hash {raw.get('config_hash')!r} "
+                                f"is not this config's {config_hash!r}")
+        try:
+            table = cls(config_hash, _optional_float(raw.get("tau_emp")),
+                        _optional_float(raw.get("c1_emp")))
+            entries = raw.get("entries", {})
+            if not isinstance(entries, dict):
+                raise TypeError("entries is not a JSON object")
+            for key, entry in entries.items():
+                table.entries[key] = _entry_from_json(key, entry)
+        except (TypeError, ValueError) as exc:
+            return cls._discard(config_hash, f"malformed: {exc}")
         return table
+
+    @classmethod
+    def _discard(cls, config_hash: str, reason: str) -> "PhiTable":
+        table = cls(config_hash)
+        table.discarded = reason
+        return table
+
+
+def _optional_float(v) -> float | None:
+    return None if v is None else float(v)
+
+
+def _entry_from_json(key: str, entry) -> PhiEntry:
+    if not (isinstance(entry, list) and len(entry) == 3):
+        raise TypeError(f"entry {key!r} is not [value, n_used, bound]")
+    value, n_used, bound = float(entry[0]), int(entry[1]), float(entry[2])
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ValueError(f"entry {key!r} is not finite")
+    return PhiEntry(value, n_used, bound)
 
 
 def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,

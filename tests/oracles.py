@@ -4,7 +4,7 @@ The brute-force oracles deliberately avoid the library's vectorized code
 paths: plain loops and scalar arithmetic only, so they stay independent of
 what they check.  The reference paths below them are the straightforward
 formulations that the library's shared transfer-weight builder and integer
-base points replaced; tests compare the two.
+base points and the Newton preimage solve replaced; tests compare the two.
 """
 
 import math
@@ -43,6 +43,61 @@ def binomial_count_oracle(iota, n, q, d):
     kmin = max(0, math.ceil(iota * n - 1e-9))
     return sum(math.comb(n, k) * q ** k * (d - q) ** (n - k)
                for k in range(kmin, n + 1))
+
+
+BISECT_WIDTH = 1e-12
+BISECT_NEWTON_STEPS = 5
+
+
+def branch_boundary_bisect(p):
+    """The split point c with c + c^(p+1) = 1 for one scalar p: bisection to
+    1e-12, then five Newton steps."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if mid + mid ** (p + 1.0) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    c = 0.5 * (lo + hi)
+    for _ in range(BISECT_NEWTON_STEPS):
+        f = c + c ** (p + 1.0) - 1.0
+        c -= f / (1.0 + (p + 1.0) * c ** p)
+    return c
+
+
+def solve_increasing_bisect(p, target, lo, hi):
+    """Root of y + y^(p+1) = target on the bracket [lo, hi]: 40 vectorized
+    bisection sweeps, then five Newton steps clamped to the bracket."""
+    p = np.asarray(p, dtype=float)
+    target = np.asarray(target, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
+    n_bisect = int(math.ceil(math.log2(1.0 / BISECT_WIDTH)))
+    for _ in range(n_bisect):
+        mid = 0.5 * (lo + hi)
+        below = mid + mid ** (p + 1.0) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    y = 0.5 * (lo + hi)
+    for _ in range(BISECT_NEWTON_STEPS):
+        f = y + y ** (p + 1.0) - target
+        y = y - f / (1.0 + (p + 1.0) * y ** p)
+        y = np.minimum(np.maximum(y, lo), hi)
+    return y
+
+
+def inverse_branches_bisect(p, t):
+    """Both g-preimages of the array t for exponent(s) p by bracketed
+    bisection: y1 on [0, c), y2 on [c, 1) with the wrap point 1 sent to 0."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.ndim(p) == 0:
+        c = branch_boundary_bisect(float(p))
+    else:
+        c = solve_increasing_bisect(p, np.ones_like(t), 0.0, 1.0)
+    y1 = solve_increasing_bisect(p, t, 0.0, c)
+    y2 = solve_increasing_bisect(p, t + 1.0, c, 1.0)
+    return y1, np.where(y2 >= 1.0, 0.0, y2)
 
 
 def fiber_step_reference(pot, family, x, psi):

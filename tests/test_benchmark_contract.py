@@ -1,8 +1,9 @@
 """The names the benchmark in perfbench/ reaches into skewtherm through.
 
-The tracer wraps each SPANS entry from outside and the worker clears three
-lru caches before every cold unit; a refactor that renames or removes any of
-them breaks the traced benchmark, so it must break a test first.
+The tracer wraps each SPANS entry from outside, the worker clears three
+lru caches before every cold unit and reads the preimage cache's hit and
+miss counts; a refactor that renames or removes any of them breaks the
+traced benchmark, so it must break a test first.
 """
 
 import importlib
@@ -36,3 +37,6 @@ def test_cleared_caches_exist():
     assert set(caches) == {"preimage", "full_stencil", "base_geometry"}
     for name, cache in caches.items():
         assert callable(getattr(cache, "cache_clear", None)), name
+    # layer_metrics reads the preimage cache's hit and miss counts
+    info = caches["preimage"].cache_info()
+    assert isinstance(info.hits, int) and isinstance(info.misses, int)

@@ -140,6 +140,29 @@ class TestCli:
         payload = json.loads(cache.read_text())
         assert len(payload["entries"]) == 3
 
+    @pytest.mark.parametrize("content, reason", [
+        ("{not json", "not JSON"),
+        ('{"config_hash": "other", "entries": {}}', "config hash 'other'"),
+        ('{"config_hash": "HASH", "entries": {"k": 5}}', "not [value, n_used, bound]"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"config_hash": "HASH", "entries": {"k": [NaN, 3, 0.0]}}', "not finite"),
+    ], ids=["not-json", "hash-mismatch", "entry-shape", "top-level-list",
+            "non-finite"])
+    def test_bad_phi_cache_warns_and_starts_empty(self, zero_config, tmp_path,
+                                                  capsys, content, reason):
+        config_hash = ExperimentConfig.load(zero_config).config_hash()
+        cache = tmp_path / "phi.json"
+        cache.write_text(content.replace("HASH", config_hash))
+        assert main(["--config", str(zero_config), "--out", str(tmp_path / "out"),
+                     "--phi-cache", str(cache), "compute-phi",
+                     "--points", "2"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "discarded" in err and reason in err
+        payload = json.loads(cache.read_text())
+        assert payload["config_hash"] == config_hash
+        assert len(payload["entries"]) == 2
+
     def test_check_hypotheses(self, zero_config, tmp_path):
         out = tmp_path / "out"
         code = main(["--config", str(zero_config), "--out", str(out),

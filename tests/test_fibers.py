@@ -15,7 +15,14 @@ from skewtherm import (
     paired_preimage_trees,
     preimage_tree,
 )
-from skewtherm.fibers import branch_boundary_for_exponent
+from skewtherm.errors import NoConvergenceError
+from skewtherm.fibers import (
+    _grid_preimage_tables,
+    branch_boundary_for_exponent,
+    inverse_branches_for_exponent,
+)
+
+from oracles import branch_boundary_bisect, inverse_branches_bisect
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # root of c + c^2 = 1
 
@@ -105,6 +112,81 @@ class TestInverseBranches:
             y1s, y2s = fiber_inverse_branches(family, 0.3, float(tv))
             assert y1v[i] == pytest.approx(y1s, abs=1e-14)
             assert y2v[i] == pytest.approx(y2s, abs=1e-14)
+
+
+# exponents from the near-linear p -> 0 limit to a steep p = 50, plus seeded
+# draws from the default family's range [p0, p0 + p1] = [0.5, 1]
+SWEEP_P = [1e-6, 0.05, 0.5, 1.0, 8.0, 50.0] + [
+    float(p) for p in np.random.default_rng(4471).uniform(0.5, 1.0, size=20)]
+
+
+class TestNewtonAgainstBisection:
+    """The Newton preimage solve against the bisection solver it replaced."""
+
+    @pytest.mark.parametrize("p", SWEEP_P)
+    def test_grid_branches_match_oracle(self, p):
+        for n in (16, 512, 1024):
+            t = np.arange(n) / n
+            y1, y2 = inverse_branches_for_exponent(p, t)
+            o1, o2 = inverse_branches_bisect(p, t)
+            np.testing.assert_allclose(y1, o1, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(y2, o2, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p", SWEEP_P)
+    def test_scalar_t_and_split_point_match_oracle(self, p, rng):
+        assert branch_boundary_for_exponent(p) == pytest.approx(
+            branch_boundary_bisect(p), abs=1e-15)
+        for t in rng.uniform(0.0, 1.0, size=5):
+            y1, y2 = inverse_branches_for_exponent(p, float(t))
+            o1, o2 = inverse_branches_bisect(p, float(t))
+            assert y1 == pytest.approx(o1[0], abs=1e-15)
+            assert y2 == pytest.approx(o2[0], abs=1e-15)
+
+    def test_array_p_matches_oracle(self, family, rng):
+        p = rng.uniform(family.p0, family.p0 + family.p1, size=4096)
+        t = rng.uniform(0.0, 1.0, size=4096)
+        y1, y2 = inverse_branches_for_exponent(p, t)
+        o1, o2 = inverse_branches_bisect(p, t)
+        np.testing.assert_allclose(y1, o1, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(y2, o2, rtol=0, atol=1e-15)
+        c = branch_boundary_for_exponent(p)
+        assert np.all(c + c ** (p + 1.0) >= 1.0)
+
+    @pytest.mark.parametrize("p", SWEEP_P)
+    def test_split_point_maps_right_of_one(self, p):
+        # c + c^(p+1) >= 1 in floating point, and no expanding preimage
+        # falls left of c except the wrap point, stored as exactly 0
+        c = branch_boundary_for_exponent(p)
+        assert c + c ** (p + 1.0) >= 1.0
+        for n in (16, 512, 1024):
+            _, y2 = inverse_branches_for_exponent(p, np.arange(n) / n)
+            assert np.all((y2 >= c) | (y2 == 0.0))
+
+    @pytest.mark.parametrize("p", [1e-6, 200.0])
+    def test_edge_targets_converge_without_float_fault(self, p):
+        # 2^-1074 is the smallest subnormal: its ulp is the target itself
+        t = np.array([0.0, 2.0 ** -1074, 2.0 ** -52, 1.0 - 2.0 ** -53])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            ys = inverse_branches_for_exponent(p, t)
+            ys += tuple(y for tv in t for y in inverse_branches_for_exponent(p, float(tv)))
+        assert all(np.all(np.asarray(y) >= 0.0) for y in ys)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a solve that has not converged by the cap raises, never loops on
+        monkeypatch.setattr("skewtherm.fibers._NEWTON_CAP", 1)
+        with pytest.raises(NoConvergenceError):
+            inverse_branches_for_exponent(0.7, np.arange(16) / 16)
+
+    def test_cached_table_holds_two_rows(self):
+        # a cache entry keeps exactly 2n doubles alive, counted at the
+        # arrays that own the memory of y1 and y2
+        n = 512
+        owners = {}
+        for y in _grid_preimage_tables(0.6180339, n):
+            while y.base is not None:
+                y = y.base
+            owners[id(y)] = y.nbytes
+        assert sum(owners.values()) == 2 * n * 8
 
 
 class TestPreimageTrees:
