@@ -39,6 +39,7 @@ from .measures import (
     conditional_integrate,
     eigen_equation_residual,
     fiber_integrate,
+    fiber_measure,
     intertwine_residual,
     measure_continuity_probe,
     rpf_base_solve,
@@ -48,7 +49,6 @@ from .operators import (
     apply_base_operator,
     apply_fiber_operator,
     apply_full_operator,
-    iterate_cascade,
 )
 from .phi import (
     HolderEstimate,

@@ -84,8 +84,12 @@ class Runner:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     def save_phi_cache(self) -> None:
-        if self.phi_cache_path is not None:
-            self.phi_table.save(self.phi_cache_path)
+        try:
+            if self.phi_cache_path is not None:
+                self.phi_table.save(self.phi_cache_path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --phi-cache {self.phi_cache_path}: "
+                              f"{exc}") from exc
 
     def constants(self, exploratory: bool | None = None):
         return estimate_constants(
@@ -406,18 +410,16 @@ def main(argv: list[str] | None = None) -> int:
                else ExperimentConfig())
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
-    except ConfigError as exc:
-        _write_error(args.out, "config", str(exc))
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    runner = Runner(cfg, args.out, args.phi_cache)
-    handler = getattr(runner, "cmd_" + args.command.replace("-", "_"))
-    try:
+        runner = Runner(cfg, args.out, args.phi_cache)
+        handler = getattr(runner, "cmd_" + args.command.replace("-", "_"))
         # a NaN or overflow anywhere aborts the run instead of reaching an
         # artifact; underflow to zero is routine in cascades and stays quiet
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return handler(args)
+    except ConfigError as exc:
+        _write_error(args.out, "config", str(exc))
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except HypothesisViolatedError as exc:
         _write_error(args.out, "hypothesis", str(exc))
         print(f"hypothesis check failed: {exc}", file=sys.stderr)

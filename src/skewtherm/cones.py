@@ -203,14 +203,13 @@ def image_diameter(pot: TrigPotential, family: MpFamily, x: BasePoint,
                    cone: ConeParams, samples: int = 20,
                    rng: np.random.Generator | None = None,
                    zeta: float | None = None,
-                   include_witnesses: bool = True,
                    n_nodes: int = 512, n_theta: int = 64) -> ContractionReport:
     """Push sampled cone elements through one fiber transfer step and measure
     the projective diameter of the image set.
 
-    The sample set is the margin sampler's output plus (by default) the
-    deterministic extremal witnesses, without which the measured diameter is
-    far below the contraction factor actually observed on close pairs.
+    The sample set is the margin sampler's output plus the deterministic
+    extremal witnesses, without which the measured diameter is far below the
+    contraction factor actually observed on close pairs.
     zeta_emp records the largest image seminorm-to-infimum ratio divided by
     K; when the analytic contraction factor ``zeta`` is supplied, an image
     whose ratio exceeds min(1, 1.05 * zeta) raises ConeEscapeError.
@@ -219,8 +218,7 @@ def image_diameter(pot: TrigPotential, family: MpFamily, x: BasePoint,
         raise ValueError("need at least 20 cone samples")
     rng = rng or np.random.default_rng(0)
     fns = sample_cone_functions(cone, n_nodes, samples, rng)
-    if include_witnesses:
-        fns.extend(extremal_witness_functions(cone, n_nodes))
+    fns.extend(extremal_witness_functions(cone, n_nodes))
     images = []
     zeta_emp = 0.0
     for fn in fns:

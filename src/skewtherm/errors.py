@@ -45,4 +45,5 @@ class EmptyGoodSetError(SkewthermError):
 
 
 class ConfigError(SkewthermError):
-    """Experiment configuration could not be parsed or validated."""
+    """Experiment configuration could not be parsed or validated, or a path
+    given on the command line could not be used."""

@@ -31,20 +31,17 @@ _STEP_ULPS = 4.0
 
 @dataclass(frozen=True)
 class MpFamily:
-    """Parameters of the fiber family and its root-finding tolerance."""
+    """Parameters of the fiber family."""
 
     p0: float = 0.5
     p1: float = 0.5
     delta_a: float = 0.1
-    root_tol: float = 1e-13
 
     def __post_init__(self):
         if self.p0 <= 0:
             raise ValueError("p0 must be positive")
         if self.p1 < 0:
             raise ValueError("p1 must be nonnegative")
-        if self.root_tol <= 0:
-            raise ValueError("root_tol must be positive")
         # the split point c_x grows with p, so the binding case is p = p0
         if not 0 < self.delta_a < branch_boundary_for_exponent(self.p0):
             raise ValueError("neutral band must sit inside branch 1's domain")
@@ -58,8 +55,7 @@ class MpFamily:
         return circle_distance(y, 0.0) < self.delta_a
 
     def to_json(self) -> dict:
-        return {"p0": self.p0, "p1": self.p1, "delta_a": self.delta_a,
-                "root_tol": self.root_tol}
+        return {"p0": self.p0, "p1": self.p1, "delta_a": self.delta_a}
 
     @classmethod
     def from_json(cls, d: dict) -> "MpFamily":

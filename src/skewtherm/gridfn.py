@@ -64,9 +64,6 @@ class GridFn:
         self.log_offset += math.log(m)
         return self
 
-    def copy(self) -> "GridFn":
-        return GridFn(self.values.copy(), self.log_offset)
-
     def pair_delta(self, y: float) -> float:
         """log <f, delta_y>; requires the interpolated value to be positive."""
         v = float(self.interp(y))

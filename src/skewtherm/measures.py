@@ -1,10 +1,11 @@
 """Fiber conformal measures, eigendata of the base and full operators, and
 the disintegration checks tying them together.
 
-Fiber measures are never materialized: integrating psi against the depth-n
-measure over x is the ratio of two anchored cascades.  Eigendata come from
-power iteration on the cached operator stencils; the adjoint iteration uses
-the exact transpose of the same incidence structure.
+The depth-n fiber measure over x is a vector of node weights: the anchor
+pulled back through the adjoint fiber cascade, as in the eigen-equation
+L_x* nu_f(x) = e^Phi(x) nu_x.  Eigendata come from power iteration on the
+cached operator stencils; the adjoint iteration uses the exact transpose of
+the same incidence structure.
 """
 
 from __future__ import annotations
@@ -17,18 +18,37 @@ import numpy as np
 from .base import BasePoint
 from .errors import CapacityExhaustedError, NoConvergenceError
 from .fibers import MpFamily
-from .gridfn import GridFn, GridFn2D
+from .gridfn import GridFn, GridFn2D, interp_nodes
 from .operators import (
     _Stencil,
     _full_stencil,
     apply_fiber_operator,
     base_preimage_points,
     base_stencil,
+    fiber_stencil,
     full_operator_column,
-    iterate_cascade,
 )
 from .phi import DEFAULT_ANCHOR_Y, compute_phi
 from .potential import TrigPotential
+
+
+def fiber_measure(pot: TrigPotential, family: MpFamily, x: BasePoint, n: int,
+                  n_nodes: int, anchor_y: float = DEFAULT_ANCHOR_Y) -> np.ndarray:
+    """Node weights of the depth-n fiber measure over x, summing to 1.
+
+    Starts from the interpolation weights of the anchor point and applies
+    the adjoint fiber steps over f^(n-1)(x), ..., x, renormalizing each by
+    its sum, so that <w, psi> / <w, 1> pairs the depth-n cascade of psi
+    with the anchor.
+    """
+    if x.capacity < n:
+        raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
+    (j0, j1), (a0, a1) = interp_nodes(anchor_y, n_nodes)
+    w = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
+    for k in reversed(range(n)):
+        w = fiber_stencil(pot, family, x.forward(k), n_nodes).apply_adjoint(w)
+        w /= np.sum(w)
+    return w
 
 
 def fiber_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -36,33 +56,11 @@ def fiber_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
                     anchor_y: float = DEFAULT_ANCHOR_Y) -> float:
     """Integral of psi against the depth-n fiber measure over x.
 
-    Computed as the anchored ratio of the psi-cascade to the ones-cascade;
-    psi == 1 gives exactly 1 for every n because the two cascades coincide
-    bitwise.
+    Both pairings are the same dot product, so psi == 1 gives exactly 1.
     """
-    num = iterate_cascade(pot, family, x, psi, n)
-    den = iterate_cascade(pot, family, x, GridFn.ones(psi.n_nodes), n)
-    ratio = num.interp(anchor_y) / den.interp(anchor_y)
-    return math.exp(num.log_offset - den.log_offset) * ratio
-
-
-@dataclass(frozen=True)
-class FiberMeasure:
-    """The depth-n fiber measure over x, kept as a functional.
-
-    Never materialized as node weights: integrating psi is the anchored
-    cascade ratio, exactly the construction behind the conformal family.
-    """
-
-    pot: TrigPotential
-    family: MpFamily
-    x: BasePoint
-    n: int
-    anchor_y: float = DEFAULT_ANCHOR_Y
-
-    def integrate(self, psi: GridFn) -> float:
-        return fiber_integrate(self.pot, self.family, self.x, psi, self.n,
-                               self.anchor_y)
+    w = fiber_measure(pot, family, x, n, psi.n_nodes, anchor_y)
+    ratio = np.dot(w, psi.values) / np.dot(w, np.ones(psi.n_nodes))
+    return math.exp(psi.log_offset) * float(ratio)
 
 
 def eigen_equation_residual(pot: TrigPotential, family: MpFamily,

@@ -3,8 +3,9 @@
 Every operator is built from one set of weights: for a base point x and a
 fiber grid of n nodes, ``fiber_weights`` lists the interpolation nodes of
 both g_x-preimages of every grid node, weighted by e^phi at the preimage.
-The fiber step gathers with them, and the full operator multiplies them by
-the interpolation weights of the base preimages.  The base operator uses the
+The fiber stencil holds them once per base point, for the forward step and
+its exact adjoint, and the full operator multiplies them by the
+interpolation weights of the base preimages.  The base operator uses the
 same interpolation routine (``gridfn.interp_nodes``) with e^Phi weights.
 
 Every application renormalizes its output and accumulates the scale factor in
@@ -43,36 +44,6 @@ def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int):
             np.stack([w0 * e_phi, w1 * e_phi], axis=2).reshape(shape))
 
 
-def apply_fiber_operator(pot: TrigPotential, family: MpFamily, x: BasePoint,
-                         psi: GridFn, require_positive: bool = False) -> GridFn:
-    """One fiberwise transfer step: sum e^phi(x, .) * psi over the
-    g_x-preimages of every output node.
-
-    The result lives on the fiber over f(x); psi is read at the preimages by
-    periodic linear interpolation, which preserves positivity and
-    monotonicity.
-    """
-    if x.capacity < 1:
-        raise CapacityExhaustedError("one operator step needs capacity >= 1")
-    if require_positive and np.any(psi.values <= 0.0):
-        raise NonpositiveFunctionError("cone semantics need psi > 0 at all nodes")
-    idx, wgt = fiber_weights(pot, family, [x], psi.n_nodes)
-    out = np.einsum("kj,kj->j", wgt[0], psi.values[idx[0]])
-    return GridFn(out, psi.log_offset).renormalize()
-
-
-def iterate_cascade(pot: TrigPotential, family: MpFamily, x: BasePoint,
-                    psi: GridFn, n: int, require_positive: bool = False) -> GridFn:
-    """n-fold cascade along the forward orbit of x (deepest operator first)."""
-    if x.capacity < n:
-        raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
-    out = psi.copy()
-    for k in range(n):
-        out = apply_fiber_operator(pot, family, x.forward(k), out,
-                                   require_positive=require_positive)
-    return out
-
-
 class _Stencil:
     """Sparse incidence structure of a discretized transfer operator.
 
@@ -94,6 +65,36 @@ class _Stencil:
         contrib = self.wgt * u[:, None]
         return np.bincount(self.idx.ravel(), weights=contrib.ravel(),
                            minlength=self.size)
+
+    def step(self, fn):
+        """One transfer step on a GridFn or GridFn2D: apply, keep the log
+        offset, renormalize."""
+        out = self.apply(fn.values.reshape(-1)).reshape(fn.values.shape)
+        return type(fn)(out, fn.log_offset).renormalize()
+
+
+def fiber_stencil(pot: TrigPotential, family: MpFamily, x: BasePoint,
+                  n_nodes: int) -> _Stencil:
+    """The fiber operator over x on n_nodes nodes: row j gathers the
+    weighted interpolation nodes of both g_x-preimages of j / n_nodes."""
+    if x.capacity < 1:
+        raise CapacityExhaustedError("one operator step needs capacity >= 1")
+    idx, wgt = fiber_weights(pot, family, [x], n_nodes)
+    return _Stencil(idx[0].T, wgt[0].T, n_nodes)
+
+
+def apply_fiber_operator(pot: TrigPotential, family: MpFamily, x: BasePoint,
+                         psi: GridFn, require_positive: bool = False) -> GridFn:
+    """One fiberwise transfer step: sum e^phi(x, .) * psi over the
+    g_x-preimages of every output node.
+
+    The result lives on the fiber over f(x); psi is read at the preimages by
+    periodic linear interpolation, which preserves positivity and
+    monotonicity.
+    """
+    if require_positive and np.any(psi.values <= 0.0):
+        raise NonpositiveFunctionError("cone semantics need psi > 0 at all nodes")
+    return fiber_stencil(pot, family, x, psi.n_nodes).step(psi)
 
 
 @functools.lru_cache(maxsize=8)  # a 512x512 stencil holds ~70 MB
@@ -125,10 +126,7 @@ def _full_stencil(pot: TrigPotential, family: MpFamily,
 def apply_full_operator(pot: TrigPotential, family: MpFamily,
                         big_psi: GridFn2D) -> GridFn2D:
     """Full transfer step: sum over all four skew-product preimages."""
-    n_x, n_y = big_psi.shape
-    stencil = _full_stencil(pot, family, n_x, n_y)
-    out = stencil.apply(big_psi.values.reshape(-1)).reshape(n_x, n_y)
-    return GridFn2D(out, big_psi.log_offset).renormalize()
+    return _full_stencil(pot, family, *big_psi.shape).step(big_psi)
 
 
 def full_operator_column(pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -139,10 +137,9 @@ def full_operator_column(pot: TrigPotential, family: MpFamily, x: BasePoint,
     happens at x itself; Psi is read by interpolating its slices at the base
     preimages along the fiber, which is its bilinear interpolation.
     """
-    xbars = x.preimages()
-    idx, wgt = fiber_weights(pot, family, xbars, big_psi.shape[1])
-    out = sum(np.einsum("kj,kj->j", w, big_psi.slice_at(float(xb)).values[i])
-              for xb, i, w in zip(xbars, idx, wgt))
+    n_y = big_psi.shape[1]
+    out = sum(fiber_stencil(pot, family, xb, n_y).apply(
+        big_psi.slice_at(float(xb)).values) for xb in x.preimages())
     return GridFn(out, big_psi.log_offset)
 
 
@@ -200,6 +197,4 @@ def apply_base_operator(phi_eval, xi: GridFn, capacity: int = 64) -> GridFn:
     n_x = xi.n_nodes
     points = base_preimage_points(n_x, capacity)
     phis = np.array([[phi_eval(p) for p in fam] for fam in points])
-    stencil = base_stencil(phis, n_x)
-    out = stencil.apply(xi.values)
-    return GridFn(out, xi.log_offset).renormalize()
+    return base_stencil(phis, n_x).step(xi)

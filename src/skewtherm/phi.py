@@ -19,7 +19,7 @@ from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
 from .fibers import MpFamily
 from .gridfn import GridFn
-from .operators import apply_fiber_operator
+from .operators import fiber_stencil
 from .potential import TrigPotential
 
 DEFAULT_FIBER_NODES = 512
@@ -31,8 +31,10 @@ MAX_PHI_DEPTH = 200
 class PhiSequence:
     """Incrementally extended cascades behind the Phi_n values at one x.
 
-    Both cascades share the branch tables cached per orbit point, and calling
-    ``value(n)`` for increasing n only applies the missing operator steps.
+    The cascade started over x is one step ahead of the one started over
+    f(x): after its first step over x, both apply L_{f(x)}, L_{f^2(x)}, ...
+    in lockstep, so each orbit point's stencil is built once and applied to
+    both.  Calling ``value(n)`` for increasing n only takes the missing steps.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -45,35 +47,33 @@ class PhiSequence:
         self.x = x
         self.anchor = anchor
         self.anchor_y = anchor_y
-        self._top = GridFn.ones(n_nodes)   # cascade started over x
+        self._top: GridFn | None = None    # cascade started over x
         self._bot = GridFn.ones(n_nodes)   # cascade started over f(x)
-        self._k_top = 0
-        self._k_bot = 0
+        self._k = 0                        # steps taken by both cascades
 
     def _pair(self, fn: GridFn) -> float:
         if self.anchor == "delta":
             return fn.pair_delta(self.anchor_y)
         return fn.pair_uniform()
 
-    def _advance_top(self, k: int) -> None:
-        while self._k_top < k:
-            self._top = apply_fiber_operator(self.pot, self.family,
-                                             self.x.forward(self._k_top), self._top)
-            self._k_top += 1
-
-    def _advance_bot(self, k: int) -> None:
-        while self._k_bot < k:
-            self._bot = apply_fiber_operator(self.pot, self.family,
-                                             self.x.forward(self._k_bot + 1), self._bot)
-            self._k_bot += 1
+    def _advance(self, k: int) -> None:
+        n_nodes = self._bot.n_nodes
+        if self._top is None:
+            self._top = fiber_stencil(self.pot, self.family, self.x,
+                                      n_nodes).step(self._bot)
+        while self._k < k:
+            self._k += 1
+            stencil = fiber_stencil(self.pot, self.family,
+                                    self.x.forward(self._k), n_nodes)
+            self._top = stencil.step(self._top)
+            self._bot = stencil.step(self._bot)
 
     def value(self, n: int) -> float:
         """Phi_n at x: the log-ratio of the two anchored cascade pairings."""
         if self.x.capacity < n + 1:
             raise CapacityExhaustedError(
                 f"Phi_{n} needs capacity >= {n + 1}, have {self.x.capacity}")
-        self._advance_top(n + 1)
-        self._advance_bot(n)
+        self._advance(n)
         return self._pair(self._top) - self._pair(self._bot)
 
 
@@ -184,8 +184,7 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
                 tol: float = 1e-9, tau_guess: float | None = None,
                 table: PhiTable | None = None,
                 anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
-                n_nodes: int = DEFAULT_FIBER_NODES,
-                extrapolate: bool = False) -> tuple[float, int, float]:
+                n_nodes: int = DEFAULT_FIBER_NODES) -> tuple[float, int, float]:
     """Iterate Phi_n until the increment certifies the requested tolerance.
 
     Stops when |Phi_n - Phi_{n-1}| <= tol * (1 - tau), where tau is the
@@ -214,10 +213,9 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
         inc = abs(cur - prev)
         if inc <= tol * (1.0 - tau):
             bound = inc / (1.0 - tau)
-            value = cur + (cur - prev) * tau / (1.0 - tau) if extrapolate else cur
             if table is not None:
-                table.entries[key] = PhiEntry(value, n, bound)
-            return value, n, bound
+                table.entries[key] = PhiEntry(cur, n, bound)
+            return cur, n, bound
         prev = cur
     raise NoConvergenceError(
         f"Phi increments above tolerance after n = {n_cap} (capacity "

@@ -3,15 +3,19 @@
 The brute-force oracles deliberately avoid the library's vectorized code
 paths: plain loops and scalar arithmetic only, so they stay independent of
 what they check.  The reference paths below them are the straightforward
-formulations that the library's shared transfer-weight builder and integer
-base points and the Newton preimage solve replaced; tests compare the two.
+formulations that the library's shared transfer-weight builder, integer
+base points, Newton preimage solve, lockstep Phi cascades and adjoint fiber
+measures replaced; tests compare the two.
 """
 
 import math
 
 import numpy as np
 
+from skewtherm.errors import CapacityExhaustedError
 from skewtherm.fibers import grid_preimages
+from skewtherm.gridfn import GridFn
+from skewtherm.operators import apply_fiber_operator
 
 
 def brute_force_theta(fv, gv, K, alpha):
@@ -187,3 +191,34 @@ class DigitPoint:
         n = int(self.bit_string(), 2)
         n = (n + num * (1 << (cap - scale))) % (1 << cap)
         return DigitPoint(int(ch) for ch in format(n, f"0{cap}b"))
+
+
+def iterate_cascade(pot, family, x, psi, n):
+    """n-fold forward cascade along the orbit of x (deepest operator first)."""
+    if x.capacity < n:
+        raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
+    out = psi
+    for k in range(n):
+        out = apply_fiber_operator(pot, family, x.forward(k), out)
+    return out
+
+
+def fiber_integrate_two_cascades(pot, family, x, psi, n, anchor_y):
+    """Integral of psi against the depth-n fiber measure over x as the
+    anchored ratio of the psi-cascade to the ones-cascade."""
+    num = iterate_cascade(pot, family, x, psi, n)
+    den = iterate_cascade(pot, family, x, GridFn.ones(psi.n_nodes), n)
+    ratio = num.interp(anchor_y) / den.interp(anchor_y)
+    return math.exp(num.log_offset - den.log_offset) * ratio
+
+
+def phi_two_cascades(pot, family, x, n, n_nodes, anchor, anchor_y):
+    """Phi_n at x from two independent cascades: n + 1 steps started over x
+    against n steps started over f(x), each paired with the anchor."""
+    def pair(fn):
+        if anchor == "delta":
+            return fn.pair_delta(anchor_y)
+        return fn.pair_uniform()
+    top = iterate_cascade(pot, family, x, GridFn.ones(n_nodes), n + 1)
+    bot = iterate_cascade(pot, family, x.forward(1), GridFn.ones(n_nodes), n)
+    return pair(top) - pair(bot)

@@ -87,6 +87,14 @@ class TestCli:
         assert main(["--config", str(bad), "--out", str(tmp_path / "out"),
                      "verify"]) == 2
 
+    def test_root_tol_is_an_unknown_family_key(self, tmp_path):
+        family = {**MpFamily().to_json(), "root_tol": 1e-13}
+        bad = write_config(tmp_path / "bad.json", fiber_family=family)
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                     "verify"]) == 2
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "config"
+
     def test_pressure_emits_gap(self, zero_config, tmp_path):
         out = tmp_path / "out"
         code = main(["--config", str(zero_config), "--out", str(out),
@@ -162,6 +170,20 @@ class TestCli:
         payload = json.loads(cache.read_text())
         assert payload["config_hash"] == config_hash
         assert len(payload["entries"]) == 2
+
+    def test_unwritable_phi_cache_exits_2(self, zero_config, tmp_path, capsys):
+        cache = tmp_path / "cache_dir"
+        cache.mkdir()
+        out = tmp_path / "out"
+        assert main(["--config", str(zero_config), "--out", str(out),
+                     "--phi-cache", str(cache), "compute-phi",
+                     "--points", "2"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config"
+        assert str(cache) in err["message"]
+        lines = capsys.readouterr().err.splitlines()
+        assert [ln for ln in lines if ln.startswith("config error:")] == [
+            f"config error: {err['message']}"]
 
     def test_check_hypotheses(self, zero_config, tmp_path):
         out = tmp_path / "out"

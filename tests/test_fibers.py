@@ -95,7 +95,7 @@ class TestInverseBranches:
             t = float(rng.uniform(0, 1))
             for y in fiber_inverse_branches(family, x, t):
                 assert fiber_forward(family, x, y) == pytest.approx(
-                    t, abs=10 * family.root_tol)
+                    t, abs=10 * 1e-13)
 
     def test_branches_ordered(self, family, rng):
         for _ in range(30):
@@ -237,7 +237,7 @@ class TestPreimageTrees:
         d_base = circle_distance(float(x.forward(n)), float(x2.forward(n)))
         idx = 2 ** n - 1
         leaf_gap = abs(t1[0][idx] - t2[0][idx])
-        assert leaf_gap <= consts.gamma ** (-n) * d_base + n * family.root_tol * 10
+        assert leaf_gap <= consts.gamma ** (-n) * d_base + n * 1e-13 * 10
 
     def test_capacity_guard(self, family, rng):
         x = BasePoint.random(rng, 3)
@@ -259,7 +259,7 @@ class TestPreimageTrees:
             d_img = circle_distance((2 * x) % 1, (2 * x2) % 1) + circle_distance(y, y2)
             b = fiber_inverse_branches(family, x, y)
             b2 = fiber_inverse_branches(family, x2, y2)
-            slack = 20 * family.root_tol
+            slack = 20 * 1e-13
             d_pre1 = circle_distance(x, x2) + circle_distance(b[0], b2[0])
             d_pre2 = circle_distance(x, x2) + circle_distance(b[1], b2[1])
             assert d_pre1 <= consts.L * d_img + slack

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from skewtherm import BasePoint, GridFn, GridFn2D, MpFamily, TrigPotential
+from oracles import fiber_integrate_two_cascades
+from skewtherm import (
+    BasePoint,
+    CapacityExhaustedError,
+    GridFn,
+    GridFn2D,
+    MpFamily,
+    TrigPotential,
+)
 from skewtherm.fibers import fiber_inverse_branches
 from skewtherm.measures import (
     conditional_integrate,
@@ -11,6 +19,7 @@ from skewtherm.measures import (
     disintegrate_integral,
     eigen_equation_residual,
     fiber_integrate,
+    fiber_measure,
     intertwine_residual,
     measure_continuity_probe,
     rpf_base_solve,
@@ -73,13 +82,49 @@ class TestFiberIntegrate:
         assert -1.0 <= val <= 1.0
 
     def test_functional_wrapper(self, family, small_potential, rng):
-        from skewtherm.measures import FiberMeasure
+        # the integral is the weight vector's normalized pairing
         x = BasePoint.random(rng, 20)
-        nu = FiberMeasure(small_potential, family, x, n=8)
-        assert nu.integrate(GridFn.ones(512)) == 1.0
+        w = fiber_measure(small_potential, family, x, 8, 512)
         psi = trig_grid_fn(512, [(1, 0.2)])
-        assert nu.integrate(psi) == pytest.approx(
-            fiber_integrate(small_potential, family, x, psi, 8))
+        assert np.dot(w, psi.values) / np.dot(w, np.ones(512)) == \
+            fiber_integrate(small_potential, family, x, psi, 8)
+
+
+class TestAdjointAgainstTwoCascades:
+    """Fiber measures as adjoint weight vectors against the anchored ratio
+    of two forward cascades they replaced."""
+
+    POT = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
+                        constant=0.1)
+
+    @pytest.mark.parametrize("anchor_y", [0.5, 0.3])
+    @pytest.mark.parametrize("n_nodes", [16, 512])
+    def test_integral(self, family, rng, n_nodes, anchor_y):
+        ys = np.arange(n_nodes) / n_nodes
+        psis = [GridFn(1.0 + 0.4 * np.cos(2 * np.pi * ys), log_offset=0.3),
+                GridFn(np.cos(2 * np.pi * ys) + 0.2 * np.sin(6 * np.pi * ys),
+                       log_offset=-0.7)]
+        for n in (0, 1, 7, 25):
+            x = BasePoint.random(rng, 40)
+            for psi in psis:
+                got = fiber_integrate(self.POT, family, x, psi, n, anchor_y)
+                want = fiber_integrate_two_cascades(self.POT, family, x, psi, n,
+                                                    anchor_y)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n_nodes", [16, 512])
+    def test_weights_are_probability_vector(self, family, rng, n_nodes):
+        for n in (0, 1, 7, 25):
+            for anchor_y in (0.5, 0.3):
+                w = fiber_measure(self.POT, family, BasePoint.random(rng, 40),
+                                  n, n_nodes, anchor_y)
+                assert w.shape == (n_nodes,)
+                assert np.all(w >= 0.0)
+                assert abs(np.sum(w) - 1.0) <= 1e-15
+
+    def test_capacity_guard(self, family, rng):
+        with pytest.raises(CapacityExhaustedError):
+            fiber_measure(self.POT, family, BasePoint.random(rng, 6), 7, 64)
 
 
 class TestEigenEquation:

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fiber_step_reference, full_operator_column_reference
+from oracles import (
+    fiber_step_reference,
+    full_operator_column_reference,
+    iterate_cascade,
+)
 from skewtherm import (
     BasePoint,
     GridFn,
@@ -15,9 +19,8 @@ from skewtherm import (
     apply_fiber_operator,
     apply_full_operator,
     fiber_inverse_branches,
-    iterate_cascade,
 )
-from skewtherm.operators import full_operator_column
+from skewtherm.operators import fiber_stencil, full_operator_column
 
 
 def total_values(g):
@@ -148,6 +151,18 @@ class TestAgainstReferencePaths:
                 total_values(col),
                 full_operator_column_reference(pot, family, x, big),
                 rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_fiber_adjoint_is_transpose(self, family, rng, n):
+        # <L_x^T u, v> = <u, L_x v>: the scatter is the gather's transpose
+        pot = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
+                            constant=0.1)
+        for _ in range(5):
+            stencil = fiber_stencil(pot, family, BasePoint.random(rng, 60), n)
+            u = rng.uniform(0.2, 2.0, n)
+            v = rng.uniform(0.2, 2.0, n)
+            assert np.dot(stencil.apply_adjoint(u), v) == pytest.approx(
+                np.dot(u, stencil.apply(v)), rel=1e-13)
 
 
 class TestCascade:

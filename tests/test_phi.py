@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import phi_two_cascades
 from skewtherm import BasePoint, TrigPotential
 from skewtherm.errors import CapacityExhaustedError, DegenerateFitError
 from skewtherm.phi import (
@@ -45,6 +46,15 @@ class TestPhiN:
         x = BasePoint.random(rng, 5)
         with pytest.raises(CapacityExhaustedError):
             phi_n(small_potential, family, x, 5)
+
+    @pytest.mark.parametrize("anchor", ["delta", "uniform"])
+    def test_lockstep_matches_independent_cascades(self, family, rng, anchor):
+        pot = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015)), constant=0.1)
+        x = BasePoint.random(rng, 40)
+        seq = PhiSequence(pot, family, x, anchor=anchor)
+        for n in range(31):
+            want = phi_two_cascades(pot, family, x, n, 512, anchor, 0.5)
+            assert abs(seq.value(n) - want) <= 1e-14
 
     def test_anchor_independence_rate(self, family, rng):
         pot = TrigPotential(terms=((0, 1, 0.01),))
@@ -100,21 +110,6 @@ class TestComputePhi:
         x = BasePoint.random(rng, 6)
         with pytest.raises(Exception):
             compute_phi(pot, family, x, tol=1e-14, tau_guess=0.99)
-
-    def test_extrapolation_applies_geometric_tail(self, family, rng):
-        # the optional correction adds exactly the geometric-series tail of
-        # the last increment; it stays within the certified bound of the
-        # plain value
-        pot = TrigPotential(terms=((0, 1, 0.01),))
-        x = BasePoint.random(rng, 50)
-        tau = 0.5
-        plain, n_used, bound = compute_phi(pot, family, x, tol=1e-5,
-                                           tau_guess=tau)
-        extra, n_used2, _ = compute_phi(pot, family, x, tol=1e-5,
-                                        tau_guess=tau, extrapolate=True)
-        assert n_used2 == n_used
-        assert abs(extra - plain) <= bound + 1e-15
-        assert extra != plain
 
 
 class TestPhiTable:
