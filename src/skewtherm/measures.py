@@ -3,9 +3,12 @@ the disintegration checks tying them together.
 
 The depth-n fiber measure over x is a vector of node weights: the anchor
 pulled back through the adjoint fiber cascade, as in the eigen-equation
-L_x* nu_f(x) = e^Phi(x) nu_x.  Eigendata come from power iteration on the
-cached operator stencils; the adjoint iteration uses the exact transpose of
-the same incidence structure.
+L_x* nu_f(x) = e^Phi(x) nu_x.  Points whose orbits merge share the pulled-back
+weights below the merge, so the measures over a dyadic base grid take one
+adjoint step per distinct (orbit point, depth) pair, and every step over the
+fixed point x = 0 reuses one stencil.  Eigendata come from power iteration on
+the cached operator stencils; the adjoint iteration uses the exact transpose
+of the same incidence structure.
 """
 
 from __future__ import annotations
@@ -25,42 +28,67 @@ from .operators import (
     apply_fiber_operator,
     base_preimage_points,
     base_stencil,
-    fiber_stencil,
     full_operator_column,
 )
-from .phi import DEFAULT_ANCHOR_Y, compute_phi
+from .phi import DEFAULT_ANCHOR_Y, _OrbitStencils, compute_phi
 from .potential import TrigPotential
+
+
+def fiber_measures(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
+                   n: int, n_nodes: int,
+                   anchor_y: float = DEFAULT_ANCHOR_Y) -> list[np.ndarray]:
+    """Node weights of the depth-n fiber measure over each x in xs.
+
+    Each starts from the interpolation weights of the anchor point and
+    applies the adjoint fiber steps over f^(n-1)(x), ..., x, renormalizing
+    each by its sum, so that <w, psi> / <w, 1> pairs the depth-n cascade of
+    psi with the anchor.  The weights over x with d steps left depend only
+    on (x, d), so orbits that merge share every step below the merge.  The
+    returned arrays are read-only: repeated points, merged chains and the
+    bare anchor at n = 0 hand out the same array.
+    """
+    if any(x.capacity < n for x in xs):
+        raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
+    (j0, j1), (a0, a1) = interp_nodes(anchor_y, n_nodes)
+    anchor = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
+    anchor.setflags(write=False)
+    stencils = _OrbitStencils(pot, family, n_nodes)
+    done: dict[tuple[BasePoint, int], np.ndarray] = {}
+    out = []
+    for x in xs:
+        chain = []  # (point, steps left) from x down to the first known one
+        point, left = x, n
+        while left > 0 and (point, left) not in done:
+            chain.append((point, left))
+            point, left = point.forward(1), left - 1
+        w = done[point, left] if left > 0 else anchor
+        for key in reversed(chain):
+            w = stencils(key[0]).apply_adjoint(w)
+            w /= np.sum(w)
+            w.setflags(write=False)
+            done[key] = w
+        out.append(w)
+    return out
 
 
 def fiber_measure(pot: TrigPotential, family: MpFamily, x: BasePoint, n: int,
                   n_nodes: int, anchor_y: float = DEFAULT_ANCHOR_Y) -> np.ndarray:
-    """Node weights of the depth-n fiber measure over x, summing to 1.
+    """Node weights of the depth-n fiber measure over x, summing to 1."""
+    return fiber_measures(pot, family, [x], n, n_nodes, anchor_y)[0]
 
-    Starts from the interpolation weights of the anchor point and applies
-    the adjoint fiber steps over f^(n-1)(x), ..., x, renormalizing each by
-    its sum, so that <w, psi> / <w, 1> pairs the depth-n cascade of psi
-    with the anchor.
-    """
-    if x.capacity < n:
-        raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
-    (j0, j1), (a0, a1) = interp_nodes(anchor_y, n_nodes)
-    w = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
-    for k in reversed(range(n)):
-        w = fiber_stencil(pot, family, x.forward(k), n_nodes).apply_adjoint(w)
-        w /= np.sum(w)
-    return w
+
+def _pair(w: np.ndarray, psi: GridFn) -> float:
+    """Integral of psi against the node weights w; both pairings are the
+    same dot product, so psi == 1 gives exactly 1."""
+    ratio = np.dot(w, psi.values) / np.dot(w, np.ones(psi.n_nodes))
+    return math.exp(psi.log_offset) * float(ratio)
 
 
 def fiber_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
                     psi: GridFn, n: int,
                     anchor_y: float = DEFAULT_ANCHOR_Y) -> float:
-    """Integral of psi against the depth-n fiber measure over x.
-
-    Both pairings are the same dot product, so psi == 1 gives exactly 1.
-    """
-    w = fiber_measure(pot, family, x, n, psi.n_nodes, anchor_y)
-    ratio = np.dot(w, psi.values) / np.dot(w, np.ones(psi.n_nodes))
-    return math.exp(psi.log_offset) * float(ratio)
+    """Integral of psi against the depth-n fiber measure over x."""
+    return _pair(fiber_measure(pot, family, x, n, psi.n_nodes, anchor_y), psi)
 
 
 def eigen_equation_residual(pot: TrigPotential, family: MpFamily,
@@ -217,6 +245,27 @@ def intertwine_residual(pot: TrigPotential, family: MpFamily,
     return worst
 
 
+def _fiber_grid(big_psi: GridFn2D, full_sol: RpfSolution) -> int:
+    n_y = full_sol.eigenfunction.shape[1]
+    if big_psi.shape[1] != n_y:
+        raise ValueError("test function and eigenfunction need matching fiber grids")
+    return n_y
+
+
+def _conditional_pairing(w: np.ndarray, x: BasePoint, big_psi: GridFn2D,
+                         full_sol: RpfSolution, base_sol: RpfSolution) -> float:
+    """psi * h paired with the fiber measure weights w over x, divided by
+    h_base(x)."""
+    h_slice = full_sol.eigenfunction.slice_at(float(x))
+    psi_slice = big_psi.slice_at(float(x))
+    integrand = GridFn(psi_slice.values * h_slice.values,
+                       psi_slice.log_offset + h_slice.log_offset)
+    h_base = float(base_sol.eigenfunction.interp(float(x)))
+    if h_base <= 0.0:
+        raise AssertionError("base eigenfunction must be positive")
+    return _pair(w, integrand) / h_base
+
+
 def conditional_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
                           big_psi: GridFn2D, full_sol: RpfSolution,
                           base_sol: RpfSolution, n: int,
@@ -227,16 +276,9 @@ def conditional_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
     eigenfunction's slice divided by the base eigenfunction's value, so this
     evaluates (integral of psi * h against nu_x at depth n) / h_base(x).
     """
-    if big_psi.shape[1] != full_sol.eigenfunction.shape[1]:
-        raise ValueError("test function and eigenfunction need matching fiber grids")
-    h_slice = full_sol.eigenfunction.slice_at(float(x))
-    psi_slice = big_psi.slice_at(float(x))
-    integrand = GridFn(psi_slice.values * h_slice.values,
-                       psi_slice.log_offset + h_slice.log_offset)
-    h_base = float(base_sol.eigenfunction.interp(float(x)))
-    if h_base <= 0.0:
-        raise AssertionError("base eigenfunction must be positive")
-    return fiber_integrate(pot, family, x, integrand, n, anchor_y) / h_base
+    n_y = _fiber_grid(big_psi, full_sol)
+    w = fiber_measure(pot, family, x, n, n_y, anchor_y)
+    return _conditional_pairing(w, x, big_psi, full_sol, base_sol)
 
 
 def disintegrate_integral(pot: TrigPotential, family: MpFamily,
@@ -246,16 +288,20 @@ def disintegrate_integral(pot: TrigPotential, family: MpFamily,
                           anchor_y: float = DEFAULT_ANCHOR_Y) -> float:
     """Integral of psi d(mu) computed through the disintegration route:
     conditional fiber integrals weighted by the base equilibrium quadrature.
+
+    The fiber measures of all base nodes come from one ``fiber_measures``
+    call, so the nodes' merging dyadic orbits share their adjoint steps.
     """
+    n_y = _fiber_grid(big_psi, full_sol)
     n_x = base_sol.eigenfunction.n_nodes
     mu_hat = base_sol.mu_weights
+    nodes = [i for i in range(n_x) if mu_hat[i] != 0.0]
+    xs = [BasePoint.from_fraction(i, n_x, capacity) for i in nodes]
+    ws = fiber_measures(pot, family, xs, n, n_y, anchor_y)
     total = 0.0
-    for i in range(n_x):
-        if mu_hat[i] == 0.0:
-            continue
-        x = BasePoint.from_fraction(i, n_x, capacity)
-        total += mu_hat[i] * conditional_integrate(
-            pot, family, x, big_psi, full_sol, base_sol, n, anchor_y)
+    for i, x, w in zip(nodes, xs, ws):
+        total += mu_hat[i] * _conditional_pairing(w, x, big_psi, full_sol,
+                                                  base_sol)
     return total
 
 
@@ -274,13 +320,12 @@ def measure_continuity_probe(pot: TrigPotential, family: MpFamily,
     Deltas must be dyadic so the perturbed points are exact; the gaps should
     shrink as delta does (weak-* continuity of the fiber measures).
     """
-    base_val = fiber_integrate(pot, family, x, psi, n, anchor_y)
-    out = []
+    xs = [x]
     for delta in deltas:
         k = round(-math.log2(delta))
         if 2.0 ** -k != delta:
             raise ValueError(f"delta {delta} is not dyadic")
-        x2 = x.add_dyadic(1, k)
-        out.append(abs(base_val - fiber_integrate(pot, family, x2, psi, n,
-                                                  anchor_y)))
-    return out
+        xs.append(x.add_dyadic(1, k))
+    base_w, *ws = fiber_measures(pot, family, xs, n, psi.n_nodes, anchor_y)
+    base_val = _pair(base_w, psi)
+    return [abs(base_val - _pair(w, psi)) for w in ws]

@@ -19,7 +19,7 @@ from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
 from .fibers import MpFamily
 from .gridfn import GridFn
-from .operators import fiber_stencil
+from .operators import _Stencil, fiber_stencil
 from .potential import TrigPotential
 
 DEFAULT_FIBER_NODES = 512
@@ -28,13 +28,38 @@ CONSERVATIVE_TAU = 0.9
 MAX_PHI_DEPTH = 200
 
 
+class _OrbitStencils:
+    """Fiber stencils along exact orbits on one fiber grid.
+
+    A point off zero gets a fresh stencil that its caller drops after use.
+    The fixed point x = 0 is different: ``forward`` masks digits, so an
+    orbit that reaches it never leaves it, and its one stencil is built on
+    first use and kept for every later step.
+    """
+
+    def __init__(self, pot: TrigPotential, family: MpFamily, n_nodes: int):
+        self.pot = pot
+        self.family = family
+        self.n_nodes = n_nodes
+        self._zero: _Stencil | None = None
+
+    def __call__(self, x: BasePoint) -> _Stencil:
+        if x.num:
+            return fiber_stencil(self.pot, self.family, x, self.n_nodes)
+        if self._zero is None:
+            self._zero = fiber_stencil(self.pot, self.family, x, self.n_nodes)
+        return self._zero
+
+
 class PhiSequence:
     """Incrementally extended cascades behind the Phi_n values at one x.
 
     The cascade started over x is one step ahead of the one started over
     f(x): after its first step over x, both apply L_{f(x)}, L_{f^2(x)}, ...
     in lockstep, so each orbit point's stencil is built once and applied to
-    both.  Calling ``value(n)`` for increasing n only takes the missing steps.
+    both.  A dyadic orbit lands on the fixed point x = 0 and stays there;
+    from then on every step applies the one kept L_0 stencil.  Calling
+    ``value(n)`` for increasing n only takes the missing steps.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -42,11 +67,10 @@ class PhiSequence:
                  anchor_y: float = DEFAULT_ANCHOR_Y):
         if anchor not in ("delta", "uniform"):
             raise ValueError("anchor must be 'delta' or 'uniform'")
-        self.pot = pot
-        self.family = family
         self.x = x
         self.anchor = anchor
         self.anchor_y = anchor_y
+        self._stencils = _OrbitStencils(pot, family, n_nodes)
         self._top: GridFn | None = None    # cascade started over x
         self._bot = GridFn.ones(n_nodes)   # cascade started over f(x)
         self._k = 0                        # steps taken by both cascades
@@ -57,14 +81,11 @@ class PhiSequence:
         return fn.pair_uniform()
 
     def _advance(self, k: int) -> None:
-        n_nodes = self._bot.n_nodes
         if self._top is None:
-            self._top = fiber_stencil(self.pot, self.family, self.x,
-                                      n_nodes).step(self._bot)
+            self._top = self._stencils(self.x).step(self._bot)
         while self._k < k:
             self._k += 1
-            stencil = fiber_stencil(self.pot, self.family,
-                                    self.x.forward(self._k), n_nodes)
+            stencil = self._stencils(self.x.forward(self._k))
             self._top = stencil.step(self._top)
             self._bot = stencil.step(self._bot)
 

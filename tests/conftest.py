@@ -24,3 +24,19 @@ def small_potential():
 @pytest.fixture
 def zero_potential():
     return TrigPotential.constant_potential(0.0)
+
+
+@pytest.fixture
+def stencil_builds(monkeypatch):
+    """The base points of every fiber stencil built for a Phi cascade or a
+    fiber measure; both build through the name bound in skewtherm.phi."""
+    from skewtherm import phi
+    built = []
+    original = phi.fiber_stencil
+
+    def counting(pot, family, x, n_nodes):
+        built.append(x)
+        return original(pot, family, x, n_nodes)
+
+    monkeypatch.setattr(phi, "fiber_stencil", counting)
+    return built

@@ -4,18 +4,20 @@ The brute-force oracles deliberately avoid the library's vectorized code
 paths: plain loops and scalar arithmetic only, so they stay independent of
 what they check.  The reference paths below them are the straightforward
 formulations that the library's shared transfer-weight builder, integer
-base points, Newton preimage solve, lockstep Phi cascades and adjoint fiber
-measures replaced; tests compare the two.
+base points, Newton preimage solve, lockstep Phi cascades, adjoint fiber
+measures and their shared orbit chains replaced; tests compare the two.
 """
 
 import math
 
 import numpy as np
 
+from skewtherm.base import BasePoint
 from skewtherm.errors import CapacityExhaustedError
 from skewtherm.fibers import grid_preimages
-from skewtherm.gridfn import GridFn
-from skewtherm.operators import apply_fiber_operator
+from skewtherm.gridfn import GridFn, interp_nodes
+from skewtherm.measures import conditional_integrate
+from skewtherm.operators import apply_fiber_operator, fiber_stencil
 
 
 def brute_force_theta(fv, gv, K, alpha):
@@ -222,3 +224,32 @@ def phi_two_cascades(pot, family, x, n, n_nodes, anchor, anchor_y):
     top = iterate_cascade(pot, family, x, GridFn.ones(n_nodes), n + 1)
     bot = iterate_cascade(pot, family, x.forward(1), GridFn.ones(n_nodes), n)
     return pair(top) - pair(bot)
+
+
+def fiber_measure_chain(pot, family, x, n, n_nodes, anchor_y):
+    """Depth-n fiber measure weights over one x: the anchor pulled back
+    through a freshly built adjoint stencil at every orbit point."""
+    if x.capacity < n:
+        raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
+    (j0, j1), (a0, a1) = interp_nodes(anchor_y, n_nodes)
+    w = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
+    for k in reversed(range(n)):
+        w = fiber_stencil(pot, family, x.forward(k), n_nodes).apply_adjoint(w)
+        w /= np.sum(w)
+    return w
+
+
+def disintegrate_reference(pot, family, big_psi, full_sol, base_sol, n,
+                           capacity, anchor_y):
+    """The disintegrated integral as a loop of conditional integrals, one
+    base node at a time."""
+    n_x = base_sol.eigenfunction.n_nodes
+    mu_hat = base_sol.mu_weights
+    total = 0.0
+    for i in range(n_x):
+        if mu_hat[i] == 0.0:
+            continue
+        x = BasePoint.from_fraction(i, n_x, capacity)
+        total += mu_hat[i] * conditional_integrate(
+            pot, family, x, big_psi, full_sol, base_sol, n, anchor_y)
+    return total

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fiber_integrate_two_cascades
+from oracles import (
+    disintegrate_reference,
+    fiber_integrate_two_cascades,
+    fiber_measure_chain,
+)
 from skewtherm import (
     BasePoint,
     CapacityExhaustedError,
@@ -20,6 +24,7 @@ from skewtherm.measures import (
     eigen_equation_residual,
     fiber_integrate,
     fiber_measure,
+    fiber_measures,
     intertwine_residual,
     measure_continuity_probe,
     rpf_base_solve,
@@ -125,6 +130,64 @@ class TestAdjointAgainstTwoCascades:
     def test_capacity_guard(self, family, rng):
         with pytest.raises(CapacityExhaustedError):
             fiber_measure(self.POT, family, BasePoint.random(rng, 6), 7, 64)
+
+
+class TestSharedOrbitChains:
+    """Fiber measures of many points from one call, sharing the adjoint
+    steps of merging orbits, against one fresh chain per point."""
+
+    POT = TestAdjointAgainstTwoCascades.POT
+
+    def test_dyadic_grid_bit_identical(self, family):
+        xs = [BasePoint.from_fraction(i, 64, 96) for i in range(64)]
+        got = fiber_measures(self.POT, family, xs, 25, 256)
+        for x, w in zip(xs, got):
+            want = fiber_measure_chain(self.POT, family, x, 25, 256, 0.5)
+            assert np.array_equal(w, want)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_random_points_with_repeats(self, family, rng, n):
+        # a preimage of an earlier point meets it one step in, with one
+        # step more left, so the chains must be keyed on depth as well
+        points = [BasePoint.random(rng, 40) for _ in range(8)]
+        xs = (points + points[::3] + [points[1].add_dyadic(1, 3)]
+              + [points[2].preimages()[1]])
+        got = fiber_measures(self.POT, family, xs, n, 64, 0.3)
+        assert len(got) == len(xs)
+        for x, w in zip(xs, got):
+            assert np.array_equal(w, fiber_measure_chain(self.POT, family, x,
+                                                         n, 64, 0.3))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_weights_are_read_only(self, family, rng, n):
+        x = BasePoint.random(rng, 40)
+        for w in fiber_measures(self.POT, family, [x, x], n, 64):
+            with pytest.raises(ValueError):
+                w[0] = 1.0
+
+    def test_capacity_checked_before_any_step(self, family, rng,
+                                              stencil_builds):
+        xs = [BasePoint.random(rng, 40), BasePoint.random(rng, 6)]
+        with pytest.raises(CapacityExhaustedError):
+            fiber_measures(self.POT, family, xs, 7, 64)
+        assert stencil_builds == []
+
+    def test_disintegration_builds_each_chain_step_once(self, family,
+                                                        small_potential,
+                                                        stencil_builds):
+        # 64 nodes i/64 at depth 25: one stencil per distinct nonzero
+        # (point, steps left) pair, 63 + 31 + 15 + 7 + 3 + 1, plus L_0;
+        # a fresh chain per node builds 64 * 25 = 1600
+        base = rpf_base_solve(lambda p: LOG2, 64)
+        full = rpf_full_solve(small_potential, family, 64, 64)
+        psi = GridFn2D.from_callable(
+            lambda X, Y: 1.0 + 0.3 * np.cos(2 * np.pi * (X + Y)), 64, 64)
+        assert np.all(base.mu_weights != 0.0)
+        got = disintegrate_integral(small_potential, family, psi, full, base,
+                                    25, capacity=96)
+        assert len(stencil_builds) == 121
+        assert got == disintegrate_reference(small_potential, family, psi, full,
+                                             base, 25, 96, 0.5)
 
 
 class TestEigenEquation:
@@ -277,6 +340,16 @@ class TestDisintegration:
         d2 = disintegrate_integral(pot, family, psi2, full, base, 25, capacity=80)
         assert abs(d1 - d2) <= 1e-3
 
+    def test_matches_node_loop_exactly(self, solutions):
+        pot, family, base, full = solutions
+        psi2 = GridFn2D.from_callable(
+            lambda X, Y: 1.0 + 0.4 * np.cos(2 * np.pi * X)
+            + 0.2 * np.sin(2 * np.pi * (X + 2 * Y)), 128, 128)
+        got = disintegrate_integral(pot, family, psi2, full, base, 25,
+                                    capacity=80)
+        assert got == disintegrate_reference(pot, family, psi2, full, base, 25,
+                                             80, 0.5)
+
 
 class TestMeasureContinuity:
     def test_constant_function_no_gap(self, family, small_potential, rng):
@@ -298,6 +371,23 @@ class TestMeasureContinuity:
                                                      [2.0 ** -k], 20)[0])
             medians.append(float(np.median(vals)))
         assert medians[0] > medians[1] > medians[2]
+
+    def test_perturbed_points_share_the_chain(self, family, small_potential,
+                                              rng, stencil_builds):
+        # x + 2^-k agrees with x after k steps: 10 + 4 + 6 builds, not 30
+        x = BasePoint.random(rng, 40)
+        psi = trig_grid_fn(64, [(1, 0.5)])
+        measure_continuity_probe(small_potential, family, psi, x,
+                                 [2 ** -4, 2 ** -6], 10)
+        assert len(stencil_builds) == 20
+
+    def test_non_dyadic_raises_before_any_step(self, family, small_potential,
+                                               rng, stencil_builds):
+        x = BasePoint.random(rng, 40)
+        with pytest.raises(ValueError):
+            measure_continuity_probe(small_potential, family, GridFn.ones(64),
+                                     x, [2 ** -4, 0.3], 5)
+        assert stencil_builds == []
 
     def test_rejects_non_dyadic(self, family, small_potential, rng):
         x = BasePoint.random(rng, 40)

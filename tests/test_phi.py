@@ -56,6 +56,24 @@ class TestPhiN:
             want = phi_two_cascades(pot, family, x, n, 512, anchor, 0.5)
             assert abs(seq.value(n) - want) <= 1e-14
 
+    def test_dyadic_orbit_keeps_one_zero_stencil(self, family, stencil_builds):
+        # 1/128 reaches the fixed point 0 after 7 steps: 7 stencils off
+        # zero, then one L_0 stencil for the remaining 24 steps
+        pot = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015)), constant=0.1)
+        x = BasePoint.from_fraction(1, 128, 96)
+        seq = PhiSequence(pot, family, x)
+        values = [seq.value(n) for n in range(31)]
+        assert len(stencil_builds) == 8
+        assert [p.num == 0 for p in stencil_builds] == [False] * 7 + [True]
+        for n, value in enumerate(values):
+            assert value == phi_two_cascades(pot, family, x, n, 512, "delta", 0.5)
+
+    def test_random_orbit_builds_each_point_once(self, family, rng,
+                                                 stencil_builds):
+        pot = TrigPotential(terms=((0, 1, 0.02),))
+        PhiSequence(pot, family, BasePoint.random(rng, 40)).value(30)
+        assert len(stencil_builds) == 31
+
     def test_anchor_independence_rate(self, family, rng):
         pot = TrigPotential(terms=((0, 1, 0.01),))
         x = BasePoint.random(rng, 45)
