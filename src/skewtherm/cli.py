@@ -72,9 +72,15 @@ class Runner:
         return {"config_hash": self.hash, "seed": self.cfg.seed, **payload}
 
     def write_json(self, name: str, payload: dict) -> None:
+        """Write one artifact; a non-finite float raises FloatingPointError
+        before the file is opened, so no partial artifact is left behind."""
+        try:
+            text = json.dumps(self.stamp(payload), indent=2, default=_fmt,
+                              allow_nan=False)
+        except ValueError as exc:
+            raise FloatingPointError(f"{name}: non-finite value ({exc})") from exc
         with open(self.out / name, "w") as fh:
-            json.dump(self.stamp(payload), fh, indent=2, default=_fmt)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     def write_csv(self, name: str, header: list[str], rows: list[tuple]) -> None:
         with open(self.out / name, "w") as fh:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fibers import DIAM_Y, MpFamily
 from .gridfn import GridFn
-from .operators import apply_fiber_operator
+from .operators import _check_positive, fiber_stencil
 from .potential import TrigPotential
 
 MAX_SEMINORM_NODES = 4096
@@ -219,10 +219,12 @@ def image_diameter(pot: TrigPotential, family: MpFamily, x: BasePoint,
     rng = rng or np.random.default_rng(0)
     fns = sample_cone_functions(cone, n_nodes, samples, rng)
     fns.extend(extremal_witness_functions(cone, n_nodes))
+    stencil = fiber_stencil(pot, family, x, n_nodes)
     images = []
     zeta_emp = 0.0
     for fn in fns:
-        img = apply_fiber_operator(pot, family, x, fn, require_positive=True)
+        _check_positive(fn)
+        img = stencil.step(fn)
         ratio = holder_seminorm(img, cone.alpha) / (
             cone.K * float(np.min(img.values)))
         zeta_emp = max(zeta_emp, ratio)

@@ -133,9 +133,6 @@ class GridFn2D:
         self.log_offset += math.log(m)
         return self
 
-    def copy(self) -> "GridFn2D":
-        return GridFn2D(self.values.copy(), self.log_offset)
-
 
 def interp_nodes(t, n: int):
     """Periodic linear interpolation at circle point(s) t on the grid j/n.

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import BasePoint
-from .errors import CapacityExhaustedError, NoConvergenceError
+from .errors import CapacityExhaustedError
 from .fibers import MpFamily
 from .gridfn import GridFn, GridFn2D, interp_nodes
 from .operators import (
-    _Stencil,
     _full_stencil,
+    _power_iterate,
     apply_fiber_operator,
     base_preimage_points,
     base_stencil,
@@ -145,54 +145,6 @@ class RpfSolution:
                 "weights_shape": list(np.shape(self.weights))}
 
 
-def _power_iterate(stencil: _Stencil, tol: float, max_iter: int):
-    """Forward and adjoint power iteration sharing one incidence structure.
-
-    Stops when both the log-eigenvalue change and the iterate's sup change
-    are within tolerance; the eigenvalue alone can settle many iterations
-    before the vector does.
-    """
-    v = np.ones(stencil.size)
-    lam = 0.0
-    log_lam_prev = math.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = stencil.apply(v)
-        lam = float(np.max(w))
-        w /= lam
-        log_lam = math.log(lam)
-        moved = float(np.max(np.abs(w - v)))
-        v = w
-        if abs(log_lam - log_lam_prev) <= tol and moved <= 10.0 * tol:
-            break
-        log_lam_prev = log_lam
-    else:
-        raise NoConvergenceError(
-            f"forward power iteration did not settle in {max_iter} steps")
-
-    u = np.full(stencil.size, 1.0 / stencil.size)
-    log_adj_prev = math.inf
-    for adj_iterations in range(1, max_iter + 1):
-        w = stencil.apply_adjoint(u)
-        total = float(np.sum(w))
-        w /= total
-        log_adj = math.log(total)
-        moved = float(np.sum(np.abs(w - u)))
-        u = w
-        if abs(log_adj - log_adj_prev) <= tol and moved <= 10.0 * tol:
-            break
-        log_adj_prev = log_adj
-    else:
-        raise NoConvergenceError(
-            f"adjoint power iteration did not settle in {max_iter} steps")
-
-    # joint normalization: weights sum to 1 already; scale v so <v, u> = 1
-    v = v / float(np.dot(u, v))
-    res_fwd = float(np.max(np.abs(stencil.apply(v) - lam * v))) / lam / float(np.max(v))
-    res_adj = float(np.sum(np.abs(stencil.apply_adjoint(u) - lam * u))) / lam
-    return lam, v, u, max(res_fwd, res_adj), iterations + adj_iterations
-
-
 def rpf_base_solve(phi_eval, n_x: int, tol: float = 1e-10,
                    max_iter: int = 10000, capacity: int = 64) -> RpfSolution:
     """Eigendata of the base operator discretized on n_x nodes.
@@ -230,17 +182,20 @@ def intertwine_residual(pot: TrigPotential, family: MpFamily,
 
     Route one applies the full operator and integrates its fiber restriction
     over x; route two integrates the restrictions at both base preimages and
-    sums them with e^Phi weights.
+    sums them with e^Phi weights.  The measures over x and both preimages
+    come from one ``fiber_measures`` call: both preimages map onto x, so
+    they share every step from (x, n - 1) down.
     """
     worst = 0.0
     for x in x_samples:
         column = full_operator_column(pot, family, x, big_psi)
-        lhs = fiber_integrate(pot, family, x, column, n, anchor_y)
+        w, *w_bars = fiber_measures(pot, family, [x, *x.preimages()], n,
+                                    big_psi.shape[1], anchor_y)
+        lhs = _pair(w, column)
         rhs = 0.0
-        for xbar in x.preimages():
+        for xbar, w_bar in zip(x.preimages(), w_bars):
             slice_fn = big_psi.slice_at(float(xbar))
-            rhs += math.exp(phi_eval(xbar)) * fiber_integrate(
-                pot, family, xbar, slice_fn, n, anchor_y)
+            rhs += math.exp(phi_eval(xbar)) * _pair(w_bar, slice_fn)
         worst = max(worst, abs(lhs - rhs))
     return worst
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
 from .base import BasePoint
-from .errors import CapacityExhaustedError, NonpositiveFunctionError
+from .errors import CapacityExhaustedError, NoConvergenceError, NonpositiveFunctionError
 from .fibers import MpFamily, grid_preimages
 from .gridfn import GridFn, GridFn2D, interp_nodes
 from .potential import TrigPotential
@@ -73,6 +74,54 @@ class _Stencil:
         return type(fn)(out, fn.log_offset).renormalize()
 
 
+def _power_iterate(stencil: _Stencil, tol: float, max_iter: int):
+    """Forward and adjoint power iteration sharing one incidence structure.
+
+    Stops when both the log-eigenvalue change and the iterate's sup change
+    are within tolerance; the eigenvalue alone can settle many iterations
+    before the vector does.
+    """
+    v = np.ones(stencil.size)
+    lam = 0.0
+    log_lam_prev = math.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        w = stencil.apply(v)
+        lam = float(np.max(w))
+        w /= lam
+        log_lam = math.log(lam)
+        moved = float(np.max(np.abs(w - v)))
+        v = w
+        if abs(log_lam - log_lam_prev) <= tol and moved <= 10.0 * tol:
+            break
+        log_lam_prev = log_lam
+    else:
+        raise NoConvergenceError(
+            f"forward power iteration did not settle in {max_iter} steps")
+
+    u = np.full(stencil.size, 1.0 / stencil.size)
+    log_adj_prev = math.inf
+    for adj_iterations in range(1, max_iter + 1):
+        w = stencil.apply_adjoint(u)
+        total = float(np.sum(w))
+        w /= total
+        log_adj = math.log(total)
+        moved = float(np.sum(np.abs(w - u)))
+        u = w
+        if abs(log_adj - log_adj_prev) <= tol and moved <= 10.0 * tol:
+            break
+        log_adj_prev = log_adj
+    else:
+        raise NoConvergenceError(
+            f"adjoint power iteration did not settle in {max_iter} steps")
+
+    # joint normalization: weights sum to 1 already; scale v so <v, u> = 1
+    v = v / float(np.dot(u, v))
+    res_fwd = float(np.max(np.abs(stencil.apply(v) - lam * v))) / lam / float(np.max(v))
+    res_adj = float(np.sum(np.abs(stencil.apply_adjoint(u) - lam * u))) / lam
+    return lam, v, u, max(res_fwd, res_adj), iterations + adj_iterations
+
+
 def fiber_stencil(pot: TrigPotential, family: MpFamily, x: BasePoint,
                   n_nodes: int) -> _Stencil:
     """The fiber operator over x on n_nodes nodes: row j gathers the
@@ -92,9 +141,14 @@ def apply_fiber_operator(pot: TrigPotential, family: MpFamily, x: BasePoint,
     periodic linear interpolation, which preserves positivity and
     monotonicity.
     """
-    if require_positive and np.any(psi.values <= 0.0):
-        raise NonpositiveFunctionError("cone semantics need psi > 0 at all nodes")
+    if require_positive:
+        _check_positive(psi)
     return fiber_stencil(pot, family, x, psi.n_nodes).step(psi)
+
+
+def _check_positive(psi: GridFn) -> None:
+    if np.any(psi.values <= 0.0):
+        raise NonpositiveFunctionError("cone semantics need psi > 0 at all nodes")
 
 
 @functools.lru_cache(maxsize=8)  # a 512x512 stencil holds ~70 MB

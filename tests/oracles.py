@@ -5,7 +5,8 @@ paths: plain loops and scalar arithmetic only, so they stay independent of
 what they check.  The reference paths below them are the straightforward
 formulations that the library's shared transfer-weight builder, integer
 base points, Newton preimage solve, lockstep Phi cascades, adjoint fiber
-measures and their shared orbit chains replaced; tests compare the two.
+measures, their shared orbit chains and the exact Phi of dyadic orbits
+replaced; tests compare the two.
 """
 
 import math
@@ -13,11 +14,16 @@ import math
 import numpy as np
 
 from skewtherm.base import BasePoint
-from skewtherm.errors import CapacityExhaustedError
+from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import grid_preimages
 from skewtherm.gridfn import GridFn, interp_nodes
-from skewtherm.measures import conditional_integrate
-from skewtherm.operators import apply_fiber_operator, fiber_stencil
+from skewtherm.measures import conditional_integrate, fiber_integrate
+from skewtherm.operators import (
+    apply_fiber_operator,
+    fiber_stencil,
+    full_operator_column,
+)
+from skewtherm.phi import CONSERVATIVE_TAU, MAX_PHI_DEPTH, PhiSequence
 
 
 def brute_force_theta(fv, gv, K, alpha):
@@ -253,3 +259,38 @@ def disintegrate_reference(pot, family, big_psi, full_sol, base_sol, n,
         total += mu_hat[i] * conditional_integrate(
             pot, family, x, big_psi, full_sol, base_sol, n, anchor_y)
     return total
+
+
+def phi_tolerance_loop(pot, family, x, tol, n_nodes=512, anchor="delta",
+                       anchor_y=0.5, tau=CONSERVATIVE_TAU):
+    """Phi by the tolerance loop alone, with no store of known measures:
+    Phi_n until |Phi_n - Phi_{n-1}| <= tol * (1 - tau).  Returns (value,
+    n_used, bound)."""
+    seq = PhiSequence(pot, family, x, n_nodes=n_nodes, anchor=anchor,
+                      anchor_y=anchor_y)
+    n_cap = min(MAX_PHI_DEPTH, x.capacity - 1)
+    prev = seq.value(0)
+    for n in range(1, n_cap + 1):
+        cur = seq.value(n)
+        inc = abs(cur - prev)
+        if inc <= tol * (1.0 - tau):
+            return cur, n, inc / (1.0 - tau)
+        prev = cur
+    raise NoConvergenceError(f"no convergence after n = {n_cap}")
+
+
+def intertwine_residual_chains(pot, family, big_psi, x_samples, n, phi_eval,
+                               anchor_y=0.5):
+    """The intertwining residual with one fiber-measure chain per integral:
+    over x and over each base preimage separately."""
+    worst = 0.0
+    for x in x_samples:
+        column = full_operator_column(pot, family, x, big_psi)
+        lhs = fiber_integrate(pot, family, x, column, n, anchor_y)
+        rhs = 0.0
+        for xbar in x.preimages():
+            slice_fn = big_psi.slice_at(float(xbar))
+            rhs += math.exp(phi_eval(xbar)) * fiber_integrate(
+                pot, family, xbar, slice_fn, n, anchor_y)
+        worst = max(worst, abs(lhs - rhs))
+    return worst

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from skewtherm.cli import main
+from skewtherm.cli import Runner, main
 from skewtherm.config import ExperimentConfig
 from skewtherm.errors import ConfigError
 from skewtherm.fibers import MpFamily
@@ -137,6 +137,13 @@ class TestCli:
         assert err["error"] == "numerical"
         for csv in out.glob("*.csv"):
             assert "nan" not in csv.read_text()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_artifact_is_rejected_unwritten(self, tmp_path, bad):
+        runner = Runner(ExperimentConfig(), tmp_path, None)
+        with pytest.raises(FloatingPointError, match="fit.json"):
+            runner.write_json("fit.json", {"ok": 1.0, "rows": [[0.5, bad]]})
+        assert not (tmp_path / "fit.json").exists()
 
     def test_phi_cache_round_trip(self, zero_config, tmp_path):
         out = tmp_path / "out"

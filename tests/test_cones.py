@@ -15,7 +15,8 @@ from skewtherm.cones import (
     positive_cone_distance,
     sample_cone_functions,
 )
-from skewtherm.errors import ConeViolationError
+from skewtherm import cones
+from skewtherm.errors import ConeViolationError, NonpositiveFunctionError
 from skewtherm.gridfn import GridFn
 from skewtherm.operators import apply_fiber_operator
 
@@ -193,6 +194,32 @@ class TestImageDiameter:
         assert 0.0 < rep.tau < 1.0
         assert rep.zeta_emp < 0.99
         assert rep.samples == 36
+
+    def test_one_stencil_per_call(self, family, small_potential, rng, cone,
+                                  monkeypatch):
+        built = []
+        original = cones.fiber_stencil
+
+        def counting(*args):
+            built.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(cones, "fiber_stencil", counting)
+        x = BasePoint.random(rng, 4)
+        rep = image_diameter(small_potential, family, x, cone, samples=20,
+                             rng=rng, n_nodes=64, n_theta=16)
+        assert rep.samples == 36
+        assert built == [x]
+
+    def test_nonpositive_sample_raises(self, family, small_potential, rng,
+                                       cone, monkeypatch):
+        bad = GridFn(np.ones(64))
+        bad.values[5] = 0.0
+        monkeypatch.setattr(cones, "extremal_witness_functions",
+                            lambda cone, n_nodes: [bad])
+        with pytest.raises(NonpositiveFunctionError):
+            image_diameter(small_potential, family, BasePoint.random(rng, 4),
+                           cone, samples=20, rng=rng, n_nodes=64, n_theta=16)
 
     def test_min_samples(self, family, small_potential, rng, cone):
         x = BasePoint.random(rng, 4)

@@ -7,6 +7,7 @@ from oracles import (
     disintegrate_reference,
     fiber_integrate_two_cascades,
     fiber_measure_chain,
+    intertwine_residual_chains,
 )
 from skewtherm import (
     BasePoint,
@@ -296,6 +297,29 @@ class TestIntertwine:
         xs = [BasePoint.random(rng, 40) for _ in range(3)]
         res = intertwine_residual(pot, family, psi, xs, 30, ev)
         assert res <= 1e-4
+
+    def test_matches_one_chain_per_integral(self, family, small_potential,
+                                            rng):
+        psi = GridFn2D.from_callable(
+            lambda X, Y: 1.0 + 0.3 * np.cos(2 * np.pi * (X + 2 * Y)), 64, 64)
+        xs = [BasePoint.random(rng, 20) for _ in range(3)]
+        ev = phi_evaluator(small_potential, family, tol=1e-10, n_nodes=64)
+        for phi_eval in (lambda p: LOG2, ev):
+            for n in (0, 1, 10):
+                assert intertwine_residual(
+                    small_potential, family, psi, xs, n, phi_eval) == \
+                    intertwine_residual_chains(small_potential, family, psi,
+                                               xs, n, phi_eval)
+
+    def test_preimages_share_their_chain(self, family, small_potential, rng,
+                                         stencil_builds):
+        # per point: n steps over x's orbit, one over the second preimage
+        # and n shared by both preimages from (x, n - 1) down; one chain per
+        # integral builds 3n
+        xs = [BasePoint.random(rng, 20) for _ in range(3)]
+        intertwine_residual(small_potential, family, GridFn2D.ones(64, 64),
+                            xs, 10, lambda p: LOG2)
+        assert len(stencil_builds) == 63
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,15 @@ import math
 
 import pytest
 
-from oracles import phi_two_cascades
+from oracles import phi_tolerance_loop, phi_two_cascades
 from skewtherm import BasePoint, TrigPotential
-from skewtherm.errors import CapacityExhaustedError, DegenerateFitError
+from skewtherm.measures import rpf_base_solve
+from skewtherm.operators import base_preimage_points
+from skewtherm.errors import (
+    CapacityExhaustedError,
+    DegenerateFitError,
+    NoConvergenceError,
+)
 from skewtherm.phi import (
     PhiEntry,
     PhiSequence,
@@ -128,6 +134,58 @@ class TestComputePhi:
         x = BasePoint.random(rng, 6)
         with pytest.raises(Exception):
             compute_phi(pot, family, x, tol=1e-14, tau_guess=0.99)
+
+
+class TestExactDyadicPhi:
+    """Phi on dyadic orbits pulled back from known fiber measures, against
+    the tolerance loop alone."""
+
+    POT = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+
+    def test_base_grid_matches_tolerance_loop(self, family):
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        points = [x for fam in base_preimage_points(64, 96) for x in fam]
+        for x in points:
+            value = ev(x)
+            entry = ev.table.entries[PhiTable.key(x, 512, "delta", 0.5)]
+            assert entry.bound <= 1e-14
+            want = phi_tolerance_loop(self.POT, family, x, 1e-13)[0]
+            assert abs(value - want) <= 1e-13
+        assert len(ev.table) == 128
+
+    def test_one_value_at_two_capacities_shares_its_measures(
+            self, family, stencil_builds):
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        first = ev(BasePoint.from_fraction(3, 128, 96))
+        del stencil_builds[:]
+        x = BasePoint.from_fraction(3, 128, 80)
+        assert ev(x) == first
+        assert stencil_builds == [x]
+
+    def test_random_points_take_the_tolerance_loop(self, family, rng,
+                                                   stencil_builds):
+        ev = phi_evaluator(self.POT, family, tol=1e-10)
+        for _ in range(16):
+            x = BasePoint.random(rng, 128)
+            value, n_used, bound = phi_tolerance_loop(self.POT, family, x,
+                                                      1e-10)
+            assert ev(x) == value
+            entry = ev.table.entries[PhiTable.key(x, 512, "delta", 0.5)]
+            assert (entry.n_used, entry.bound) == (n_used, bound)
+        assert not any(p.num == 0 for p in stencil_builds)
+
+    def test_spent_capacity_is_not_the_fixed_point(self, family):
+        # f^10 of a 10-digit point has num 0 but no digits left: the loop
+        # runs out of capacity as before instead of pulling back nu_0
+        x = BasePoint.from_bits("1011001101")
+        with pytest.raises(NoConvergenceError):
+            compute_phi(self.POT, family, x, tol=1e-12)
+
+    def test_base_solve_builds_few_stencils(self, family, stencil_builds):
+        # the tolerance loop alone builds about 900
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        rpf_base_solve(ev, 64, capacity=96)
+        assert len(stencil_builds) <= 256
 
 
 class TestPhiTable:
