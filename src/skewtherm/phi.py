@@ -67,14 +67,14 @@ class _KnownMeasures:
     other entry comes from ``pull_back``, which applies the eigen-equation
     L_z^T nu_f(z) = e^Phi(z) nu_z down an orbit.  Entries are keyed on the
     exact value, so one point reached at different capacities shares them.
+    The L_0 stencil is kept for the pull-back over 0 itself.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, n_nodes: int):
-        self.pot = pot
-        self.family = family
-        self.n_nodes = n_nodes
+        self._stencils = _OrbitStencils(pot, family, n_nodes)
         self.bound = math.inf  # residual of nu_0, once built
         self._nu: dict = {}
+        self._phi: dict = {}  # every pulled-back point; nu_0 has none
 
     @staticmethod
     def _key(z: BasePoint):
@@ -90,24 +90,29 @@ class _KnownMeasures:
             return None
         key = self._key(z)
         if key == 0 and 0 not in self._nu:
-            stencil = fiber_stencil(self.pot, self.family, BasePoint(0, 1),
-                                    self.n_nodes)
-            _, _, nu0, self.bound, _ = _power_iterate(stencil, _NU0_TOL,
-                                                      _NU0_MAX_ITER)
+            _, _, nu0, self.bound, _ = _power_iterate(
+                self._stencils(BasePoint(0, 1)), _NU0_TOL, _NU0_MAX_ITER)
             self._nu[0] = nu0
         return self._nu.get(key)
 
     def pull_back(self, x: BasePoint, n: int, nu: np.ndarray) -> float:
         """Phi(x) from nu at f^(n+1)(x): apply the adjoint steps over
-        f^n(x), ..., x, storing each normalized measure on the way."""
+        f^n(x), ..., x, storing each normalized measure and its log-mass,
+        Phi at that point, on the way.  A point stored before comes with
+        n = 0, as f(x) is stored too; its Phi is returned as stored, without
+        rebuilding L_x."""
+        phi = self._phi.get(self._key(x))
+        if phi is not None:
+            return phi
         for k in range(n, -1, -1):
             z = x.forward(k)
-            w = fiber_stencil(self.pot, self.family, z,
-                              self.n_nodes).apply_adjoint(nu)
+            w = self._stencils(z).apply_adjoint(nu)
             mass = float(np.sum(w))
             nu = w / mass
-            self._nu[self._key(z)] = nu
-        return math.log(mass)
+            key = self._key(z)
+            self._nu[key] = nu
+            self._phi[key] = phi = math.log(mass)
+        return phi
 
 
 class PhiSequence:
@@ -277,9 +282,11 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     threshold.  Its measure is then pulled back through fresh adjoint
     stencils over f^n(x), ..., x, each normalized measure is stored, and
     Phi(x) is the log of the mass of L_x^T nu_f(x): the eigen-equation with
-    no truncation, n_used = n and that residual as the bound.  A dyadic
-    orbit hits within log2 of its denominator steps; a random point's never
-    does, and it takes the tolerance loop alone.
+    no truncation, n_used = n and that residual as the bound.  Every
+    point's Phi is stored beside its measure, so an x pulled back before
+    hits at n = 0 and returns it without a stencil.  A dyadic orbit hits
+    within log2 of its denominator steps; a random point's never does, and
+    it takes the tolerance loop alone.
 
     Otherwise step n is taken, and the loop stops when |Phi_n - Phi_{n-1}|
     is within the threshold, with bound increment / (1 - tau).  Returns

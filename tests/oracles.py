@@ -5,10 +5,11 @@ paths: plain loops and scalar arithmetic only, so they stay independent of
 what they check.  The reference paths below them are the straightforward
 formulations that the library's shared transfer-weight builder, integer
 base points, Newton preimage solve, lockstep Phi cascades, adjoint fiber
-measures, their shared orbit chains and the exact Phi of dyadic orbits
-replaced; tests compare the two.
+measures, their shared orbit chains, the exact Phi of dyadic orbits and the
+factored torus operator replaced; tests compare the two.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,10 @@ from skewtherm.fibers import grid_preimages
 from skewtherm.gridfn import GridFn, interp_nodes
 from skewtherm.measures import conditional_integrate, fiber_integrate
 from skewtherm.operators import (
+    _Stencil,
     apply_fiber_operator,
     fiber_stencil,
+    fiber_weights,
     full_operator_column,
 )
 from skewtherm.phi import CONSERVATIVE_TAU, MAX_PHI_DEPTH, PhiSequence
@@ -132,6 +135,28 @@ def full_operator_column_reference(pot, family, x, big_psi):
         for yb in grid_preimages(family, xbar, n_y):
             out += np.exp(pot(xbar, yb)) * big_psi.interp(float(xbar), yb)
     return math.exp(big_psi.log_offset) * out
+
+
+def full_stencil_reference(pot, family, n_x, n_y):
+    """The full operator on the n_x x n_y torus grid as one 16-column
+    stencil: output (i, j) gathers, for each base preimage xb of i/n_x and
+    each fiber preimage yb of j/n_y under g_xb, e^phi(xb, yb) times the
+    bilinear interpolation stencil at (xb, yb)."""
+    xs = np.arange(n_x, dtype=float) / n_x
+    idx = np.empty((n_x, n_y, 16), dtype=np.intp)
+    wgt = np.empty((n_x, n_y, 16))
+    for b in (0, 1):
+        xbar = (xs + b) / 2.0
+        jx, wx = interp_nodes(xbar, n_x)
+        jy, wy = fiber_weights(pot, family, xbar, n_y)
+        # columns ordered (base branch, fiber branch, x side, y side)
+        for branch, side, y_side in itertools.product((0, 1), repeat=3):
+            col = 8 * b + 4 * branch + 2 * side + y_side
+            k = 2 * branch + y_side
+            idx[:, :, col] = jx[side][:, None] * n_y + jy[:, k]
+            wgt[:, :, col] = wx[side][:, None] * wy[:, k]
+    size = n_x * n_y
+    return _Stencil(idx.reshape(size, 16), wgt.reshape(size, 16), size)
 
 
 class DigitPoint:

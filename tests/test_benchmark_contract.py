@@ -10,6 +10,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from skewtherm import GridFn2D, TrigPotential
+from skewtherm.operators import _full_stencil
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -40,3 +43,15 @@ def test_cleared_caches_exist():
     # layer_metrics reads the preimage cache's hit and miss counts
     info = caches["preimage"].cache_info()
     assert isinstance(info.hits, int) and isinstance(info.misses, int)
+
+
+def test_full_stencil_hook_reads_a_real_stencil(family):
+    # the tracer's return hook reads idx, wgt and size of the full operator
+    pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+    stencil = _full_stencil(pot, family, 16, 32)
+    counters = {}
+    load("tracer")._on_full_stencil(counters, stencil)
+    assert counters["full_stencil_bytes"] == 16 * 32 * 8 * (8 + 8)
+    assert counters["bytes_per_apply"] == (counters["full_stencil_bytes"]
+                                           + 8 * 16 * 32 * 8 + 8 * 16 * 32)
+    assert stencil.step(GridFn2D.ones(16, 32)).shape == (16, 32)

@@ -7,6 +7,7 @@ from oracles import (
     disintegrate_reference,
     fiber_integrate_two_cascades,
     fiber_measure_chain,
+    full_stencil_reference,
     intertwine_residual_chains,
 )
 from skewtherm import (
@@ -31,6 +32,7 @@ from skewtherm.measures import (
     rpf_base_solve,
     rpf_full_solve,
 )
+from skewtherm.operators import _power_iterate
 from skewtherm.phi import compute_phi, phi_evaluator
 
 LOG2 = math.log(2.0)
@@ -271,6 +273,14 @@ class TestRpfFull:
         base = rpf_base_solve(ev, 256, capacity=80)
         full = rpf_full_solve(pot, family, 128, 128)
         assert abs(base.log_eigenvalue - full.log_eigenvalue) <= 1e-6
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_pressure_matches_reference_stencil(self, family, n):
+        pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+        full = rpf_full_solve(pot, family, n, n)
+        lam = _power_iterate(full_stencil_reference(pot, family, n, n),
+                             1e-10, 10000)[0]
+        assert abs(full.log_eigenvalue - math.log(lam)) <= 1e-13
 
 
 class TestIntertwine:

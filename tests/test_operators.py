@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     fiber_step_reference,
     full_operator_column_reference,
+    full_stencil_reference,
     iterate_cascade,
 )
 from skewtherm import (
@@ -20,7 +21,11 @@ from skewtherm import (
     apply_full_operator,
     fiber_inverse_branches,
 )
-from skewtherm.operators import fiber_stencil, full_operator_column
+from skewtherm.operators import (
+    _full_stencil,
+    fiber_stencil,
+    full_operator_column,
+)
 
 
 def total_values(g):
@@ -241,6 +246,53 @@ class TestFullOperator:
         np.testing.assert_allclose(
             np.exp(col.log_offset) * col.values,
             np.exp(out.log_offset) * out.values[i], rtol=1e-10)
+
+
+class TestFactoredFullOperator:
+    """The half-grid read followed by fiber stencils, against the 16-column
+    bilinear stencil it replaced."""
+
+    POT = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
+                        constant=0.1)
+    GRIDS = [(16, 16), (64, 64), (256, 256), (32, 128), (128, 32)]
+
+    @pytest.mark.parametrize("n_x, n_y", GRIDS)
+    def test_matches_reference_stencil(self, family, rng, n_x, n_y):
+        stencil = _full_stencil(self.POT, family, n_x, n_y)
+        ref = full_stencil_reference(self.POT, family, n_x, n_y)
+        v = rng.uniform(0.2, 2.0, n_x * n_y)
+        u = rng.uniform(0.2, 2.0, n_x * n_y)
+        np.testing.assert_allclose(stencil.apply(v), ref.apply(v),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(stencil.apply_adjoint(u),
+                                   ref.apply_adjoint(u), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n_x, n_y", [(16, 16), (32, 128), (128, 32)])
+    def test_adjoint_is_transpose(self, family, rng, n_x, n_y):
+        stencil = _full_stencil(self.POT, family, n_x, n_y)
+        for _ in range(3):
+            u = rng.uniform(0.2, 2.0, n_x * n_y)
+            v = rng.uniform(0.2, 2.0, n_x * n_y)
+            assert np.dot(stencil.apply_adjoint(u), v) == pytest.approx(
+                np.dot(u, stencil.apply(v)), rel=1e-14)
+
+    @pytest.mark.parametrize("n_x, n_y", [(16, 64), (64, 16)])
+    def test_rows_are_exact_columns(self, family, rng, n_x, n_y):
+        # row i is the operator's output over the exact point i / n_x
+        big = GridFn2D(rng.uniform(0.2, 2.0, (n_x, n_y)), log_offset=0.3)
+        out = total_values(apply_full_operator(self.POT, family, big))
+        for i in range(n_x):
+            col = full_operator_column(
+                self.POT, family, BasePoint.from_fraction(i, n_x, 40), big)
+            np.testing.assert_allclose(out[i], total_values(col),
+                                       rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n_x, n_y", [(16, 16), (32, 128), (128, 32)])
+    def test_half_the_reference_bytes(self, family, n_x, n_y):
+        stencil = _full_stencil(self.POT, family, n_x, n_y)
+        ref = full_stencil_reference(self.POT, family, n_x, n_y)
+        assert 2 * (stencil.idx.nbytes + stencil.wgt.nbytes) == (
+            ref.idx.nbytes + ref.wgt.nbytes)
 
 
 class TestBaseOperator:

@@ -15,6 +15,7 @@ from skewtherm.phi import (
     PhiEntry,
     PhiSequence,
     PhiTable,
+    _KnownMeasures,
     compute_phi,
     estimate_holder,
     fit_convergence_rate,
@@ -155,12 +156,17 @@ class TestExactDyadicPhi:
 
     def test_one_value_at_two_capacities_shares_its_measures(
             self, family, stencil_builds):
+        # the second call finds Phi stored beside the measure: no stencil
         ev = phi_evaluator(self.POT, family, tol=1e-12)
         first = ev(BasePoint.from_fraction(3, 128, 96))
+        bound = ev.table.entries[PhiTable.key(
+            BasePoint.from_fraction(3, 128, 96), 512, "delta", 0.5)].bound
         del stencil_builds[:]
         x = BasePoint.from_fraction(3, 128, 80)
         assert ev(x) == first
-        assert stencil_builds == [x]
+        assert stencil_builds == []
+        entry = ev.table.entries[PhiTable.key(x, 512, "delta", 0.5)]
+        assert (entry.value, entry.n_used, entry.bound) == (first, 0, bound)
 
     def test_random_points_take_the_tolerance_loop(self, family, rng,
                                                    stencil_builds):
@@ -186,6 +192,29 @@ class TestExactDyadicPhi:
         ev = phi_evaluator(self.POT, family, tol=1e-12)
         rpf_base_solve(ev, 64, capacity=96)
         assert len(stencil_builds) <= 256
+
+    def test_base_solve_reuses_stored_phi(self, family, stencil_builds):
+        # L_0 once (nu_0 and the pull-back over 0), one pull-back stencil
+        # per other preimage node, and 63 forward steps taken before an
+        # orbit's known point is found; a stored point's Phi needs none
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        rpf_base_solve(ev, 64, capacity=96)
+        assert len(stencil_builds) == 191
+
+    def test_stored_phi_leaves_entries_unchanged(self, family, monkeypatch):
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        rpf_base_solve(ev, 64, capacity=96)
+        # the same solve with every stored Phi forgotten before a pull-back
+        original = _KnownMeasures.pull_back
+
+        def forgetting(self, x, n, nu):
+            self._phi.clear()
+            return original(self, x, n, nu)
+
+        monkeypatch.setattr(_KnownMeasures, "pull_back", forgetting)
+        rebuilt = phi_evaluator(self.POT, family, tol=1e-12)
+        rpf_base_solve(rebuilt, 64, capacity=96)
+        assert ev.table.entries == rebuilt.table.entries
 
 
 class TestPhiTable:
