@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -364,6 +365,16 @@ class Runner:
         return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type for an integer in [lo, hi]; out of range exits 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is not in [{lo}, {hi}]")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewtherm",
@@ -380,26 +391,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("check-hypotheses")
     p = sub.add_parser("compute-phi")
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=_int_in(1), default=20)
     p = sub.add_parser("holder")
-    p.add_argument("--pairs", type=int, default=8)
+    p.add_argument("--pairs", type=_int_in(1), default=8)
     p = sub.add_parser("cones")
-    p.add_argument("--points", type=int, default=3)
+    p.add_argument("--points", type=_int_in(1), default=3)
     p = sub.add_parser("fiber-measures")
-    p.add_argument("--points", type=int, default=5)
-    p.add_argument("--functions", type=int, default=5)
+    p.add_argument("--points", type=_int_in(1), default=5)
+    p.add_argument("--functions", type=_int_in(1), default=5)
     p.add_argument("--depth", type=int, default=30)
     sub.add_parser("rpf-base")
     sub.add_parser("rpf-full")
     sub.add_parser("pressure")
     p = sub.add_parser("intertwine")
-    p.add_argument("--points", type=int, default=10)
-    p.add_argument("--functions", type=int, default=5)
+    p.add_argument("--points", type=_int_in(1), default=10)
+    p.add_argument("--functions", type=_int_in(1), default=5)
     p.add_argument("--depth", type=int, default=30)
     p = sub.add_parser("words")
-    p.add_argument("--n", type=int, default=14)
-    p.add_argument("--m-min", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=7)
+    p.add_argument("--n", type=_int_in(0, 20), default=14)
+    p.add_argument("--m-min", type=_int_in(1), default=2)
+    p.add_argument("--m-max", type=_int_in(1), default=7)
     sub.add_parser("verify")
     return parser
 

@@ -58,8 +58,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a power of two >= 16")
         if self.n_x * self.n_y > 1 << 20:
             raise ConfigError("n_x * n_y exceeds the 2^20 node cap")
-        if self.n_theta > 128:
-            raise ConfigError("n_theta capped at 128")
+        if self.n_theta > min(self.n_fiber, 1024):
+            raise ConfigError("n_theta must be at most n_fiber and 1024")
         if not 0.0 <= self.anchor_y < 1.0:
             raise ConfigError("anchor_y must lie in [0, 1)")
         if self.capacity < 16:

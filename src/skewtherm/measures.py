@@ -26,7 +26,6 @@ from .operators import (
     _full_stencil,
     _power_iterate,
     apply_fiber_operator,
-    base_preimage_points,
     base_stencil,
     full_operator_column,
 )
@@ -153,9 +152,7 @@ def rpf_base_solve(phi_eval, n_x: int, tol: float = 1e-10,
     once per exact dyadic preimage node and the resulting stencil is power
     iterated forward (eigenfunction) and transposed (eigenmeasure weights).
     """
-    points = base_preimage_points(n_x, capacity)
-    phis = np.array([[phi_eval(p) for p in fam] for fam in points])
-    stencil = base_stencil(phis, n_x)
+    stencil = base_stencil(phi_eval, n_x, capacity)
     lam, v, u, residual, iterations = _power_iterate(stencil, tol, max_iter)
     return RpfSolution(log_eigenvalue=math.log(lam), eigenfunction=GridFn(v),
                        weights=u, residual=residual, iterations=iterations)

@@ -75,47 +75,34 @@ class _Stencil:
         return type(fn)(out, fn.log_offset).renormalize()
 
 
-def _power_iterate(stencil: _Stencil, tol: float, max_iter: int):
-    """Forward and adjoint power iteration sharing one incidence structure.
-
-    Stops when both the log-eigenvalue change and the iterate's sup change
-    are within tolerance; the eigenvalue alone can settle many iterations
-    before the vector does.
-    """
-    v = np.ones(stencil.size)
-    lam = 0.0
-    log_lam_prev = math.inf
-    iterations = 0
+def _power_loop(apply, v: np.ndarray, norm, tol: float, max_iter: int,
+                side: str):
+    """Iterate v <- apply(v) / norm(apply(v)) until log norm and iterate both
+    settle; the eigenvalue alone can settle long before the vector does."""
+    log_prev = math.inf
     for iterations in range(1, max_iter + 1):
-        w = stencil.apply(v)
-        lam = float(np.max(w))
+        w = apply(v)
+        lam = float(norm(w))
         w /= lam
         log_lam = math.log(lam)
-        moved = float(np.max(np.abs(w - v)))
+        moved = float(norm(np.abs(w - v)))
         v = w
-        if abs(log_lam - log_lam_prev) <= tol and moved <= 10.0 * tol:
-            break
-        log_lam_prev = log_lam
-    else:
-        raise NoConvergenceError(
-            f"forward power iteration did not settle in {max_iter} steps")
+        if abs(log_lam - log_prev) <= tol and moved <= 10.0 * tol:
+            return lam, v, iterations
+        log_prev = log_lam
+    raise NoConvergenceError(
+        f"{side} power iteration did not settle in {max_iter} steps")
 
-    u = np.full(stencil.size, 1.0 / stencil.size)
-    log_adj_prev = math.inf
-    for adj_iterations in range(1, max_iter + 1):
-        w = stencil.apply_adjoint(u)
-        total = float(np.sum(w))
-        w /= total
-        log_adj = math.log(total)
-        moved = float(np.sum(np.abs(w - u)))
-        u = w
-        if abs(log_adj - log_adj_prev) <= tol and moved <= 10.0 * tol:
-            break
-        log_adj_prev = log_adj
-    else:
-        raise NoConvergenceError(
-            f"adjoint power iteration did not settle in {max_iter} steps")
 
+def _power_iterate(stencil: _Stencil, tol: float, max_iter: int):
+    """Forward and adjoint power iteration sharing one incidence structure:
+    the forward iterate is normalized by its sup, the adjoint one by its
+    total mass."""
+    lam, v, iterations = _power_loop(stencil.apply, np.ones(stencil.size),
+                                     np.max, tol, max_iter, "forward")
+    _, u, adj_iterations = _power_loop(
+        stencil.apply_adjoint, np.full(stencil.size, 1.0 / stencil.size),
+        np.sum, tol, max_iter, "adjoint")
     # joint normalization: weights sum to 1 already; scale v so <v, u> = 1
     v = v / float(np.dot(u, v))
     res_fwd = float(np.max(np.abs(stencil.apply(v) - lam * v))) / lam / float(np.max(v))
@@ -240,19 +227,6 @@ def _base_stencil_geometry(n_x: int):
     return out
 
 
-def base_stencil(phi_values, n_x: int) -> _Stencil:
-    """Incidence structure of the base operator from tabulated phi values.
-
-    ``phi_values`` is a (2, n_x) array: phi at the lower-branch preimage of
-    each node, then at the upper-branch preimage.
-    """
-    phi_values = np.asarray(phi_values, dtype=float)
-    if phi_values.shape != (2, n_x):
-        raise ValueError("need phi at both preimages of every node")
-    idx, w = _base_stencil_geometry(n_x)
-    return _Stencil(idx, np.repeat(np.exp(phi_values).T, 2, axis=1) * w, n_x)
-
-
 def base_preimage_points(n_x: int, capacity: int) -> list[list[BasePoint]]:
     """Exact BasePoints for both preimage families of the base grid nodes.
 
@@ -277,7 +251,13 @@ def apply_base_operator(phi_eval, xi: GridFn, capacity: int = 64) -> GridFn:
     ``phi_eval`` maps a BasePoint to the transverse potential value; it is
     called at the 2N exact dyadic preimage points of the grid.
     """
-    n_x = xi.n_nodes
-    points = base_preimage_points(n_x, capacity)
-    phis = np.array([[phi_eval(p) for p in fam] for fam in points])
-    return base_stencil(phis, n_x).step(xi)
+    return base_stencil(phi_eval, xi.n_nodes, capacity).step(xi)
+
+
+def base_stencil(phi_eval, n_x: int, capacity: int) -> _Stencil:
+    """The base operator on n_x nodes: ``phi_eval`` is tabulated at the
+    ``base_preimage_points`` (lower branch first), rows weighted by e^Phi."""
+    phis = np.array([[phi_eval(p) for p in fam]
+                     for fam in base_preimage_points(n_x, capacity)])
+    idx, w = _base_stencil_geometry(n_x)
+    return _Stencil(idx, np.repeat(np.exp(phis).T, 2, axis=1) * w, n_x)

@@ -19,6 +19,7 @@ import numpy as np
 from .base import BasePoint, circle_distance
 from .errors import EmptyGoodSetError
 from .fibers import HypothesisConstants, MpFamily, paired_preimage_trees, preimage_tree
+from .phi import _line_fit
 from .potential import TrigPotential
 
 _COUNT_EPS = 1e-9
@@ -196,12 +197,8 @@ def good_branch_contraction(family: MpFamily, x: BasePoint, x2: BasePoint,
     if steps.size < 3 or np.ptp(steps) == 0.0:
         return BranchContractionFit(0.0, 0.0, 0.0, int(steps.size), degenerate=True)
 
-    slope, intercept = np.polyfit(steps, log_gaps, 1)
-    pred = slope * steps + intercept
-    ss_res = float(np.sum((log_gaps - pred) ** 2))
-    ss_tot = float(np.sum((log_gaps - np.mean(log_gaps)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    rate = -float(slope)
+    slope, _, r2 = _line_fit(steps, log_gaps)
+    rate = -slope
     c_emp = rate / 2.0
     # envelope prefactor: smallest Q with all distances below the bound
     envelope = np.max(log_gaps + rate * steps - math.log(d_anchor))

@@ -3,10 +3,11 @@
 The brute-force oracles deliberately avoid the library's vectorized code
 paths: plain loops and scalar arithmetic only, so they stay independent of
 what they check.  The reference paths below them are the straightforward
-formulations that the library's shared transfer-weight builder, integer
-base points, Newton preimage solve, lockstep Phi cascades, adjoint fiber
-measures, their shared orbit chains, the exact Phi of dyadic orbits and the
-factored torus operator replaced; tests compare the two.
+formulations that the library's active-triple cone metric, shared
+transfer-weight builder, integer base points, Newton preimage solve,
+lockstep Phi cascades, adjoint fiber measures, their shared orbit chains,
+the exact Phi of dyadic orbits and the factored torus operator replaced;
+tests compare the two.
 """
 
 import itertools
@@ -15,7 +16,11 @@ import math
 import numpy as np
 
 from skewtherm.base import BasePoint
-from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
+from skewtherm.errors import (
+    CapacityExhaustedError,
+    NoConvergenceError,
+    NonpositiveDenominatorError,
+)
 from skewtherm.fibers import grid_preimages
 from skewtherm.gridfn import GridFn, interp_nodes
 from skewtherm.measures import conditional_integrate, fiber_integrate
@@ -113,6 +118,35 @@ def inverse_branches_bisect(p, t):
     y1 = solve_increasing_bisect(p, t, 0.0, c)
     y2 = solve_increasing_bisect(p, t + 1.0, c, 1.0)
     return y1, np.where(y2 >= 1.0, 0.0, y2)
+
+
+def triple_scan_distance(f, g, cone):
+    """The n^3 triple-ratio scan of the projective cone distance log(B/A).
+
+    Builds every triple ratio (w g3 - dg) / (w f3 - df), w = K d(z1, z2)^alpha,
+    in three n x n x n arrays, plus the pure ratios g/f; the library's
+    active-triple iteration reaches the same extremes in O(n^2) memory.
+    """
+    n = f.size
+    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    dist = np.minimum(lag, n - lag) / n
+    w = cone.K * dist ** cone.alpha
+    num = w[:, :, None] * g[None, None, :] - (g[:, None] - g[None, :])[:, :, None]
+    den = w[:, :, None] * f[None, None, :] - (f[:, None] - f[None, :])[:, :, None]
+    # neutralize the z1 == z2 diagonal with a ratio that is present anyway
+    diag = np.arange(n)
+    num[diag, diag, :] = g[0]
+    den[diag, diag, :] = f[0]
+    if np.any(den <= 0.0):
+        raise NonpositiveDenominatorError(
+            "triple denominator <= 0: reference function on the cone boundary")
+    ratios = num / den
+    pure = g / f
+    a = min(float(np.min(ratios)), float(np.min(pure)))
+    b = max(float(np.max(ratios)), float(np.max(pure)))
+    if a <= 0.0:
+        return math.inf
+    return math.log(b / a)
 
 
 def fiber_step_reference(pot, family, x, psi):

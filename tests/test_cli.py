@@ -50,6 +50,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(n_fiber=100)
 
+    def test_n_theta_bounded_by_n_fiber_and_cap(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n_fiber=32, n_theta=64)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n_fiber=4096, n_theta=2048)
+        assert ExperimentConfig(n_theta=256).n_theta == 256
+
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=1.5)
@@ -95,6 +102,32 @@ class TestCli:
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert err["error"] == "config"
 
+    def test_n_theta_above_n_fiber_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", n_fiber=32, n_theta=64)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "cones"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config"
+        assert "n_theta" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["cones", "--points", "0"],
+        ["fiber-measures", "--points", "0"],
+        ["fiber-measures", "--functions", "0"],
+        ["compute-phi", "--points", "0"],
+        ["intertwine", "--points", "0"],
+        ["intertwine", "--functions", "0"],
+        ["holder", "--pairs", "0"],
+        ["words", "--m-min", "0"],
+        # not larger: the word mask allocates 2^n entries
+        ["words", "--n", "21"],
+    ], ids=lambda argv: "-".join(argv).replace("--", ""))
+    def test_out_of_range_count_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv]) == 2
+        assert "is not in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pressure_emits_gap(self, zero_config, tmp_path):
         out = tmp_path / "out"
         code = main(["--config", str(zero_config), "--out", str(out),
@@ -129,7 +162,8 @@ class TestCli:
         cfg = write_config(tmp_path / "cfg.json",
                            potential={"terms": [[0, 1, 0.002]],
                                       "constant": 800.0},
-                           n_x=16, n_y=16, n_x_base=16, n_fiber=16)
+                           n_x=16, n_y=16, n_x_base=16, n_fiber=16,
+                           n_theta=16)
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "words",
                      "--n", "10"]) == 3

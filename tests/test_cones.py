@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import brute_force_theta, triple_scan_distance
 
 from skewtherm import BasePoint
 from skewtherm.cones import (
@@ -16,33 +17,13 @@ from skewtherm.cones import (
     sample_cone_functions,
 )
 from skewtherm import cones
-from skewtherm.errors import ConeViolationError, NonpositiveFunctionError
+from skewtherm.errors import (
+    ConeViolationError,
+    NonpositiveDenominatorError,
+    NonpositiveFunctionError,
+)
 from skewtherm.gridfn import GridFn
-from skewtherm.operators import apply_fiber_operator
-
-
-def brute_force_theta(fv, gv, K, alpha):
-    """Independent O(N^3) triple enumeration of the projective distance."""
-    n = len(fv)
-    lo, hi = math.inf, -math.inf
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lag = abs(i - j)
-            d = min(lag, n - lag) / n
-            w = K * d ** alpha
-            dg = gv[i] - gv[j]
-            df = fv[i] - fv[j]
-            for k in range(n):
-                r = (w * gv[k] - dg) / (w * fv[k] - df)
-                lo = min(lo, r)
-                hi = max(hi, r)
-    for k in range(n):
-        r = gv[k] / fv[k]
-        lo = min(lo, r)
-        hi = max(hi, r)
-    return math.log(hi / lo)
+from skewtherm.operators import apply_fiber_operator, fiber_stencil
 
 
 @pytest.fixture
@@ -155,6 +136,50 @@ class TestHilbertDistance:
             a = apply_fiber_operator(small_potential, family, x, fns[i])
             b = apply_fiber_operator(small_potential, family, x, fns[i + 1])
             assert positive_cone_distance(a, b) <= hilbert_distance(a, b, cone) + 1e-9
+
+
+class TestActiveTripleMetric:
+    @pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
+    def test_matches_triple_scan(self, cone, family, small_potential, rng,
+                                 n_theta):
+        fns = sample_cone_functions(cone, 512, 6, rng)
+        fns.extend(extremal_witness_functions(cone, 512)[::4])
+        stencil = fiber_stencil(small_potential, family,
+                                BasePoint.random(rng, 10), 512)
+        images = [stencil.step(fn) for fn in fns]
+        step = 512 // n_theta
+        for group in (fns, images):
+            for a, b in zip(group, group[3:] + group[:3]):
+                fast = hilbert_distance(a, b, cone, n_theta=n_theta)
+                scan = triple_scan_distance(a.values[::step], b.values[::step],
+                                            cone)
+                assert abs(fast - scan) <= 1e-15 * scan
+
+    def test_equal_and_proportional_give_exact_zero(self, cone, rng):
+        f = sample_cone_functions(cone, 512, 1, rng)[0]
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            # power-of-two scales keep the ratio exactly constant
+            for scale in (1.0, 4.0, 0.125):
+                assert hilbert_distance(f, GridFn(scale * f.values), cone) == 0.0
+
+    def test_boundary_reference_raises_like_the_oracle(self, cone):
+        # a jump of K d(z1, z2) min f over one grid step: the seminorm is
+        # exactly K inf f, so f is in the cone, but the triple at that pair
+        # and at min f has denominator 0
+        f = np.ones(16)
+        f[1] += cone.K / 16
+        g = np.ones(16)
+        assert in_cone(GridFn(f), cone)
+        with pytest.raises(NonpositiveDenominatorError):
+            triple_scan_distance(f, g, cone)
+        with pytest.raises(NonpositiveDenominatorError):
+            hilbert_distance(GridFn(f), GridFn(g), cone, n_theta=16)
+
+    def test_beyond_the_triple_array_size(self, cone, rng):
+        # 256 nodes would need 16.8 million triples per array
+        f, g = sample_cone_functions(cone, 512, 2, rng)
+        d = hilbert_distance(f, g, cone, n_theta=256)
+        assert math.isfinite(d) and d > 0.0
 
 
 class TestSamplers:
