@@ -20,6 +20,7 @@ from .base import BasePoint
 from .cones import ConeParams, image_diameter
 from .config import ExperimentConfig
 from .errors import (
+    CapacityExhaustedError,
     ConfigError,
     DegenerateFitError,
     HypothesisViolatedError,
@@ -276,15 +277,15 @@ class Runner:
     def cmd_intertwine(self, args) -> int:
         rng = self.rng()
         xs = self.sample_points(args.points, rng)
-        worst = 0.0
+        psis = []
         for trial in range(args.functions):
             a, b = rng.uniform(-0.4, 0.4, size=2)
-            psi = GridFn2D.from_callable(
+            psis.append(GridFn2D.from_callable(
                 lambda X, Y: 1.0 + a * np.cos(2 * np.pi * (X + Y))
-                + b * np.sin(2 * np.pi * Y), self.cfg.n_x, self.cfg.n_y)
-            worst = max(worst, intertwine_residual(
-                self.cfg.potential, self.cfg.family, psi, xs, args.depth,
-                self.evaluator(), anchor_y=self.cfg.anchor_y))
+                + b * np.sin(2 * np.pi * Y), self.cfg.n_x, self.cfg.n_y))
+        worst = intertwine_residual(self.cfg.potential, self.cfg.family, psis,
+                                    xs, args.depth, self.evaluator(),
+                                    anchor_y=self.cfg.anchor_y)
         self.save_phi_cache()
         self.write_json("intertwine.json", {"max_residual": worst,
                                             "depth": args.depth})
@@ -399,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber-measures")
     p.add_argument("--points", type=_int_in(1), default=5)
     p.add_argument("--functions", type=_int_in(1), default=5)
-    p.add_argument("--depth", type=int, default=30)
+    p.add_argument("--depth", type=_int_in(0), default=30)
     sub.add_parser("rpf-base")
     sub.add_parser("rpf-full")
     sub.add_parser("pressure")
     p = sub.add_parser("intertwine")
     p.add_argument("--points", type=_int_in(1), default=10)
     p.add_argument("--functions", type=_int_in(1), default=5)
-    p.add_argument("--depth", type=int, default=30)
+    p.add_argument("--depth", type=_int_in(0), default=30)
     p = sub.add_parser("words")
     p.add_argument("--n", type=_int_in(0, 20), default=14)
     p.add_argument("--m-min", type=_int_in(1), default=2)
@@ -433,7 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         # artifact; underflow to zero is routine in cascades and stays quiet
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return handler(args)
-    except ConfigError as exc:
+    except (ConfigError, CapacityExhaustedError) as exc:
+        # capacity is a config field, so a run that needs more of it than
+        # the config gives (say, a --depth beyond it) is a usage error
         _write_error(args.out, "config", str(exc))
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,9 @@ from .fibers import MpFamily
 from .potential import TrigPotential
 
 _POWER_OF_TWO_FIELDS = ("n_fiber", "n_x", "n_y", "n_x_base", "n_theta")
+# the accepted types of each annotated scalar field: a float field takes an
+# int too, and bool, a subclass of int, is accepted only as a bool field
+_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,12 @@ class ExperimentConfig:
     exploratory: bool = False
 
     def __post_init__(self):
+        # checked as given, never coerced, so a valid config keeps its hash
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type in _TYPES and (not isinstance(v, _TYPES[f.type])
+                                     or isinstance(v, bool) != (f.type == "bool")):
+                raise ConfigError(f"{f.name} must be {f.type}, not {v!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must be in (0, 1]")
         if self.eps_phi <= 0.0:

@@ -3,12 +3,14 @@ the disintegration checks tying them together.
 
 The depth-n fiber measure over x is a vector of node weights: the anchor
 pulled back through the adjoint fiber cascade, as in the eigen-equation
-L_x* nu_f(x) = e^Phi(x) nu_x.  Points whose orbits merge share the pulled-back
-weights below the merge, so the measures over a dyadic base grid take one
-adjoint step per distinct (orbit point, depth) pair, and every step over the
-fixed point x = 0 reuses one stencil.  Eigendata come from power iteration on
-the cached operator stencils; the adjoint iteration uses the exact transpose
-of the same incidence structure.
+L_x* nu_f(x) = e^Phi(x) nu_x.  The pull-back is the one Phi's exact values
+use (``phi._MeasureStore``), started from the anchor instead of nu_0.
+Points whose orbits merge share the pulled-back weights below the merge, so
+the measures over a dyadic base grid take one adjoint step per distinct
+(orbit point, depth) pair, and every step over the fixed point x = 0 reuses
+one stencil.  Eigendata come from power iteration on the cached operator
+stencils; the adjoint iteration uses the exact transpose of the same
+incidence structure.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .operators import (
     _power_iterate,
     apply_fiber_operator,
     base_stencil,
-    full_operator_column,
+    fiber_stencil,
 )
-from .phi import DEFAULT_ANCHOR_Y, _OrbitStencils, compute_phi
+from .phi import DEFAULT_ANCHOR_Y, _MeasureStore, compute_phi
 from .potential import TrigPotential
 
 
@@ -38,36 +40,23 @@ def fiber_measures(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
                    anchor_y: float = DEFAULT_ANCHOR_Y) -> list[np.ndarray]:
     """Node weights of the depth-n fiber measure over each x in xs.
 
-    Each starts from the interpolation weights of the anchor point and
-    applies the adjoint fiber steps over f^(n-1)(x), ..., x, renormalizing
-    each by its sum, so that <w, psi> / <w, 1> pairs the depth-n cascade of
-    psi with the anchor.  The weights over x with d steps left depend only
-    on (x, d), so orbits that merge share every step below the merge.  The
+    Each is the entry over x with n steps left in one store of pulled-back
+    measures whose start is the interpolation weights of the anchor point:
+    the adjoint fiber steps over f^(n-1)(x), ..., x, each renormalized by
+    its sum, so that <w, psi> / <w, 1> pairs the depth-n cascade of psi with
+    the anchor.  Orbits that merge share every step below the merge.  The
     returned arrays are read-only: repeated points, merged chains and the
     bare anchor at n = 0 hand out the same array.
     """
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
     if any(x.capacity < n for x in xs):
         raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
     (j0, j1), (a0, a1) = interp_nodes(anchor_y, n_nodes)
     anchor = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
     anchor.setflags(write=False)
-    stencils = _OrbitStencils(pot, family, n_nodes)
-    done: dict[tuple[BasePoint, int], np.ndarray] = {}
-    out = []
-    for x in xs:
-        chain = []  # (point, steps left) from x down to the first known one
-        point, left = x, n
-        while left > 0 and (point, left) not in done:
-            chain.append((point, left))
-            point, left = point.forward(1), left - 1
-        w = done[point, left] if left > 0 else anchor
-        for key in reversed(chain):
-            w = stencils(key[0]).apply_adjoint(w)
-            w /= np.sum(w)
-            w.setflags(write=False)
-            done[key] = w
-        out.append(w)
-    return out
+    store = _MeasureStore(pot, family, n_nodes, (anchor, 0.0))
+    return [store.pull(x, n)[0] for x in xs]
 
 
 def fiber_measure(pot: TrigPotential, family: MpFamily, x: BasePoint, n: int,
@@ -103,7 +92,8 @@ def eigen_equation_residual(pot: TrigPotential, family: MpFamily,
     the gap to zero geometrically in n.
     """
     if x.capacity < n + 1:
-        raise CapacityExhaustedError("residual at depth n needs capacity >= n+1")
+        raise CapacityExhaustedError(
+            f"residual at depth {n} needs capacity >= {n + 1}")
     lifted = apply_fiber_operator(pot, family, x, psi)
     lhs = fiber_integrate(pot, family, x.forward(1), lifted, n, anchor_y)
     if phi_value is None:
@@ -172,28 +162,34 @@ def rpf_full_solve(pot: TrigPotential, family: MpFamily, n_x: int, n_y: int,
 
 
 def intertwine_residual(pot: TrigPotential, family: MpFamily,
-                        big_psi: GridFn2D, x_samples: list[BasePoint],
+                        big_psis: list[GridFn2D], x_samples: list[BasePoint],
                         n: int, phi_eval,
                         anchor_y: float = DEFAULT_ANCHOR_Y) -> float:
-    """Largest gap between the two routes around the intertwining square.
+    """Largest gap between the two routes around the intertwining square,
+    over every test function in big_psis and every sample point.
 
     Route one applies the full operator and integrates its fiber restriction
     over x; route two integrates the restrictions at both base preimages and
-    sums them with e^Phi weights.  The measures over x and both preimages
-    come from one ``fiber_measures`` call: both preimages map onto x, so
-    they share every step from (x, n - 1) down.
+    sums them with e^Phi weights.  Per point, the measures over x and both
+    preimages come from one ``fiber_measures`` call (both preimages map onto
+    x, so they share every step from (x, n - 1) down), and the fiber
+    stencils over the preimages that make the full operator's column are
+    built once; every test function is paired with them.
     """
+    n_y = big_psis[0].shape[1]
     worst = 0.0
     for x in x_samples:
-        column = full_operator_column(pot, family, x, big_psi)
-        w, *w_bars = fiber_measures(pot, family, [x, *x.preimages()], n,
-                                    big_psi.shape[1], anchor_y)
-        lhs = _pair(w, column)
-        rhs = 0.0
-        for xbar, w_bar in zip(x.preimages(), w_bars):
-            slice_fn = big_psi.slice_at(float(xbar))
-            rhs += math.exp(phi_eval(xbar)) * _pair(w_bar, slice_fn)
-        worst = max(worst, abs(lhs - rhs))
+        xbars = x.preimages()
+        w, *w_bars = fiber_measures(pot, family, [x, *xbars], n, n_y, anchor_y)
+        stencils = [fiber_stencil(pot, family, xb, n_y) for xb in xbars]
+        e_phis = [math.exp(phi_eval(xb)) for xb in xbars]
+        for big_psi in big_psis:
+            slices = [big_psi.slice_at(float(xb)) for xb in xbars]
+            column = sum(s.apply(f.values) for s, f in zip(stencils, slices))
+            lhs = _pair(w, GridFn(column, big_psi.log_offset))
+            rhs = sum(e * _pair(wb, f)
+                      for e, wb, f in zip(e_phis, w_bars, slices))
+            worst = max(worst, abs(lhs - rhs))
     return worst
 
 

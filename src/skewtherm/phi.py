@@ -7,6 +7,9 @@ the potential whose base equilibrium state is the pushforward of the full
 one.  On a dyadic orbit the limit is computed exactly: the orbit reaches
 the fixed point x = 0, whose fiber measure is the left Perron vector of
 L_0, and the eigen-equation L_x* nu_f(x) = e^Phi(x) nu_x pulls it back.
+One store of pulled-back fiber measures (``_MeasureStore``) serves those
+exact values, the depth-n fiber measures of ``measures`` and the stencils
+of the cascades.
 """
 
 from __future__ import annotations
@@ -34,85 +37,88 @@ _NU0_TOL = 1e-15
 _NU0_MAX_ITER = 1000
 
 
-class _OrbitStencils:
-    """Fiber stencils along exact orbits on one fiber grid.
+def _exact(x: BasePoint) -> tuple[int, int]:
+    """The value of x as (odd numerator, digit count), (0, 0) for x = 0: one
+    value reached at different capacities has one key."""
+    tz = (x.num & -x.num).bit_length() - 1
+    return (x.num >> tz, x.capacity - tz) if x.num else (0, 0)
 
-    A point off zero gets a fresh stencil that its caller drops after use.
-    The fixed point x = 0 is different: ``forward`` masks digits, so an
-    orbit that reaches it never leaves it, and its one stencil is built on
-    first use and kept for every later step.
+
+class _MeasureStore:
+    """Fiber measures pulled back along exact orbits, for one potential,
+    family and fiber grid.
+
+    An entry is a pair (node weights summing to 1, log of their mass before
+    normalizing), keyed on the exact value of a base point x and the number
+    k of adjoint steps left.  With k = 0 it is ``start``; otherwise it is
+    L_x^T applied to the entry over f(x) with k - 1 steps left, divided by
+    its mass.  So orbits that merge share every entry below the merge, and
+    an entry depends neither on the order of lookups nor on the capacity of
+    the point it was first reached from.  Stored weights are read-only.
+
+    A point off zero gets a fresh stencil that is dropped after use.  The
+    fixed point x = 0 is different: ``forward`` masks digits, so an orbit
+    that reaches it never leaves it, and its one stencil is kept.
+
+    Without a ``start`` the store holds exact measures, built on the first
+    lookup of 0: the start is nu_0, the left Perron vector of L_0, taken one
+    more adjoint step over 0, so that its log-mass is Phi(0).  A dyadic z
+    with d digits reaches 0 after d steps, and its entry at k = d is nu_z,
+    with log-mass Phi(z) by the eigen-equation L_z* nu_f(z) = e^Phi(z) nu_z.
     """
 
-    def __init__(self, pot: TrigPotential, family: MpFamily, n_nodes: int):
+    def __init__(self, pot: TrigPotential, family: MpFamily, n_nodes: int,
+                 start: tuple[np.ndarray, float] | None = None):
         self.pot = pot
         self.family = family
         self.n_nodes = n_nodes
+        self.start = start
+        self.bound = math.inf  # residual of nu_0, once built
         self._zero: _Stencil | None = None
+        self._entries: dict = {}
 
-    def __call__(self, x: BasePoint) -> _Stencil:
+    def stencil(self, x: BasePoint) -> _Stencil:
         if x.num:
             return fiber_stencil(self.pot, self.family, x, self.n_nodes)
         if self._zero is None:
             self._zero = fiber_stencil(self.pot, self.family, x, self.n_nodes)
         return self._zero
 
+    def _step(self, x: BasePoint, measure: np.ndarray):
+        w = self.stencil(x).apply_adjoint(measure)
+        mass = float(np.sum(w))
+        w /= mass
+        w.setflags(write=False)
+        return w, math.log(mass)
 
-class _KnownMeasures:
-    """Exact fiber measures nu_z at dyadic points z, for one potential,
-    family and fiber grid: normalized node weights (sum 1), one n_nodes
-    vector per point.
+    def pull(self, x: BasePoint, k: int) -> tuple[np.ndarray, float]:
+        """The entry over x with k steps left: walk forward to the first
+        stored entry, then pull back from it, storing each entry."""
+        chain = []
+        key = _exact(x), k
+        while k and key not in self._entries:
+            chain.append((x, key))
+            x, k = x.forward(1), k - 1
+            key = _exact(x), k
+        entry = self._entries[key] if k else self.start
+        for x, key in reversed(chain):
+            entry = self._entries[key] = self._step(x, entry[0])
+        return entry
 
-    Every dyadic orbit falls onto the fixed point x = 0, where nu_0 is the
-    left Perron vector of L_0.  It is built on the first lookup of 0; every
-    other entry comes from ``pull_back``, which applies the eigen-equation
-    L_z^T nu_f(z) = e^Phi(z) nu_z down an orbit.  Entries are keyed on the
-    exact value, so one point reached at different capacities shares them.
-    The L_0 stencil is kept for the pull-back over 0 itself.
-    """
-
-    def __init__(self, pot: TrigPotential, family: MpFamily, n_nodes: int):
-        self._stencils = _OrbitStencils(pot, family, n_nodes)
-        self.bound = math.inf  # residual of nu_0, once built
-        self._nu: dict = {}
-        self._phi: dict = {}  # every pulled-back point; nu_0 has none
-
-    @staticmethod
-    def _key(z: BasePoint):
-        if not z.num:
-            return 0
-        tz = (z.num & -z.num).bit_length() - 1
-        return z.num >> tz, z.capacity - tz
-
-    def get(self, z: BasePoint) -> np.ndarray | None:
-        """nu_z if it is known.  A point with no digits left is where an
-        orbit runs out of capacity, not the fixed point, so it has none."""
+    def knows(self, z: BasePoint) -> bool:
+        """Whether the exact measure over z is stored; the first lookup of
+        0 builds the start.  A point with no digits left is where an orbit
+        runs out of capacity, not the fixed point, so it has none."""
         if not z.capacity:
-            return None
-        key = self._key(z)
-        if key == 0 and 0 not in self._nu:
+            return False
+        if z.num:
+            key = _exact(z)
+            return (key, key[1]) in self._entries
+        if self.start is None:
             _, _, nu0, self.bound, _ = _power_iterate(
-                self._stencils(BasePoint(0, 1)), _NU0_TOL, _NU0_MAX_ITER)
-            self._nu[0] = nu0
-        return self._nu.get(key)
-
-    def pull_back(self, x: BasePoint, n: int, nu: np.ndarray) -> float:
-        """Phi(x) from nu at f^(n+1)(x): apply the adjoint steps over
-        f^n(x), ..., x, storing each normalized measure and its log-mass,
-        Phi at that point, on the way.  A point stored before comes with
-        n = 0, as f(x) is stored too; its Phi is returned as stored, without
-        rebuilding L_x."""
-        phi = self._phi.get(self._key(x))
-        if phi is not None:
-            return phi
-        for k in range(n, -1, -1):
-            z = x.forward(k)
-            w = self._stencils(z).apply_adjoint(nu)
-            mass = float(np.sum(w))
-            nu = w / mass
-            key = self._key(z)
-            self._nu[key] = nu
-            self._phi[key] = phi = math.log(mass)
-        return phi
+                self.stencil(z), _NU0_TOL, _NU0_MAX_ITER)
+            self.start = self._step(z, nu0)
+        return True
 
 
 class PhiSequence:
@@ -122,7 +128,8 @@ class PhiSequence:
     f(x): after its first step over x, both apply L_{f(x)}, L_{f^2(x)}, ...
     in lockstep, so each orbit point's stencil is built once and applied to
     both.  A dyadic orbit lands on the fixed point x = 0 and stays there;
-    from then on every step applies the one kept L_0 stencil.  Calling
+    from then on every step applies the one L_0 stencil that its store of
+    stencils (a ``_MeasureStore``) keeps.  Calling
     ``value(n)`` for increasing n only takes the missing steps.
     """
 
@@ -134,7 +141,7 @@ class PhiSequence:
         self.x = x
         self.anchor = anchor
         self.anchor_y = anchor_y
-        self._stencils = _OrbitStencils(pot, family, n_nodes)
+        self._stencils = _MeasureStore(pot, family, n_nodes).stencil
         self._top: GridFn | None = None    # cascade started over x
         self._bot = GridFn.ones(n_nodes)   # cascade started over f(x)
         self._k = 0                        # steps taken by both cascades
@@ -270,23 +277,22 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
                 table: PhiTable | None = None,
                 anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
                 n_nodes: int = DEFAULT_FIBER_NODES,
-                known: _KnownMeasures | None = None) -> tuple[float, int, float]:
+                known: _MeasureStore | None = None) -> tuple[float, int, float]:
     """Iterate Phi_n until the increment certifies the requested tolerance,
     or until the orbit reaches a point whose fiber measure is known exactly.
 
     The certified threshold is tol * (1 - tau), where tau is the calibrated
     convergence rate (table.tau_emp if available, else a conservative 0.9).
-    Before step n, f^(n+1)(x) is looked up in ``known`` (a fresh store when
-    None).  Every stored measure descends from nu_0, so a hit counts when
-    the residual of nu_0 (about 3e-15 at 512 and 1024 nodes) is within the
-    threshold.  Its measure is then pulled back through fresh adjoint
-    stencils over f^n(x), ..., x, each normalized measure is stored, and
-    Phi(x) is the log of the mass of L_x^T nu_f(x): the eigen-equation with
-    no truncation, n_used = n and that residual as the bound.  Every
-    point's Phi is stored beside its measure, so an x pulled back before
-    hits at n = 0 and returns it without a stencil.  A dyadic orbit hits
-    within log2 of its denominator steps; a random point's never does, and
-    it takes the tolerance loop alone.
+    Before step n, f^(n+1)(x) is looked up in ``known``, a store of exact
+    fiber measures (a fresh one when None).  Every stored measure descends
+    from nu_0, so a hit counts when the residual of nu_0 (about 3e-15 at 512
+    and 1024 nodes) is within the threshold.  Phi(x) is then the log-mass of
+    x's entry, pulled back from the first stored point of its orbit through
+    fresh adjoint stencils, each entry stored on the way: the eigen-equation
+    with no truncation, n_used = n and that residual as the bound.  An x
+    pulled back before hits at n = 0 and returns its stored log-mass without
+    a stencil.  A dyadic orbit hits within log2 of its denominator steps; a
+    random point's never does, and it takes the tolerance loop alone.
 
     Otherwise step n is taken, and the loop stops when |Phi_n - Phi_{n-1}|
     is within the threshold, with bound increment / (1 - tau).  Returns
@@ -306,7 +312,7 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     if x.capacity < 1:
         raise CapacityExhaustedError("Phi_0 needs capacity >= 1, have 0")
     if known is None:
-        known = _KnownMeasures(pot, family, n_nodes)
+        known = _MeasureStore(pot, family, n_nodes)
 
     seq = PhiSequence(pot, family, x, n_nodes=n_nodes, anchor=anchor,
                       anchor_y=anchor_y)
@@ -314,9 +320,8 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     certified = tol * (1.0 - tau)
     prev = math.inf  # Phi_0 has no increment
     for n in range(n_cap + 1):
-        nu = known.get(x.forward(n + 1))
-        if nu is not None and known.bound <= certified:
-            entry = PhiEntry(known.pull_back(x, n, nu), n, known.bound)
+        if known.knows(x.forward(n + 1)) and known.bound <= certified:
+            entry = PhiEntry(known.pull(x, _exact(x)[1])[1], n, known.bound)
             break
         cur = seq.value(n)
         inc = abs(cur - prev)
@@ -346,7 +351,7 @@ def phi_evaluator(pot: TrigPotential, family: MpFamily, tol: float = 1e-9,
     base nodes and 512 fiber nodes, 16 MB at 1024 and 1024.
     """
     table = table if table is not None else PhiTable()
-    known = _KnownMeasures(pot, family, n_nodes)
+    known = _MeasureStore(pot, family, n_nodes)
 
     def evaluate(x: BasePoint) -> float:
         return compute_phi(pot, family, x, tol=tol, table=table,

@@ -3,11 +3,14 @@
 The tracer wraps each SPANS entry from outside, the worker clears three
 lru caches before every cold unit and reads the preimage cache's hit and
 miss counts; a refactor that renames or removes any of them breaks the
-traced benchmark, so it must break a test first.
+traced benchmark, so it must break a test first.  The benchmark's selftest
+runs here too: a change that breaks a workload's calls or checks fails it.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from skewtherm import GridFn2D, TrigPotential
@@ -55,3 +58,11 @@ def test_full_stencil_hook_reads_a_real_stencil(family):
     assert counters["bytes_per_apply"] == (counters["full_stencil_bytes"]
                                            + 8 * 16 * 32 * 8 + 8 * 16 * 32)
     assert stencil.step(GridFn2D.ones(16, 32)).shape == (16, 32)
+
+
+def test_selftest_passes():
+    # every workload's unit runs once, clean and perturbed, with its checks
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -61,6 +61,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=1.5)
 
+    def test_int_float_and_bool_fields_keep_their_values(self):
+        raw = {"capacity": 40, "cone_k": 50, "phi_tol": 1e-9,
+               "exploratory": True}
+        cfg = ExperimentConfig.from_json(raw)
+        assert [type(getattr(cfg, k)) for k in raw] == [int, int, float, bool]
+        assert cfg.to_json()["cone_k"] == 50
+
     def test_serializes_family_and_potential(self):
         cfg = ExperimentConfig(family=MpFamily(p0=0.7, p1=0.2),
                                potential=TrigPotential(terms=((0, 1, 0.003),)))
@@ -102,6 +109,32 @@ class TestCli:
         err = json.loads((tmp_path / "out" / "error.json").read_text())
         assert err["error"] == "config"
 
+    @pytest.mark.parametrize("bad", [
+        {"max_power_iter": 1.5}, {"capacity": 40.0}, {"exploratory": "no"},
+        {"exploratory": 0}, {"seed": "abc"}, {"seed": True}, {"alpha": False},
+        {"phi_tol": "1e-9"},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_mistyped_value_exits_2(self, tmp_path, bad):
+        cfg = write_config(tmp_path / "cfg.json", **bad)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config"
+        assert next(iter(bad)) in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fiber-measures", "--depth", "64"],
+        ["intertwine", "--depth", "65"],
+    ], ids=lambda argv: argv[0])
+    def test_depth_beyond_capacity_exits_2(self, zero_config, tmp_path,
+                                           argv):
+        out = tmp_path / "out"
+        assert main(["--config", str(zero_config), "--out", str(out),
+                     *argv, "--points", "1", "--functions", "1"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config"
+        assert "capacity" in err["message"]
+
     def test_n_theta_above_n_fiber_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", n_fiber=32, n_theta=64)
         out = tmp_path / "out"
@@ -117,6 +150,8 @@ class TestCli:
         ["compute-phi", "--points", "0"],
         ["intertwine", "--points", "0"],
         ["intertwine", "--functions", "0"],
+        ["fiber-measures", "--depth", "-3"],
+        ["intertwine", "--depth", "-2"],
         ["holder", "--pairs", "0"],
         ["words", "--m-min", "0"],
         # not larger: the word mask allocates 2^n entries

@@ -161,6 +161,13 @@ class TestSharedOrbitChains:
             assert np.array_equal(w, fiber_measure_chain(self.POT, family, x,
                                                          n, 64, 0.3))
 
+    def test_negative_depth_raises_before_any_step(self, family, rng,
+                                                   stencil_builds):
+        with pytest.raises(ValueError):
+            fiber_measures(self.POT, family, [BasePoint.random(rng, 40)], -1,
+                           64)
+        assert stencil_builds == []
+
     @pytest.mark.parametrize("n", [0, 3])
     def test_weights_are_read_only(self, family, rng, n):
         x = BasePoint.random(rng, 40)
@@ -286,8 +293,9 @@ class TestRpfFull:
 class TestIntertwine:
     def test_zero_potential_ones(self, family, zero_potential, rng):
         xs = [BasePoint.random(rng, 20) for _ in range(3)]
-        res = intertwine_residual(zero_potential, family, GridFn2D.ones(64, 64),
-                                  xs, 10, lambda p: LOG2)
+        res = intertwine_residual(zero_potential, family,
+                                  [GridFn2D.ones(64, 64)], xs, 10,
+                                  lambda p: LOG2)
         assert res <= 1e-10
 
     def test_base_only_function(self, family, zero_potential, rng):
@@ -295,7 +303,7 @@ class TestIntertwine:
         psi = GridFn2D.from_callable(
             lambda X, Y: 1.0 + 0.5 * np.cos(2 * np.pi * X) + 0.0 * Y, 64, 64)
         xs = [BasePoint.random(rng, 20) for _ in range(3)]
-        res = intertwine_residual(zero_potential, family, psi, xs, 10,
+        res = intertwine_residual(zero_potential, family, [psi], xs, 10,
                                   lambda p: LOG2)
         assert res <= 1e-8
 
@@ -305,7 +313,7 @@ class TestIntertwine:
         psi = GridFn2D.from_callable(
             lambda X, Y: 1.0 + 0.3 * np.cos(2 * np.pi * (X + Y)), 256, 256)
         xs = [BasePoint.random(rng, 40) for _ in range(3)]
-        res = intertwine_residual(pot, family, psi, xs, 30, ev)
+        res = intertwine_residual(pot, family, [psi], xs, 30, ev)
         assert res <= 1e-4
 
     def test_matches_one_chain_per_integral(self, family, small_potential,
@@ -317,7 +325,7 @@ class TestIntertwine:
         for phi_eval in (lambda p: LOG2, ev):
             for n in (0, 1, 10):
                 assert intertwine_residual(
-                    small_potential, family, psi, xs, n, phi_eval) == \
+                    small_potential, family, [psi], xs, n, phi_eval) == \
                     intertwine_residual_chains(small_potential, family, psi,
                                                xs, n, phi_eval)
 
@@ -327,9 +335,39 @@ class TestIntertwine:
         # and n shared by both preimages from (x, n - 1) down; one chain per
         # integral builds 3n
         xs = [BasePoint.random(rng, 20) for _ in range(3)]
-        intertwine_residual(small_potential, family, GridFn2D.ones(64, 64),
+        intertwine_residual(small_potential, family, [GridFn2D.ones(64, 64)],
                             xs, 10, lambda p: LOG2)
         assert len(stencil_builds) == 63
+
+    def test_functions_share_one_pass_per_point(self, family,
+                                                small_potential, rng,
+                                                stencil_builds, monkeypatch):
+        # three test functions build the measure chains and the two column
+        # stencils per point once, as one does, and give the worst gap of
+        # the three computed one function and one chain at a time
+        from skewtherm import measures
+        columns = []
+        original = measures.fiber_stencil
+
+        def counting(pot, family, x, n_nodes):
+            columns.append(x)
+            return original(pot, family, x, n_nodes)
+
+        monkeypatch.setattr(measures, "fiber_stencil", counting)
+        psis = [GridFn2D.from_callable(
+            lambda X, Y, k=k: 1.0 + 0.3 * np.cos(2 * np.pi * (X + k * Y)),
+            64, 64) for k in (1, 2, 3)]
+        xs = [BasePoint.random(rng, 20) for _ in range(3)]
+        builds = []
+        for fns in (psis[:1], psis):
+            del stencil_builds[:], columns[:]
+            got = intertwine_residual(small_potential, family, fns, xs, 10,
+                                      lambda p: LOG2)
+            builds.append((len(stencil_builds), len(columns)))
+        assert builds == [(63, 6), (63, 6)]
+        assert got == max(intertwine_residual_chains(
+            small_potential, family, psi, xs, 10, lambda p: LOG2)
+            for psi in psis)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,6 @@ from skewtherm.phi import (
     PhiEntry,
     PhiSequence,
     PhiTable,
-    _KnownMeasures,
     compute_phi,
     estimate_holder,
     fit_convergence_rate,
@@ -201,20 +200,18 @@ class TestExactDyadicPhi:
         rpf_base_solve(ev, 64, capacity=96)
         assert len(stencil_builds) == 191
 
-    def test_stored_phi_leaves_entries_unchanged(self, family, monkeypatch):
+    def test_phi_does_not_depend_on_evaluation_order(self, family):
+        # every entry of the store is a function of (value, steps left), so
+        # the 128 preimage nodes of a 64-node grid give the same Phi in node
+        # order, in reverse order and with a fresh evaluator per node;
+        # n_used records where each orbit met the store and may differ
+        points = [x for fam in base_preimage_points(64, 96) for x in fam]
         ev = phi_evaluator(self.POT, family, tol=1e-12)
-        rpf_base_solve(ev, 64, capacity=96)
-        # the same solve with every stored Phi forgotten before a pull-back
-        original = _KnownMeasures.pull_back
-
-        def forgetting(self, x, n, nu):
-            self._phi.clear()
-            return original(self, x, n, nu)
-
-        monkeypatch.setattr(_KnownMeasures, "pull_back", forgetting)
-        rebuilt = phi_evaluator(self.POT, family, tol=1e-12)
-        rpf_base_solve(rebuilt, 64, capacity=96)
-        assert ev.table.entries == rebuilt.table.entries
+        natural = [ev(x) for x in points]
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        reverse = [ev(x) for x in reversed(points)][::-1]
+        fresh = [phi_evaluator(self.POT, family, tol=1e-12)(x) for x in points]
+        assert natural == reverse == fresh
 
 
 class TestPhiTable:
