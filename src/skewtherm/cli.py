@@ -106,9 +106,12 @@ class Runner:
             pair_distance=self.cfg.pair_distance,
             exploratory=self.cfg.exploratory if exploratory is None else exploratory)
 
-    def evaluator(self):
+    def evaluator(self, tol: float | None = None):
+        """The run's Phi evaluator, caching into the --phi-cache table; one
+        at a tighter ``tol`` keeps a table of its own."""
         return phi_evaluator(self.cfg.potential, self.cfg.family,
-                             tol=self.cfg.phi_tol, table=self.phi_table,
+                             tol=self.cfg.phi_tol if tol is None else tol,
+                             table=self.phi_table if tol is None else None,
                              anchor_y=self.cfg.anchor_y,
                              n_nodes=self.cfg.n_fiber)
 
@@ -155,8 +158,6 @@ class Runner:
                                        points[0], n_max=min(35, self.cfg.capacity - 1),
                                        n_nodes=self.cfg.n_fiber,
                                        anchor_y=self.cfg.anchor_y)
-            self.phi_table.tau_emp = fit.tau_emp
-            self.phi_table.c1_emp = fit.c1_emp
             self.write_json("phi_fit.json", fit.to_json())
         except DegenerateFitError:
             self.write_json("phi_fit.json", {"degenerate": True})
@@ -166,10 +167,8 @@ class Runner:
 
     def cmd_holder(self, args) -> int:
         scales = tuple(2.0 ** -k for k in range(4, 13))
-        est = estimate_holder(self.cfg.potential, self.cfg.family, scales,
-                              args.pairs, self.rng(), tol=self.cfg.phi_tol,
-                              capacity=self.cfg.capacity, table=self.phi_table,
-                              n_nodes=self.cfg.n_fiber)
+        est = estimate_holder(self.evaluator(), scales, args.pairs, self.rng(),
+                              capacity=self.cfg.capacity)
         self.write_json("holder.json", est.to_json())
         rows = list(zip(est.scales, est.medians))
         self.write_csv("holder_scales.csv", ["scale", "median_gap"], rows)
@@ -207,17 +206,13 @@ class Runner:
                              for k, a in enumerate(amps))
             test_fns.append(GridFn(vals))
 
+        phi_eval = self.evaluator(tol=min(self.cfg.phi_tol, 1e-12))
         rows = []
         for x in points:
-            phi_val = compute_phi(self.cfg.potential, self.cfg.family, x,
-                                  tol=min(self.cfg.phi_tol, 1e-12),
-                                  table=None, anchor_y=self.cfg.anchor_y,
-                                  n_nodes=self.cfg.n_fiber)[0]
             for trial, fn in enumerate(test_fns):
                 r = eigen_equation_residual(self.cfg.potential, self.cfg.family,
-                                            x, fn, args.depth,
-                                            anchor_y=self.cfg.anchor_y,
-                                            phi_value=phi_val)
+                                            x, fn, args.depth, phi_eval,
+                                            anchor_y=self.cfg.anchor_y)
                 rows.append((x.bit_string(), trial, args.depth, r))
         self.write_csv("eigen_residuals.csv",
                        ["bits", "function", "depth", "residual"], rows)
@@ -347,8 +342,8 @@ class Runner:
         ys = np.arange(self.cfg.n_fiber) / self.cfg.n_fiber
         psi = GridFn(1.0 + 0.25 * np.cos(2 * np.pi * ys))
         resid = eigen_equation_residual(self.cfg.potential, self.cfg.family, x,
-                                        psi, 20, anchor_y=self.cfg.anchor_y,
-                                        phi_tol=1e-12)
+                                        psi, 20, self.evaluator(tol=1e-12),
+                                        anchor_y=self.cfg.anchor_y)
         checks.append(("fiber eigen-equation", resid <= 1e-6,
                        f"residual {resid:.3e}"))
 

@@ -31,7 +31,7 @@ from .operators import (
     base_stencil,
     fiber_stencil,
 )
-from .phi import DEFAULT_ANCHOR_Y, _MeasureStore, compute_phi
+from .phi import DEFAULT_ANCHOR_Y, _MeasureStore
 from .potential import TrigPotential
 
 
@@ -80,28 +80,23 @@ def fiber_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
 
 
 def eigen_equation_residual(pot: TrigPotential, family: MpFamily,
-                            x: BasePoint, psi: GridFn, n: int,
-                            anchor_y: float = DEFAULT_ANCHOR_Y,
-                            phi_value: float | None = None,
-                            phi_tol: float = 1e-10) -> float:
+                            x: BasePoint, psi: GridFn, n: int, phi_eval,
+                            anchor_y: float = DEFAULT_ANCHOR_Y) -> float:
     """Gap between the two sides of the fiber eigen-equation at depth n.
 
     Left side: one transfer step of psi integrated against the depth-n
     measure over f(x).  Right side: e^Phi(x) times psi integrated at depth
-    n+1 over x.  Both sides are computed independently; the theorem sends
-    the gap to zero geometrically in n.
+    n+1 over x, with Phi(x) from ``phi_eval`` (a ``phi_evaluator`` on psi's
+    grid and this anchor).  Both sides are computed independently; the
+    theorem sends the gap to zero geometrically in n.
     """
     if x.capacity < n + 1:
         raise CapacityExhaustedError(
             f"residual at depth {n} needs capacity >= {n + 1}")
     lifted = apply_fiber_operator(pot, family, x, psi)
     lhs = fiber_integrate(pot, family, x.forward(1), lifted, n, anchor_y)
-    if phi_value is None:
-        phi_value, _, _ = compute_phi(pot, family, x, tol=phi_tol,
-                                      anchor_y=anchor_y,
-                                      n_nodes=psi.n_nodes)
-    rhs = math.exp(phi_value) * fiber_integrate(pot, family, x, psi, n + 1,
-                                                anchor_y)
+    rhs = math.exp(phi_eval(x)) * fiber_integrate(pot, family, x, psi, n + 1,
+                                                  anchor_y)
     return abs(lhs - rhs)
 
 

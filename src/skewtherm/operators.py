@@ -121,7 +121,7 @@ def fiber_stencil(pot: TrigPotential, family: MpFamily, x: BasePoint,
 
 
 def apply_fiber_operator(pot: TrigPotential, family: MpFamily, x: BasePoint,
-                         psi: GridFn, require_positive: bool = False) -> GridFn:
+                         psi: GridFn) -> GridFn:
     """One fiberwise transfer step: sum e^phi(x, .) * psi over the
     g_x-preimages of every output node.
 
@@ -129,8 +129,6 @@ def apply_fiber_operator(pot: TrigPotential, family: MpFamily, x: BasePoint,
     periodic linear interpolation, which preserves positivity and
     monotonicity.
     """
-    if require_positive:
-        _check_positive(psi)
     return fiber_stencil(pot, family, x, psi.n_nodes).step(psi)
 
 

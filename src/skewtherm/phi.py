@@ -129,22 +129,27 @@ class PhiSequence:
     in lockstep, so each orbit point's stencil is built once and applied to
     both.  A dyadic orbit lands on the fixed point x = 0 and stays there;
     from then on every step applies the one L_0 stencil that its store of
-    stencils (a ``_MeasureStore``) keeps.  Calling
-    ``value(n)`` for increasing n only takes the missing steps.
+    stencils (a ``_MeasureStore``) keeps: the caller's ``store``, whose
+    potential, family and grid then replace pot, family and n_nodes, or a
+    fresh one.  Calling ``value(n)`` for increasing n only takes the
+    missing steps.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, x: BasePoint,
                  n_nodes: int = DEFAULT_FIBER_NODES, anchor: str = "delta",
-                 anchor_y: float = DEFAULT_ANCHOR_Y):
+                 anchor_y: float = DEFAULT_ANCHOR_Y,
+                 store: _MeasureStore | None = None):
         if anchor not in ("delta", "uniform"):
             raise ValueError("anchor must be 'delta' or 'uniform'")
+        if store is None:
+            store = _MeasureStore(pot, family, n_nodes)
         self.x = x
         self.anchor = anchor
         self.anchor_y = anchor_y
-        self._stencils = _MeasureStore(pot, family, n_nodes).stencil
-        self._top: GridFn | None = None    # cascade started over x
-        self._bot = GridFn.ones(n_nodes)   # cascade started over f(x)
-        self._k = 0                        # steps taken by both cascades
+        self._stencils = store.stencil
+        self._top: GridFn | None = None           # cascade started over x
+        self._bot = GridFn.ones(store.n_nodes)    # cascade started over f(x)
+        self._k = 0                               # steps taken by both cascades
 
     def _pair(self, fn: GridFn) -> float:
         if self.anchor == "delta":
@@ -185,17 +190,15 @@ class PhiEntry:
 
 
 class PhiTable:
-    """Cache of converged transverse-potential values.
+    """Cache of converged transverse-potential values, and nothing else: a
+    hit returns the value a fresh computation would give.
 
     An entry is keyed on everything besides the config that changes the
     value: the digits of x, the fiber grid size and the anchor.
     """
 
-    def __init__(self, config_hash: str = "", tau_emp: float | None = None,
-                 c1_emp: float | None = None):
+    def __init__(self, config_hash: str = ""):
         self.config_hash = config_hash
-        self.tau_emp = tau_emp
-        self.c1_emp = c1_emp
         self.entries: dict[str, PhiEntry] = {}
         # why load() threw away the file it read, if it did
         self.discarded: str | None = None
@@ -210,8 +213,6 @@ class PhiTable:
     def to_json(self) -> dict:
         return {
             "config_hash": self.config_hash,
-            "tau_emp": self.tau_emp,
-            "c1_emp": self.c1_emp,
             "entries": {key: [e.value, e.n_used, e.bound]
                         for key, e in self.entries.items()},
         }
@@ -227,6 +228,8 @@ class PhiTable:
         A file that is not JSON, was written under another config hash or
         does not have the shape ``to_json`` writes is discarded wholesale:
         the result is an empty table whose ``discarded`` names the reason.
+        Other top-level keys, such as the ``tau_emp`` and ``c1_emp`` that
+        older files carry, are ignored.
         """
         try:
             with open(path) as fh:
@@ -241,8 +244,7 @@ class PhiTable:
             return cls._discard(config_hash, f"config hash {raw.get('config_hash')!r} "
                                 f"is not this config's {config_hash!r}")
         try:
-            table = cls(config_hash, _optional_float(raw.get("tau_emp")),
-                        _optional_float(raw.get("c1_emp")))
+            table = cls(config_hash)
             entries = raw.get("entries", {})
             if not isinstance(entries, dict):
                 raise TypeError("entries is not a JSON object")
@@ -259,10 +261,6 @@ class PhiTable:
         return table
 
 
-def _optional_float(v) -> float | None:
-    return None if v is None else float(v)
-
-
 def _entry_from_json(key: str, entry) -> PhiEntry:
     if not (isinstance(entry, list) and len(entry) == 3):
         raise TypeError(f"entry {key!r} is not [value, n_used, bound]")
@@ -273,30 +271,31 @@ def _entry_from_json(key: str, entry) -> PhiEntry:
 
 
 def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
-                tol: float = 1e-9, tau_guess: float | None = None,
-                table: PhiTable | None = None,
+                tol: float = 1e-9, table: PhiTable | None = None,
                 anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
                 n_nodes: int = DEFAULT_FIBER_NODES,
                 known: _MeasureStore | None = None) -> tuple[float, int, float]:
     """Iterate Phi_n until the increment certifies the requested tolerance,
     or until the orbit reaches a point whose fiber measure is known exactly.
 
-    The certified threshold is tol * (1 - tau), where tau is the calibrated
-    convergence rate (table.tau_emp if available, else a conservative 0.9).
-    Before step n, f^(n+1)(x) is looked up in ``known``, a store of exact
-    fiber measures (a fresh one when None).  Every stored measure descends
-    from nu_0, so a hit counts when the residual of nu_0 (about 3e-15 at 512
-    and 1024 nodes) is within the threshold.  Phi(x) is then the log-mass of
-    x's entry, pulled back from the first stored point of its orbit through
-    fresh adjoint stencils, each entry stored on the way: the eigen-equation
-    with no truncation, n_used = n and that residual as the bound.  An x
-    pulled back before hits at n = 0 and returns its stored log-mass without
-    a stencil.  A dyadic orbit hits within log2 of its denominator steps; a
-    random point's never does, and it takes the tolerance loop alone.
+    The certified threshold is tol * (1 - tau) with the fixed rate tau =
+    CONSERVATIVE_TAU, so a value depends on its arguments alone.  Before
+    step n, f^(n+1)(x) is looked up in ``known``, a store of exact fiber
+    measures (a fresh one when None), whose stencils the cascades of the
+    loop share.  Every stored measure descends from nu_0, so a hit counts
+    when the residual of nu_0 (about 3e-15 at 512 and 1024 nodes) is within
+    the threshold.  Phi(x) is then the log-mass of x's entry, pulled back
+    from the first stored point of its orbit through fresh adjoint stencils,
+    each entry stored on the way: the eigen-equation with no truncation,
+    n_used = n and that residual as the bound.  An x pulled back before
+    hits at n = 0 and returns its stored log-mass without a stencil.  A
+    dyadic orbit hits within log2 of its denominator steps; a random
+    point's never does, and it takes the tolerance loop alone.
 
     Otherwise step n is taken, and the loop stops when |Phi_n - Phi_{n-1}|
     is within the threshold, with bound increment / (1 - tau).  Returns
     (value, n_used, bound) and caches the entry when a table is given.
+    Consumers that evaluate Phi at many points take a ``phi_evaluator``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -305,19 +304,15 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
         hit = table.entries.get(key)
         if hit is not None and hit.bound <= tol:
             return hit.value, hit.n_used, hit.bound
-    tau = tau_guess
-    if tau is None:
-        tau = table.tau_emp if (table is not None and table.tau_emp) else CONSERVATIVE_TAU
-    tau = min(max(tau, 0.0), 0.999)
     if x.capacity < 1:
         raise CapacityExhaustedError("Phi_0 needs capacity >= 1, have 0")
     if known is None:
         known = _MeasureStore(pot, family, n_nodes)
 
-    seq = PhiSequence(pot, family, x, n_nodes=n_nodes, anchor=anchor,
-                      anchor_y=anchor_y)
+    seq = PhiSequence(pot, family, x, anchor=anchor, anchor_y=anchor_y,
+                      store=known)
     n_cap = min(MAX_PHI_DEPTH, x.capacity - 1)
-    certified = tol * (1.0 - tau)
+    certified = tol * (1.0 - CONSERVATIVE_TAU)
     prev = math.inf  # Phi_0 has no increment
     for n in range(n_cap + 1):
         if known.knows(x.forward(n + 1)) and known.bound <= certified:
@@ -326,7 +321,7 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
         cur = seq.value(n)
         inc = abs(cur - prev)
         if inc <= certified:
-            entry = PhiEntry(cur, n, inc / (1.0 - tau))
+            entry = PhiEntry(cur, n, inc / (1.0 - CONSERVATIVE_TAU))
             break
         prev = cur
     else:
@@ -342,7 +337,9 @@ def phi_evaluator(pot: TrigPotential, family: MpFamily, tol: float = 1e-9,
                   table: PhiTable | None = None,
                   anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
                   n_nodes: int = DEFAULT_FIBER_NODES):
-    """A BasePoint -> Phi(x) callable suitable for the base transfer operator.
+    """A BasePoint -> Phi(x) callable: how Phi reaches the base transfer
+    operator, the Hölder estimate and the eigen-equation and intertwining
+    checks.
 
     Its calls share one store of known fiber measures, so the merging orbits
     of a dyadic base grid's preimage nodes resolve each orbit point once.
@@ -455,22 +452,22 @@ def _dyadic_exponent(delta: float) -> int:
     return k
 
 
-def estimate_holder(pot: TrigPotential, family: MpFamily,
-                    scales: tuple[float, ...], pairs_per_scale: int,
-                    rng: np.random.Generator,
-                    tol: float = 1e-9, capacity: int = 80,
-                    table: PhiTable | None = None,
-                    n_nodes: int = DEFAULT_FIBER_NODES,
+def estimate_holder(phi_eval, scales: tuple[float, ...],
+                    pairs_per_scale: int, rng: np.random.Generator,
+                    capacity: int = 80,
                     diff_floor: float = 1e-12) -> HolderEstimate:
     """Sample |Phi(x) - Phi(x + delta)| at dyadic separations and fit a
     power law in the separation.
 
-    Pairs are built by exact digit addition, so the base distance is exactly
-    delta.  The power law is fitted through the per-scale medians: the
-    pointwise gaps are heavy-tailed (the local regularity of the potential
-    varies with position), so the median trend is the stable scaling
-    observable.  A constant potential gives identically vanishing
-    differences and a degenerate estimate (flagged, not raised).
+    ``phi_eval`` maps a BasePoint to Phi (a ``phi_evaluator``), so the
+    tolerance, grid, anchor and cache of every value are the evaluator's.
+    Pairs are built by exact digit addition from random points with
+    ``capacity`` digits, so the base distance is exactly delta.  The power
+    law is fitted through the per-scale medians: the pointwise gaps are
+    heavy-tailed (the local regularity of the potential varies with
+    position), so the median trend is the stable scaling observable.  A
+    constant potential gives identically vanishing differences and a
+    degenerate estimate (flagged, not raised).
     """
     ks = [_dyadic_exponent(d) for d in scales]
     medians = []
@@ -479,11 +476,7 @@ def estimate_holder(pot: TrigPotential, family: MpFamily,
         for _ in range(pairs_per_scale):
             x = BasePoint.random(rng, capacity)
             x2 = x.add_dyadic(1, k)
-            v1, _, _ = compute_phi(pot, family, x, tol=tol, table=table,
-                                   n_nodes=n_nodes)
-            v2, _, _ = compute_phi(pot, family, x2, tol=tol, table=table,
-                                   n_nodes=n_nodes)
-            diffs.append(abs(v1 - v2))
+            diffs.append(abs(phi_eval(x) - phi_eval(x2)))
         medians.append(float(np.median(diffs)))
     usable = [(math.log(d), math.log(m)) for d, m in zip(scales, medians)
               if m > diff_floor]

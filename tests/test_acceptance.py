@@ -176,18 +176,18 @@ def test_criterion_4_fiber_eigen_equation():
     ys = np.arange(512) / 512
     worst30 = 0.0
     min_drop = math.inf
+    phi_eval = phi_evaluator(POT_DEFAULT, FAMILY, tol=1e-13)
     for _ in range(10):
         x = BasePoint.random(rng, 40)
-        phi_val = compute_phi(POT_DEFAULT, FAMILY, x, tol=1e-13)[0]
         for _ in range(10):
             amps = rng.uniform(-0.3, 0.3, size=3)
             vals = 1.0 + sum(a * np.cos(2 * np.pi * (k + 1) * ys)
                              for k, a in enumerate(amps))
             psi = GridFn(vals)
             r15 = eigen_equation_residual(POT_DEFAULT, FAMILY, x, psi, 15,
-                                          phi_value=phi_val)
+                                          phi_eval)
             r30 = eigen_equation_residual(POT_DEFAULT, FAMILY, x, psi, 30,
-                                          phi_value=phi_val)
+                                          phi_eval)
             assert r30 <= 1e-6, f"residual {r30:.2e} at n=30"
             assert r30 <= r15 / 3.0, f"no 3x decrease: {r15:.2e} -> {r30:.2e}"
             worst30 = max(worst30, r30)
@@ -304,9 +304,9 @@ def test_criterion_8_word_lemmas(constants):
 
 def test_criterion_9_holder_regularity():
     scales = tuple(2.0 ** -k for k in range(4, 13))
-    est = estimate_holder(POT_DEFAULT, FAMILY, scales, pairs_per_scale=16,
-                          rng=np.random.default_rng(909), tol=1e-10,
-                          capacity=80)
+    est = estimate_holder(phi_evaluator(POT_DEFAULT, FAMILY, tol=1e-10),
+                          scales, pairs_per_scale=16,
+                          rng=np.random.default_rng(909), capacity=80)
     assert not est.degenerate
     assert est.exponent_emp > 0.0
     ratios = est.scale_ratios()

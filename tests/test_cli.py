@@ -319,6 +319,34 @@ class TestCli:
         payload = json.loads((out / "cones.json").read_text())
         assert payload["reports"][0]["zeta_emp"] < 1.0
 
+    def test_holder_artifacts_do_not_depend_on_the_phi_cache(self, tmp_path):
+        # compute-phi fills the cache first, with the same random points;
+        # holder then reads values from it but writes what a plain run does
+        cfg = write_config(tmp_path / "cfg.json", n_fiber=64, n_theta=64,
+                           capacity=40)
+        names = ("holder.json", "holder_scales.csv")
+        plain, cached = tmp_path / "plain", tmp_path / "cached"
+        cache = tmp_path / "phi.json"
+        assert main(["--config", str(cfg), "--out", str(plain),
+                     "holder", "--pairs", "2"]) == 0
+        assert main(["--config", str(cfg), "--out", str(cached),
+                     "--phi-cache", str(cache), "compute-phi",
+                     "--points", "3"]) == 0
+        assert main(["--config", str(cfg), "--out", str(cached),
+                     "--phi-cache", str(cache), "holder", "--pairs", "2"]) == 0
+        assert json.loads((plain / "holder.json").read_text())["degenerate"] is False
+        for name in names:
+            assert (cached / name).read_text() == (plain / name).read_text()
+
+    def test_holder_caches_under_the_config_anchor(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", n_fiber=64, n_theta=64,
+                           capacity=40, anchor_y=0.25)
+        cache = tmp_path / "phi.json"
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--phi-cache", str(cache), "holder", "--pairs", "1"]) == 0
+        keys = json.loads(cache.read_text())["entries"]
+        assert keys and all(key.endswith(":64:delta:0.25") for key in keys)
+
     def test_holder_artifact(self, zero_config, tmp_path):
         out = tmp_path / "out"
         assert main(["--config", str(zero_config), "--out", str(out),

@@ -15,7 +15,7 @@ from skewtherm import (
     paired_preimage_trees,
     preimage_tree,
 )
-from skewtherm.errors import NoConvergenceError
+from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import (
     _grid_preimage_tables,
     branch_boundary_for_exponent,
@@ -241,7 +241,7 @@ class TestPreimageTrees:
 
     def test_capacity_guard(self, family, rng):
         x = BasePoint.random(rng, 3)
-        with pytest.raises(Exception):
+        with pytest.raises(CapacityExhaustedError):
             preimage_tree(family, x, 0.5, 5)
 
     def test_one_step_pairing_lemma_bounds(self, family, rng):

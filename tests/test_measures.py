@@ -33,7 +33,7 @@ from skewtherm.measures import (
     rpf_full_solve,
 )
 from skewtherm.operators import _power_iterate
-from skewtherm.phi import compute_phi, phi_evaluator
+from skewtherm.phi import phi_evaluator
 
 LOG2 = math.log(2.0)
 
@@ -205,27 +205,28 @@ class TestEigenEquation:
         x = BasePoint.random(rng, 20)
         psi = trig_grid_fn(512, [(1, 0.3)])
         r = eigen_equation_residual(zero_potential, family, x, psi, 10,
-                                    phi_value=LOG2)
+                                    lambda _: LOG2)
         assert r <= 1e-10
 
     def test_ones_reduce_to_lambda_identity(self, family, small_potential, rng):
         # psi = 1 specializes to |nu(L 1) - e^Phi|
         x = BasePoint.random(rng, 40)
-        phi_val = compute_phi(small_potential, family, x, tol=1e-12)[0]
+        phi_eval = phi_evaluator(small_potential, family, tol=1e-12)
+        phi_val = phi_eval(x)
         from skewtherm.operators import apply_fiber_operator
         lifted = apply_fiber_operator(small_potential, family, x, GridFn.ones(512))
         lam = fiber_integrate(small_potential, family, x.forward(1), lifted, 20)
         r = eigen_equation_residual(small_potential, family, x, GridFn.ones(512),
-                                    20, phi_value=phi_val)
+                                    20, phi_eval)
         assert r == pytest.approx(abs(lam - math.exp(phi_val)), abs=1e-13)
 
     def test_residual_decreases(self, family, rng):
         pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
         x = BasePoint.random(rng, 40)
         psi = trig_grid_fn(512, [(1, 0.3), (3, 0.1)])
-        phi_val = compute_phi(pot, family, x, tol=1e-13)[0]
-        r15 = eigen_equation_residual(pot, family, x, psi, 15, phi_value=phi_val)
-        r30 = eigen_equation_residual(pot, family, x, psi, 30, phi_value=phi_val)
+        phi_eval = phi_evaluator(pot, family, tol=1e-13)
+        r15 = eigen_equation_residual(pot, family, x, psi, 15, phi_eval)
+        r30 = eigen_equation_residual(pot, family, x, psi, 30, phi_eval)
         assert r30 <= 1e-6
         assert r30 <= r15 / 3.0
 

@@ -22,6 +22,7 @@ from skewtherm import (
     fiber_inverse_branches,
 )
 from skewtherm.operators import (
+    _check_positive,
     _full_stencil,
     fiber_stencil,
     full_operator_column,
@@ -121,12 +122,12 @@ class TestFiberOperator:
                   + math.exp(small_potential(x, y2)) * psi.interp(y2))
         assert total_values(out)[j] == pytest.approx(direct, rel=1e-12)
 
-    def test_positive_required(self, family, small_potential, rng):
-        x = BasePoint.random(rng, 4)
+    def test_positive_required(self):
+        # the cone check of image_diameter; a fiber step itself takes any psi
         bad = GridFn(np.linspace(-0.5, 1.0, 64))
         with pytest.raises(NonpositiveFunctionError):
-            apply_fiber_operator(small_potential, family, x, bad,
-                                 require_positive=True)
+            _check_positive(bad)
+        _check_positive(GridFn(np.linspace(0.5, 1.0, 64)))
 
 
 class TestAgainstReferencePaths:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -132,8 +133,8 @@ class TestComputePhi:
     def test_capacity_cap_raises(self, family, rng):
         pot = TrigPotential(terms=((0, 1, 0.01),))
         x = BasePoint.random(rng, 6)
-        with pytest.raises(Exception):
-            compute_phi(pot, family, x, tol=1e-14, tau_guess=0.99)
+        with pytest.raises(NoConvergenceError):
+            compute_phi(pot, family, x, tol=1e-14)
 
 
 class TestExactDyadicPhi:
@@ -200,6 +201,21 @@ class TestExactDyadicPhi:
         rpf_base_solve(ev, 64, capacity=96)
         assert len(stencil_builds) == 191
 
+    def test_tight_tolerance_shares_one_zero_stencil(self, family,
+                                                     stencil_builds):
+        # below the nu_0 residual the exact path never hits, so each dyadic
+        # orbit takes the tolerance loop; its cascades step over 0 with the
+        # evaluator's one L_0 stencil, which nu_0 was iterated on
+        points = [BasePoint.from_fraction(i, 16, 96) for i in range(1, 16, 2)]
+        wants = [phi_tolerance_loop(self.POT, family, x, 1e-15) for x in points]
+        del stencil_builds[:]
+        ev = phi_evaluator(self.POT, family, tol=1e-15)
+        for x, want in zip(points, wants):
+            assert ev(x) == want[0]
+            entry = ev.table.entries[PhiTable.key(x, 512, "delta", 0.5)]
+            assert (entry.n_used, entry.bound) == want[1:]
+        assert sum(p.num == 0 for p in stencil_builds) == 1
+
     def test_phi_does_not_depend_on_evaluation_order(self, family):
         # every entry of the store is a function of (value, steps left), so
         # the 128 preimage nodes of a 64-node grid give the same Phi in node
@@ -216,13 +232,27 @@ class TestExactDyadicPhi:
 
 class TestPhiTable:
     def test_round_trip(self, tmp_path):
-        table = PhiTable("abc", tau_emp=0.5, c1_emp=0.1)
+        table = PhiTable("abc")
         table.entries["0101"] = PhiEntry(0.7, 12, 1e-9)
         path = tmp_path / "cache.json"
         table.save(path)
         loaded = PhiTable.load(path, "abc")
-        assert loaded.tau_emp == 0.5
         assert loaded.entries["0101"].value == 0.7
+
+    def test_old_format_loads_entries_and_ignores_the_rate(self, tmp_path):
+        # older files also stored a fitted rate; values alone are read back,
+        # and the next save drops the rate
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"config_hash": "abc", "tau_emp": 0.5,
+                                    "c1_emp": 0.1,
+                                    "entries": {"0101": [0.7, 12, 1e-9]}}))
+        loaded = PhiTable.load(path, "abc")
+        assert loaded.discarded is None
+        entry = loaded.entries["0101"]
+        assert (entry.value, entry.n_used, entry.bound) == (0.7, 12, 1e-9)
+        loaded.save(path)
+        assert json.loads(path.read_text()) == {
+            "config_hash": "abc", "entries": {"0101": [0.7, 12, 1e-9]}}
 
     def test_hash_mismatch_discards(self, tmp_path):
         table = PhiTable("abc")
@@ -282,15 +312,16 @@ class TestPhiEvaluator:
 
 class TestHolderEstimate:
     def test_zero_potential_degenerate(self, family, zero_potential, rng):
-        est = estimate_holder(zero_potential, family, scales=(2 ** -4, 2 ** -6),
-                              pairs_per_scale=3, rng=rng, tol=1e-10)
+        est = estimate_holder(phi_evaluator(zero_potential, family, tol=1e-10),
+                              scales=(2 ** -4, 2 ** -6), pairs_per_scale=3,
+                              rng=rng)
         assert est.degenerate
 
     def test_small_potential_positive_exponent(self, family, rng):
         pot = TrigPotential(terms=((0, 1, 0.01),))
-        est = estimate_holder(pot, family,
+        est = estimate_holder(phi_evaluator(pot, family, tol=1e-10),
                               scales=(2 ** -4, 2 ** -6, 2 ** -8),
-                              pairs_per_scale=6, rng=rng, tol=1e-10)
+                              pairs_per_scale=6, rng=rng)
         assert not est.degenerate
         assert est.exponent_emp > 0.0
         # medians shrink monotonically as the separation shrinks
@@ -298,10 +329,10 @@ class TestHolderEstimate:
 
     def test_rejects_non_dyadic(self, family, small_potential, rng):
         with pytest.raises(ValueError):
-            estimate_holder(small_potential, family, scales=(0.3,),
-                            pairs_per_scale=3, rng=rng)
+            estimate_holder(phi_evaluator(small_potential, family),
+                            scales=(0.3,), pairs_per_scale=3, rng=rng)
 
     def test_rejects_out_of_range(self, family, small_potential, rng):
         with pytest.raises(ValueError):
-            estimate_holder(small_potential, family, scales=(2 ** -2,),
-                            pairs_per_scale=3, rng=rng)
+            estimate_holder(phi_evaluator(small_potential, family),
+                            scales=(2 ** -2,), pairs_per_scale=3, rng=rng)
