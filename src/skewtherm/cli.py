@@ -209,11 +209,11 @@ class Runner:
         phi_eval = self.evaluator(tol=min(self.cfg.phi_tol, 1e-12))
         rows = []
         for x in points:
-            for trial, fn in enumerate(test_fns):
-                r = eigen_equation_residual(self.cfg.potential, self.cfg.family,
-                                            x, fn, args.depth, phi_eval,
-                                            anchor_y=self.cfg.anchor_y)
-                rows.append((x.bit_string(), trial, args.depth, r))
+            resids = eigen_equation_residual(
+                self.cfg.potential, self.cfg.family, x, test_fns, args.depth,
+                phi_eval, anchor_y=self.cfg.anchor_y)
+            rows += [(x.bit_string(), trial, args.depth, r)
+                     for trial, r in enumerate(resids)]
         self.write_csv("eigen_residuals.csv",
                        ["bits", "function", "depth", "residual"], rows)
         worst = max(r[-1] for r in rows)
@@ -341,9 +341,10 @@ class Runner:
         from .gridfn import GridFn
         ys = np.arange(self.cfg.n_fiber) / self.cfg.n_fiber
         psi = GridFn(1.0 + 0.25 * np.cos(2 * np.pi * ys))
-        resid = eigen_equation_residual(self.cfg.potential, self.cfg.family, x,
-                                        psi, 20, self.evaluator(tol=1e-12),
-                                        anchor_y=self.cfg.anchor_y)
+        (resid,) = eigen_equation_residual(self.cfg.potential, self.cfg.family,
+                                           x, [psi], 20,
+                                           self.evaluator(tol=1e-12),
+                                           anchor_y=self.cfg.anchor_y)
         checks.append(("fiber eigen-equation", resid <= 1e-6,
                        f"residual {resid:.3e}"))
 

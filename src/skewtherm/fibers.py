@@ -6,13 +6,18 @@ at the point c_x solving c + c^(p+1) = 1; branch 1 (the one containing the
 neutral fixed point y=0) is the only branch whose inverse can fail to contract.
 Both inverse branches, and c_x itself, are roots of the increasing convex
 function y + y^(p+1) - target, found by unbracketed vectorized Newton
-iteration; the grid-node preimage tables are cached per exponent.
+iteration.  The grid-node preimage tables are cached per exponent, up to a
+fixed number of bytes.  A block of base points (the orbit points a Phi
+cascade or a fiber measure needs next) looks its exponents up together,
+and the misses are solved as one stacked Newton iteration in which each
+exponent's rows stop where a solve of that exponent alone would: a table
+does not depend on the block that computed it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +32,16 @@ DIAM_Y = 0.5
 # below which it has converged
 _NEWTON_CAP = 60
 _STEP_ULPS = 4.0
+# exponents per stacked preimage solve: bounds each Newton temporary to
+# 64 x 2n doubles (512 KB at n = 512) when a block is large, such as the 512
+# half-grid rows of a 256 x 256 torus operator
+_STACK_EXPONENTS = 64
+# numpy raises an array to a single exponent of 0.5 or 2 by sqrt or square,
+# to several by pow, which rounds differently: these exponents are solved
+# alone, so that no table depends on the exponents stacked with it
+_SCALAR_POWERS = (0.5, 2.0)
+# bytes of preimage tables kept: 512 tables at 512 fiber nodes
+_TABLE_CACHE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -73,39 +88,72 @@ def fiber_forward(family: MpFamily, x, y):
 
 
 def _solve_increasing(p, target, y):
-    """Vectorized root of y + y^(p+1) = target by Newton iteration from y >= 0.
+    """Vectorized roots of y + y^(p+1) = target by Newton iteration from y >= 0,
+    one solve per row (the leading axis of y and p).
 
     f(y) = y + y^(p+1) - target is increasing and convex on y >= 0.  A Newton
     step from any y >= 0 therefore lands right of the root (or on it), and
     from there the iterates decrease monotonically onto it: no bracket is
     needed, and a start left of the root costs one overshoot.  Iterates stay
-    >= 0, so the fractional powers stay real.  Stops once every step is
-    within a few ulps of its target; raises NoConvergenceError after
-    _NEWTON_CAP steps instead of looping on.
+    >= 0, so the fractional powers stay real.  A row stops once every step
+    in it is within a few ulps of its target, the step at which a solve of
+    that row alone stops, so stacking rows changes no value.  Raises
+    NoConvergenceError after _NEWTON_CAP steps instead of looping on.
     """
     # an ulp of the target; subnormal targets share the smallest one
     fp = np.finfo(float)
     tol = _STEP_ULPS * fp.eps * np.maximum(target, fp.tiny)
+    axes = tuple(range(1, y.ndim))
+    out = np.empty_like(y)
+    rows = np.arange(len(y))
+    y, p1 = y.copy(), p + 1.0
+    y_p, step = np.empty_like(y), np.empty_like(y)
     for _ in range(_NEWTON_CAP):
-        y_p = y ** p
-        step = (y + y * y_p - target) / (1.0 + (p + 1.0) * y_p)
-        y = y - step
-        if np.all(np.abs(step) <= tol):
-            return y
+        # step = (y + y * y^p - target) / (1 + (p + 1) * y^p), in place
+        np.power(y, p, out=y_p)
+        np.multiply(y, y_p, out=step)
+        step += y
+        step -= target
+        y_p *= p1
+        y_p += 1.0
+        step /= y_p
+        y -= step
+        done = (np.abs(step, out=step) <= tol).all(axis=axes)
+        if done.any():
+            out[rows[done]] = y[done]
+            if done.all():
+                return out
+            keep = ~done
+            rows, y, p, p1 = rows[keep], y[keep], p[keep], p1[keep]
+            y_p, step = np.empty_like(y), np.empty_like(y)
     raise NoConvergenceError(
         f"Newton preimage solve not converged in {_NEWTON_CAP} steps")
 
 
-def branch_boundary_for_exponent(p):
-    """The split point c with c + c^(p+1) = 1, for a scalar p or an array.
+def _split_points(p):
+    """Split points c + c^(p+1) = 1 for the rows of exponents p, shape (m, k).
 
     Newton from y = 1, right of the root.  The result is then taken one ulp
     right where rounding left it short, so that c + c^(p+1) >= 1 in floating
-    point and g sends c to 0 rather than to just below 1.
+    point and g sends c to 0 rather than to just below 1.  A row of one
+    exponent is checked in scalar arithmetic (the C library's pow), longer
+    rows in numpy's array arithmetic, whose vectorized pow can round the
+    other way.
     """
-    p = np.asarray(p, dtype=float)
     c = _solve_increasing(p, 1.0, np.ones_like(p))
-    c = np.where(c + c ** (p + 1.0) < 1.0, np.nextafter(c, 2.0), c)
+    if p.shape[1] == 1:
+        short = [[ci + ci ** (pi + 1.0) < 1.0] for ci, pi in
+                 zip(c[:, 0].tolist(), p[:, 0].tolist())]
+    else:
+        short = c + c ** (p + 1.0) < 1.0
+    return np.where(short, np.nextafter(c, 2.0), c)
+
+
+def branch_boundary_for_exponent(p):
+    """The split point c with c + c^(p+1) = 1, for a scalar p or an array
+    (solved together)."""
+    p = np.asarray(p, dtype=float)
+    c = _split_points(p.reshape(1, -1)).reshape(p.shape)
     return float(c) if c.ndim == 0 else c
 
 
@@ -113,25 +161,37 @@ def branch_boundary(family: MpFamily, x) -> float:
     return branch_boundary_for_exponent(family.exponent(x))
 
 
+def _branch_rows(p, t):
+    """Both g-preimages of the targets t, for each row of exponents p.
+
+    p has shape (m, 1), one exponent per row, or (1, len(t)), one per
+    target.  Returns an (m, 2, len(t)) array: y1 solves y + y^(p+1) = t on
+    [0, c), y2 solves y + y^(p+1) = t + 1 on [c, 1).  Each row is one
+    stacked (2, len(t)) Newton solve started on the chords of the two convex
+    branches, c*t and c + (1-c)*t, which lie left of the roots.
+    """
+    c = _split_points(p)
+    ys = _solve_increasing(p[:, None], np.stack((t, t + 1.0)),
+                           np.stack((c * t, c + (1.0 - c) * t), axis=1))
+    # rounding can leave the expanding root an ulp left of c; the branch ends
+    # at y=1, which is the same circle point as 0
+    y2 = ys[:, 1]
+    np.maximum(y2, c, out=y2)
+    y2[y2 >= 1.0] = 0.0
+    return ys
+
+
 def inverse_branches_for_exponent(p, t):
     """Both g-preimages of t for exponent(s) p: neutral branch then expanding.
 
-    y1 solves y + y^(p+1) = t on [0, c); y2 solves y + y^(p+1) = t + 1 on
-    [c, 1).  Both are solved as one stacked (2, n) Newton iteration started on
-    the chords of the two convex branches, c*t and c + (1-c)*t, which lie left
-    of the roots.  Fully vectorized over t (and p, if given as a matching
-    array); y1 and y2 are the two rows of one (2, n) array.
+    Fully vectorized over t (and p, if given as a matching array), as one
+    Newton solve (see ``_branch_rows``); y1 and y2 are the two rows of one
+    (2, n) array.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    c = branch_boundary_for_exponent(p)
-    y1, y2 = _solve_increasing(p, np.stack((t, t + 1.0)),
-                               np.stack((c * t, c + (1.0 - c) * t)))
-    # rounding can leave the expanding root an ulp left of c; the branch ends
-    # at y=1, which is the same circle point as 0
-    np.maximum(y2, c, out=y2)
-    y2[y2 >= 1.0] = 0.0
+    y1, y2 = _branch_rows(np.asarray(p, dtype=float).reshape(1, -1), t)[0]
     if scalar:
         return float(y1[0]), float(y2[0])
     return y1, y2
@@ -142,21 +202,84 @@ def fiber_inverse_branches(family: MpFamily, x, t):
     return inverse_branches_for_exponent(family.exponent(x), t)
 
 
-@functools.lru_cache(maxsize=8192)
-def _grid_preimage_tables(p: float, n_nodes: int):
-    """Preimages of the fiber grid nodes j/n under g with exponent p (cached).
+PreimageCacheInfo = namedtuple("PreimageCacheInfo",
+                               "hits misses bytes max_bytes")
 
-    Returns read-only arrays (y1, y2); callers must not mutate them.
+
+class _PreimageTables:
+    """Preimage tables of the fiber grid nodes j/n under g, keyed on the
+    exponent p and n, the least recently used dropped beyond ``max_bytes``.
+
+    A table is a read-only (2, n) array (y1, y2) that owns its 2n doubles.
+    ``rows`` looks up the exponents of a block of base points; its misses
+    are solved together, in stacks of at most _STACK_EXPONENTS exponents.
+    The hit and miss counts are those of looking the exponents up one at a
+    time: a repeat within a block is a hit.
     """
-    t = np.arange(n_nodes, dtype=float) / n_nodes
-    y1, y2 = inverse_branches_for_exponent(p, t)
-    y1.setflags(write=False)
-    y2.setflags(write=False)
-    return y1, y2
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._tables: OrderedDict = OrderedDict()
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._tables.clear()
+        self.bytes = self.hits = self.misses = 0
+
+    def cache_info(self) -> PreimageCacheInfo:
+        return PreimageCacheInfo(self.hits, self.misses, self.bytes,
+                                 self.max_bytes)
+
+    def rows(self, ps, n_nodes: int) -> list[np.ndarray]:
+        """The table for each exponent in ps."""
+        keys = [(float(p), n_nodes) for p in ps]
+        found = {}
+        for key in keys:
+            if key in found:
+                self.hits += 1
+            elif key in self._tables:
+                self.hits += 1
+                self._tables.move_to_end(key)
+                found[key] = self._tables[key]
+            else:
+                self.misses += 1
+                found[key] = None
+        missing = [p for (p, _), table in found.items() if table is None]
+        stacks = [[p] for p in missing if p in _SCALAR_POWERS]
+        missing = [p for p in missing if p not in _SCALAR_POWERS]
+        stacks += [missing[i:i + _STACK_EXPONENTS]
+                   for i in range(0, len(missing), _STACK_EXPONENTS)]
+        t = np.arange(n_nodes, dtype=float) / n_nodes
+        for chunk in stacks:
+            for p, ys in zip(chunk, _branch_rows(np.array(chunk)[:, None], t)):
+                table = found[p, n_nodes] = ys.copy()
+                table.setflags(write=False)
+                self._store((p, n_nodes), table)
+        return [found[key] for key in keys]
+
+    def _store(self, key, table: np.ndarray) -> None:
+        self._tables[key] = table
+        self.bytes += table.nbytes
+        while self.bytes > self.max_bytes:
+            self.bytes -= self._tables.popitem(last=False)[1].nbytes
 
 
-def grid_preimages(family: MpFamily, x, n_nodes: int):
-    return _grid_preimage_tables(family.exponent(x), n_nodes)
+_grid_preimage_tables = _PreimageTables(_TABLE_CACHE_BYTES)
+
+
+def grid_preimages(family: MpFamily, xs, n_nodes: int):
+    """Preimages of the fiber grid nodes j/n_nodes under g_x, for each base
+    point x in xs: the pair (y1, y2) of (len(xs), n_nodes) arrays, neutral
+    branch first.
+
+    The tables come from a cache keyed on the exponent p(x); the exponents
+    it misses are solved in one stacked Newton iteration (at most
+    _STACK_EXPONENTS to a stack), so a block of orbit points costs one
+    solve instead of one per point.
+    """
+    ys = np.array(_grid_preimage_tables.rows(
+        [family.exponent(x) for x in xs], n_nodes)).reshape(len(xs), 2, n_nodes)
+    return ys[:, 0], ys[:, 1]
 
 
 def preimage_tree(family: MpFamily, x: BasePoint, y: float, n: int) -> list[np.ndarray]:

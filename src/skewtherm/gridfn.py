@@ -140,7 +140,10 @@ def interp_nodes(t, n: int):
     Returns ((j0, j1), (w0, w1)): the left and right nodes of the grid cell
     holding t and their interpolation weights, each shaped like t.
     """
-    s = (np.asarray(t, dtype=float) % 1.0) * n
+    t = np.asarray(t, dtype=float)
+    # t - floor(t) is t % 1.0 to the bit (both round t - floor(t) once),
+    # at a fraction of the cost of numpy's float remainder
+    s = (t - np.floor(t)) * n
     cell = np.floor(s)
     frac = s - cell
     j = cell.astype(np.intp) % n

@@ -27,7 +27,6 @@ from .gridfn import GridFn, GridFn2D, interp_nodes
 from .operators import (
     _full_stencil,
     _power_iterate,
-    apply_fiber_operator,
     base_stencil,
     fiber_stencil,
 )
@@ -80,24 +79,30 @@ def fiber_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
 
 
 def eigen_equation_residual(pot: TrigPotential, family: MpFamily,
-                            x: BasePoint, psi: GridFn, n: int, phi_eval,
-                            anchor_y: float = DEFAULT_ANCHOR_Y) -> float:
-    """Gap between the two sides of the fiber eigen-equation at depth n.
+                            x: BasePoint, psis: list[GridFn], n: int,
+                            phi_eval,
+                            anchor_y: float = DEFAULT_ANCHOR_Y) -> list[float]:
+    """Gaps between the two sides of the fiber eigen-equation at depth n,
+    one per test function in psis (all on one grid).
 
     Left side: one transfer step of psi integrated against the depth-n
     measure over f(x).  Right side: e^Phi(x) times psi integrated at depth
-    n+1 over x, with Phi(x) from ``phi_eval`` (a ``phi_evaluator`` on psi's
-    grid and this anchor).  Both sides are computed independently; the
-    theorem sends the gap to zero geometrically in n.
+    n+1 over x, with Phi(x) from ``phi_eval`` (a ``phi_evaluator`` on the
+    grid of psis and this anchor).  Both sides are computed independently,
+    each measure by its own ``fiber_measure`` call; the theorem sends the
+    gap to zero geometrically in n.  Neither measure nor the step's stencil
+    depends on psi, so they are built once and paired with every function.
     """
     if x.capacity < n + 1:
         raise CapacityExhaustedError(
             f"residual at depth {n} needs capacity >= {n + 1}")
-    lifted = apply_fiber_operator(pot, family, x, psi)
-    lhs = fiber_integrate(pot, family, x.forward(1), lifted, n, anchor_y)
-    rhs = math.exp(phi_eval(x)) * fiber_integrate(pot, family, x, psi, n + 1,
-                                                  anchor_y)
-    return abs(lhs - rhs)
+    n_nodes = psis[0].n_nodes
+    stencil = fiber_stencil(pot, family, x, n_nodes)
+    w_lhs = fiber_measure(pot, family, x.forward(1), n, n_nodes, anchor_y)
+    w_rhs = fiber_measure(pot, family, x, n + 1, n_nodes, anchor_y)
+    e_phi = math.exp(phi_eval(x))
+    return [abs(_pair(w_lhs, stencil.step(psi)) - e_phi * _pair(w_rhs, psi))
+            for psi in psis]
 
 
 @dataclass

@@ -4,9 +4,11 @@ Every operator is built from one set of weights: for a base point x and a
 fiber grid of n nodes, ``fiber_weights`` lists the interpolation nodes of
 both g_x-preimages of every grid node, weighted by e^phi at the preimage.
 The fiber stencil holds them once per base point, for the forward step and
-its exact adjoint.  The full operator reads Psi on the half grid that holds
-the base preimages of its nodes, then applies the fiber weights over those
-preimages: 8 entries per node, 33.5 MB of indices and weights at 512 x 512.
+its exact adjoint; ``fiber_stencils`` builds those of a block of base points
+(the next orbit points of a cascade) with one ``fiber_weights`` call.  The
+full operator reads Psi on the half grid that holds the base preimages of
+its nodes, then applies the fiber weights over those preimages: 8 entries
+per node, 33.5 MB of indices and weights at 512 x 512.
 The base operator uses the same interpolation routine
 (``gridfn.interp_nodes``) with e^Phi weights.
 
@@ -38,7 +40,7 @@ def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int):
     x = xs[i], and its interpolation weight times e^phi(x, preimage).
     """
     xv = np.array([float(x) for x in xs])
-    ys = np.array([grid_preimages(family, x, n_nodes) for x in xv])
+    ys = np.stack(grid_preimages(family, xv, n_nodes), axis=1)
     (j0, j1), (w0, w1) = interp_nodes(ys, n_nodes)
     e_phi = np.exp(pot(xv[:, None, None], ys))
     shape = (len(xv), 4, n_nodes)
@@ -110,14 +112,23 @@ def _power_iterate(stencil: _Stencil, tol: float, max_iter: int):
     return lam, v, u, max(res_fwd, res_adj), iterations + adj_iterations
 
 
+def fiber_stencils(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
+                   n_nodes: int) -> list[_Stencil]:
+    """The fiber operators over the points xs on n_nodes nodes, built as one
+    block (one ``fiber_weights`` call): row j of each gathers the weighted
+    interpolation nodes of both g_x-preimages of j / n_nodes."""
+    if any(x.capacity < 1 for x in xs):
+        raise CapacityExhaustedError("one operator step needs capacity >= 1")
+    if not xs:
+        return []
+    idx, wgt = fiber_weights(pot, family, xs, n_nodes)
+    return [_Stencil(i.T, w.T, n_nodes) for i, w in zip(idx, wgt)]
+
+
 def fiber_stencil(pot: TrigPotential, family: MpFamily, x: BasePoint,
                   n_nodes: int) -> _Stencil:
-    """The fiber operator over x on n_nodes nodes: row j gathers the
-    weighted interpolation nodes of both g_x-preimages of j / n_nodes."""
-    if x.capacity < 1:
-        raise CapacityExhaustedError("one operator step needs capacity >= 1")
-    idx, wgt = fiber_weights(pot, family, [x], n_nodes)
-    return _Stencil(idx[0].T, wgt[0].T, n_nodes)
+    """The fiber operator over x on n_nodes nodes."""
+    return fiber_stencils(pot, family, [x], n_nodes)[0]
 
 
 def apply_fiber_operator(pot: TrigPotential, family: MpFamily, x: BasePoint,

@@ -24,13 +24,15 @@ from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
 from .fibers import MpFamily
 from .gridfn import GridFn
-from .operators import _Stencil, _power_iterate, fiber_stencil
+from .operators import _Stencil, _power_iterate, fiber_stencils
 from .potential import TrigPotential
 
 DEFAULT_FIBER_NODES = 512
 DEFAULT_ANCHOR_Y = 0.5
 CONSERVATIVE_TAU = 0.9
 MAX_PHI_DEPTH = 200
+# stencils compute_phi builds before it has two increments to predict from
+_FIRST_BLOCK = 8
 # nu_0 is iterated to the floating-point floor; its residual is the bound of
 # every Phi value pulled back from it
 _NU0_TOL = 1e-15
@@ -77,15 +79,21 @@ class _MeasureStore:
         self._zero: _Stencil | None = None
         self._entries: dict = {}
 
-    def stencil(self, x: BasePoint) -> _Stencil:
-        if x.num:
-            return fiber_stencil(self.pot, self.family, x, self.n_nodes)
+    def stencils(self, xs: list[BasePoint]) -> list[_Stencil]:
+        """The stencils over xs: the kept one over 0, built on first use,
+        and a fresh one over every other point, built as one block."""
         if self._zero is None:
-            self._zero = fiber_stencil(self.pot, self.family, x, self.n_nodes)
-        return self._zero
+            zeros = [x for x in xs if not x.num]
+            if zeros:
+                self._zero = fiber_stencils(self.pot, self.family, zeros[:1],
+                                            self.n_nodes)[0]
+        fresh = iter(fiber_stencils(self.pot, self.family,
+                                    [x for x in xs if x.num], self.n_nodes))
+        return [next(fresh) if x.num else self._zero for x in xs]
 
-    def _step(self, x: BasePoint, measure: np.ndarray):
-        w = self.stencil(x).apply_adjoint(measure)
+    @staticmethod
+    def _step(stencil: _Stencil, measure: np.ndarray):
+        w = stencil.apply_adjoint(measure)
         mass = float(np.sum(w))
         w /= mass
         w.setflags(write=False)
@@ -93,7 +101,8 @@ class _MeasureStore:
 
     def pull(self, x: BasePoint, k: int) -> tuple[np.ndarray, float]:
         """The entry over x with k steps left: walk forward to the first
-        stored entry, then pull back from it, storing each entry."""
+        stored entry, then pull back from it through the stencils of the
+        walked chain, built as one block, storing each entry."""
         chain = []
         key = _exact(x), k
         while k and key not in self._entries:
@@ -101,8 +110,10 @@ class _MeasureStore:
             x, k = x.forward(1), k - 1
             key = _exact(x), k
         entry = self._entries[key] if k else self.start
-        for x, key in reversed(chain):
-            entry = self._entries[key] = self._step(x, entry[0])
+        chain.reverse()
+        stencils = self.stencils([x for x, _ in chain])
+        for (_, key), stencil in zip(chain, stencils):
+            entry = self._entries[key] = self._step(stencil, entry[0])
         return entry
 
     def knows(self, z: BasePoint) -> bool:
@@ -115,9 +126,10 @@ class _MeasureStore:
             key = _exact(z)
             return (key, key[1]) in self._entries
         if self.start is None:
-            _, _, nu0, self.bound, _ = _power_iterate(
-                self.stencil(z), _NU0_TOL, _NU0_MAX_ITER)
-            self.start = self._step(z, nu0)
+            (zero,) = self.stencils([z])
+            _, _, nu0, self.bound, _ = _power_iterate(zero, _NU0_TOL,
+                                                      _NU0_MAX_ITER)
+            self.start = self._step(zero, nu0)
         return True
 
 
@@ -127,12 +139,13 @@ class PhiSequence:
     The cascade started over x is one step ahead of the one started over
     f(x): after its first step over x, both apply L_{f(x)}, L_{f^2(x)}, ...
     in lockstep, so each orbit point's stencil is built once and applied to
-    both.  A dyadic orbit lands on the fixed point x = 0 and stays there;
-    from then on every step applies the one L_0 stencil that its store of
-    stencils (a ``_MeasureStore``) keeps: the caller's ``store``, whose
-    potential, family and grid then replace pot, family and n_nodes, or a
-    fresh one.  Calling ``value(n)`` for increasing n only takes the
-    missing steps.
+    both.  The stencils come from a store (a ``_MeasureStore``): the
+    caller's ``store``, whose potential, family and grid then replace pot,
+    family and n_nodes, or a fresh one.  A dyadic orbit lands on the fixed
+    point x = 0 and stays there; from then on every step applies the one
+    L_0 stencil the store keeps.  ``value(n)`` only takes the missing
+    steps, and builds the stencils it lacks up to f^n(x) as one block;
+    ``prefetch`` builds them ahead of the steps.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -146,31 +159,37 @@ class PhiSequence:
         self.x = x
         self.anchor = anchor
         self.anchor_y = anchor_y
-        self._stencils = store.stencil
-        self._top: GridFn | None = None           # cascade started over x
+        self._store = store
+        self._top = GridFn.ones(store.n_nodes)    # cascade started over x
         self._bot = GridFn.ones(store.n_nodes)    # cascade started over f(x)
-        self._k = 0                               # steps taken by both cascades
+        self._steps = 0    # stencils applied, over x, ..., f^(steps-1)(x)
+        self._ahead: list[_Stencil] = []  # built, the next to apply first
 
     def _pair(self, fn: GridFn) -> float:
         if self.anchor == "delta":
             return fn.pair_delta(self.anchor_y)
         return fn.pair_uniform()
 
-    def _advance(self, k: int) -> None:
-        if self._top is None:
-            self._top = self._stencils(self.x).step(self._bot)
-        while self._k < k:
-            self._k += 1
-            stencil = self._stencils(self.x.forward(self._k))
-            self._top = stencil.step(self._top)
-            self._bot = stencil.step(self._bot)
-
-    def value(self, n: int) -> float:
-        """Phi_n at x: the log-ratio of the two anchored cascade pairings."""
+    def prefetch(self, n: int) -> None:
+        """Build the missing stencils over x, ..., f^n(x) as one block."""
         if self.x.capacity < n + 1:
             raise CapacityExhaustedError(
                 f"Phi_{n} needs capacity >= {n + 1}, have {self.x.capacity}")
-        self._advance(n)
+        first = self._steps + len(self._ahead)
+        if n >= first:
+            self._ahead += self._store.stencils(
+                [self.x.forward(j) for j in range(first, n + 1)])
+
+    def value(self, n: int) -> float:
+        """Phi_n at x: the log-ratio of the two anchored cascade pairings."""
+        self.prefetch(n)
+        todo = max(0, n + 1 - self._steps)
+        for stencil in self._ahead[:todo]:
+            self._top = stencil.step(self._top)
+            if self._steps:
+                self._bot = stencil.step(self._bot)
+            self._steps += 1
+        del self._ahead[:todo]
         return self._pair(self._top) - self._pair(self._bot)
 
 
@@ -293,7 +312,10 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     point's never does, and it takes the tolerance loop alone.
 
     Otherwise step n is taken, and the loop stops when |Phi_n - Phi_{n-1}|
-    is within the threshold, with bound increment / (1 - tau).  Returns
+    is within the threshold, with bound increment / (1 - tau).  The
+    stencils of the steps are built ahead, a block at a time (see
+    ``_block_steps``); a block stops short of the first step that hits, and
+    blocks change no value.  Returns
     (value, n_used, bound) and caches the entry when a table is given.
     Consumers that evaluate Phi at many points take a ``phi_evaluator``.
     """
@@ -313,16 +335,28 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
                       store=known)
     n_cap = min(MAX_PHI_DEPTH, x.capacity - 1)
     certified = tol * (1.0 - CONSERVATIVE_TAU)
-    prev = math.inf  # Phi_0 has no increment
+
+    def exact(n: int) -> bool:
+        return known.knows(x.forward(n + 1)) and known.bound <= certified
+
+    incs = []  # |Phi_n - Phi_(n-1)| for n = 1, 2, ...
+    built = -1  # the stencils over x, ..., f^built(x) are built
     for n in range(n_cap + 1):
-        if known.knows(x.forward(n + 1)) and known.bound <= certified:
-            entry = PhiEntry(known.pull(x, _exact(x)[1])[1], n, known.bound)
-            break
+        if n > built:
+            built = min(n_cap, n - 1 + _block_steps(incs, certified))
+            hit = next((m for m in range(n, built + 1) if exact(m)), None)
+            if hit == n:
+                entry = PhiEntry(known.pull(x, _exact(x)[1])[1], n, known.bound)
+                break
+            if hit is not None:
+                built = hit - 1
+            seq.prefetch(built)
         cur = seq.value(n)
-        inc = abs(cur - prev)
-        if inc <= certified:
-            entry = PhiEntry(cur, n, inc / (1.0 - CONSERVATIVE_TAU))
-            break
+        if n:
+            incs.append(abs(cur - prev))
+            if incs[-1] <= certified:
+                entry = PhiEntry(cur, n, incs[-1] / (1.0 - CONSERVATIVE_TAU))
+                break
         prev = cur
     else:
         raise NoConvergenceError(
@@ -331,6 +365,17 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     if table is not None:
         table.entries[key] = entry
     return entry.value, entry.n_used, entry.bound
+
+
+def _block_steps(incs: list[float], certified: float) -> int:
+    """How many steps of stencils to build ahead, given the increments so
+    far: _FIRST_BLOCK at first, then as many as the ratio of the last two
+    increments predicts the increments need to fall to the threshold, at
+    most as many as were taken (the ratio of two increments is noisy)."""
+    if len(incs) < 2 or not incs[-1] < incs[-2]:
+        return _FIRST_BLOCK
+    steps = math.log(certified / incs[-1]) / math.log(incs[-1] / incs[-2])
+    return min(math.ceil(steps), len(incs) + 1)
 
 
 def phi_evaluator(pot: TrigPotential, family: MpFamily, tol: float = 1e-9,
@@ -402,6 +447,7 @@ def fit_convergence_rate(pot: TrigPotential, family: MpFamily, x: BasePoint,
         raise ValueError("rate fit needs n_max >= 15")
     seq = PhiSequence(pot, family, x, n_nodes=n_nodes, anchor=anchor,
                       anchor_y=anchor_y)
+    seq.prefetch(n_max)
     values = np.array([seq.value(n) for n in range(n_max + 1)])
     gaps = np.abs(values[:-1] - values[-1])
     ns = np.arange(n_max)

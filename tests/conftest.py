@@ -29,14 +29,15 @@ def zero_potential():
 @pytest.fixture
 def stencil_builds(monkeypatch):
     """The base points of every fiber stencil built for a Phi cascade or a
-    fiber measure; both build through the name bound in skewtherm.phi."""
+    fiber measure, one per row of each block; both build through the name
+    bound in skewtherm.phi."""
     from skewtherm import phi
     built = []
-    original = phi.fiber_stencil
+    original = phi.fiber_stencils
 
-    def counting(pot, family, x, n_nodes):
-        built.append(x)
-        return original(pot, family, x, n_nodes)
+    def counting(pot, family, xs, n_nodes):
+        built.extend(xs)
+        return original(pot, family, xs, n_nodes)
 
-    monkeypatch.setattr(phi, "fiber_stencil", counting)
+    monkeypatch.setattr(phi, "fiber_stencils", counting)
     return built

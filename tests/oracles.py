@@ -6,7 +6,8 @@ what they check.  The reference paths below them are the straightforward
 formulations that the library's active-triple cone metric, shared
 transfer-weight builder, integer base points, Newton preimage solve,
 lockstep Phi cascades, adjoint fiber measures, their shared orbit chains,
-the exact Phi of dyadic orbits and the factored torus operator replaced;
+the exact Phi of dyadic orbits, the factored torus operator, the stacked
+preimage solve and the multi-function eigen-equation residual replaced;
 tests compare the two.
 """
 
@@ -120,6 +121,41 @@ def inverse_branches_bisect(p, t):
     return y1, np.where(y2 >= 1.0, 0.0, y2)
 
 
+def _newton_whole(p, target, y):
+    """Newton on y + y^(p+1) = target until every step of the whole array
+    is within 4 ulps of its target: the solve before rows were stacked."""
+    fp = np.finfo(float)
+    tol = 4.0 * fp.eps * np.maximum(target, fp.tiny)
+    for _ in range(60):
+        y_p = y ** p
+        step = (y + y * y_p - target) / (1.0 + (p + 1.0) * y_p)
+        y = y - step
+        if np.all(np.abs(step) <= tol):
+            return y
+    raise NoConvergenceError("reference Newton solve not converged")
+
+
+def branch_boundary_scalar(p):
+    """The split point of one exponent as a 0-d numpy Newton solve from 1,
+    taken one ulp right where c + c^(p+1) < 1, as the library solved it one
+    exponent at a time."""
+    p = np.asarray(float(p))
+    c = _newton_whole(p, 1.0, np.ones_like(p))
+    return float(np.where(c + c ** (p + 1.0) < 1.0, np.nextafter(c, 2.0), c))
+
+
+def inverse_branches_scalar(p, t):
+    """Both g-preimages of the array t for one exponent p as one Newton solve
+    started on the branch chords: the per-exponent preimage table."""
+    p = float(p)
+    c = branch_boundary_scalar(p)
+    y1, y2 = _newton_whole(p, np.stack((t, t + 1.0)),
+                           np.stack((c * t, c + (1.0 - c) * t)))
+    np.maximum(y2, c, out=y2)
+    y2[y2 >= 1.0] = 0.0
+    return y1, y2
+
+
 def triple_scan_distance(f, g, cone):
     """The n^3 triple-ratio scan of the projective cone distance log(B/A).
 
@@ -153,7 +189,7 @@ def fiber_step_reference(pot, family, x, psi):
     """One fiber transfer step as a branch sum: e^phi at each preimage times
     psi interpolated there.  Returns total values (log offset applied), not
     renormalized."""
-    y1, y2 = grid_preimages(family, x, psi.n_nodes)
+    (y1,), (y2,) = grid_preimages(family, [x], psi.n_nodes)
     out = (np.exp(pot(x, y1)) * psi.interp(y1)
            + np.exp(pot(x, y2)) * psi.interp(y2))
     return math.exp(psi.log_offset) * out
@@ -166,7 +202,7 @@ def full_operator_column_reference(pot, family, x, big_psi):
     n_y = big_psi.shape[1]
     out = np.zeros(n_y)
     for xbar in x.preimages():
-        for yb in grid_preimages(family, xbar, n_y):
+        for (yb,) in grid_preimages(family, [xbar], n_y):
             out += np.exp(pot(xbar, yb)) * big_psi.interp(float(xbar), yb)
     return math.exp(big_psi.log_offset) * out
 
@@ -353,3 +389,15 @@ def intertwine_residual_chains(pot, family, big_psi, x_samples, n, phi_eval,
                 pot, family, xbar, slice_fn, n, anchor_y)
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def eigen_equation_residual_single(pot, family, x, psi, n, phi_eval, anchor_y):
+    """The eigen-equation gap for one test function, its measures and step
+    built for it alone: a fresh transfer step of psi paired with the depth-n
+    measure over f(x), against e^Phi(x) times psi paired at depth n+1 over
+    x."""
+    lhs = fiber_integrate(pot, family, x.forward(1),
+                          apply_fiber_operator(pot, family, x, psi), n, anchor_y)
+    rhs = math.exp(phi_eval(x)) * fiber_integrate(pot, family, x, psi, n + 1,
+                                                  anchor_y)
+    return abs(lhs - rhs)

@@ -17,12 +17,20 @@ from skewtherm import (
 )
 from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import (
+    _TABLE_CACHE_BYTES,
     _grid_preimage_tables,
+    _PreimageTables,
+    _split_points,
     branch_boundary_for_exponent,
     inverse_branches_for_exponent,
 )
 
-from oracles import branch_boundary_bisect, inverse_branches_bisect
+from oracles import (
+    branch_boundary_bisect,
+    branch_boundary_scalar,
+    inverse_branches_bisect,
+    inverse_branches_scalar,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # root of c + c^2 = 1
 
@@ -182,11 +190,77 @@ class TestNewtonAgainstBisection:
         # arrays that own the memory of y1 and y2
         n = 512
         owners = {}
-        for y in _grid_preimage_tables(0.6180339, n):
+        for y in _grid_preimage_tables.rows([0.6180339], n)[0]:
             while y.base is not None:
                 y = y.base
             owners[id(y)] = y.nbytes
         assert sum(owners.values()) == 2 * n * 8
+
+
+class TestStackedPreimageSolve:
+    """Preimage tables solved many exponents to a stack, against the solve
+    of one exponent at a time that they replaced."""
+
+    def test_split_points_match_scalar_solve(self, family):
+        # 5000 exponents, each its own row: every split point equals the 0-d
+        # solve bit for bit and keeps c + c^(p+1) >= 1 in scalar arithmetic
+        rng = np.random.default_rng(5000)
+        ps = rng.uniform(family.p0, family.p0 + family.p1, size=5000)
+        cs = _split_points(ps[:, None])[:, 0]
+        for p, c in zip(ps.tolist(), cs.tolist()):
+            assert c == branch_boundary_scalar(p)
+            assert c + c ** (p + 1.0) >= 1.0
+        for p in ps[:50].tolist():
+            assert branch_boundary_for_exponent(p) == branch_boundary_scalar(p)
+
+    def test_stacked_rows_equal_single_exponent_solves(self, family):
+        # exponents numpy raises to by sqrt or square sit among the others
+        rng = np.random.default_rng(77)
+        ps = [*rng.uniform(family.p0, family.p0 + family.p1, size=150), 0.5,
+              1.0, 2.0, 0.75]
+        t = np.arange(512) / 512
+        tables = _PreimageTables(1 << 30).rows(ps, 512)
+        for p, table in zip(ps, tables):
+            want = inverse_branches_scalar(p, t)
+            assert np.array_equal(table, np.stack(want))
+            assert np.array_equal(table,
+                                  np.stack(inverse_branches_for_exponent(p, t)))
+
+    def test_repeats_in_a_block_count_as_hits(self):
+        cache = _PreimageTables(1 << 20)
+        tables = cache.rows([0.6, 0.7, 0.6, 0.6], 16)
+        assert tables[0] is tables[2] is tables[3]
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+        assert info.bytes == 2 * 2 * 16 * 8
+        cache.rows([0.7], 16)
+        assert cache.cache_info().hits == 3
+
+    def test_least_recently_used_dropped_at_byte_bound(self):
+        # room for three 16-node tables: looking 0.5 up again keeps it
+        cache = _PreimageTables(3 * 2 * 16 * 8)
+        cache.rows([0.5, 0.6, 0.7], 16)
+        cache.rows([0.5], 16)
+        tables = cache.rows([0.8, 0.9], 16)
+        info = cache.cache_info()
+        assert info.bytes == info.max_bytes
+        want = inverse_branches_scalar(0.9, np.arange(16) / 16)
+        assert np.array_equal(tables[1], np.stack(want))
+        cache.rows([0.5], 16)
+        assert cache.cache_info().misses == 5
+        cache.rows([0.6], 16)
+        assert cache.cache_info().misses == 6
+
+    def test_module_cache_stays_within_its_byte_bound(self, family):
+        _grid_preimage_tables.cache_clear()
+        ps = np.linspace(family.p0, family.p0 + family.p1, 600)
+        _grid_preimage_tables.rows(ps, 512)
+        info = _grid_preimage_tables.cache_info()
+        assert info.misses == 600
+        assert info.bytes <= _TABLE_CACHE_BYTES == info.max_bytes
+        assert info.bytes == _TABLE_CACHE_BYTES // (2 * 512 * 8) * 2 * 512 * 8
+        _grid_preimage_tables.cache_clear()
+        assert _grid_preimage_tables.cache_info().bytes == 0
 
 
 class TestPreimageTrees:

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     disintegrate_reference,
+    eigen_equation_residual_single,
     fiber_integrate_two_cascades,
     fiber_measure_chain,
     full_stencil_reference,
@@ -204,8 +205,8 @@ class TestEigenEquation:
     def test_zero_potential_tiny_residual(self, family, zero_potential, rng):
         x = BasePoint.random(rng, 20)
         psi = trig_grid_fn(512, [(1, 0.3)])
-        r = eigen_equation_residual(zero_potential, family, x, psi, 10,
-                                    lambda _: LOG2)
+        (r,) = eigen_equation_residual(zero_potential, family, x, [psi], 10,
+                                       lambda _: LOG2)
         assert r <= 1e-10
 
     def test_ones_reduce_to_lambda_identity(self, family, small_potential, rng):
@@ -216,8 +217,8 @@ class TestEigenEquation:
         from skewtherm.operators import apply_fiber_operator
         lifted = apply_fiber_operator(small_potential, family, x, GridFn.ones(512))
         lam = fiber_integrate(small_potential, family, x.forward(1), lifted, 20)
-        r = eigen_equation_residual(small_potential, family, x, GridFn.ones(512),
-                                    20, phi_eval)
+        (r,) = eigen_equation_residual(small_potential, family, x,
+                                       [GridFn.ones(512)], 20, phi_eval)
         assert r == pytest.approx(abs(lam - math.exp(phi_val)), abs=1e-13)
 
     def test_residual_decreases(self, family, rng):
@@ -225,10 +226,31 @@ class TestEigenEquation:
         x = BasePoint.random(rng, 40)
         psi = trig_grid_fn(512, [(1, 0.3), (3, 0.1)])
         phi_eval = phi_evaluator(pot, family, tol=1e-13)
-        r15 = eigen_equation_residual(pot, family, x, psi, 15, phi_eval)
-        r30 = eigen_equation_residual(pot, family, x, psi, 30, phi_eval)
+        (r15,) = eigen_equation_residual(pot, family, x, [psi], 15, phi_eval)
+        (r30,) = eigen_equation_residual(pot, family, x, [psi], 30, phi_eval)
         assert r30 <= 1e-6
         assert r30 <= r15 / 3.0
+
+
+    def test_functions_share_one_pass_per_point(self, family, rng,
+                                                stencil_builds):
+        # one function or three: the measure over f(x) at depth n and the
+        # one over x at depth n + 1, each from its own store, 2n + 1
+        # stencils; the gaps equal those computed one function at a time
+        pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+        x = BasePoint.random(rng, 40)
+        psis = [trig_grid_fn(64, [(k, 0.3)]) for k in (1, 2, 3)]
+        phi_eval = phi_evaluator(pot, family, tol=1e-12, n_nodes=64)
+        phi_eval(x)
+        builds = []
+        for fns in (psis[:1], psis):
+            del stencil_builds[:]
+            got = eigen_equation_residual(pot, family, x, fns, 10, phi_eval)
+            builds.append(len(stencil_builds))
+        assert builds == [21, 21]
+        assert got == [eigen_equation_residual_single(pot, family, x, psi, 10,
+                                                      phi_eval, 0.5)
+                       for psi in psis]
 
 
 class TestRpfBase:

@@ -21,10 +21,14 @@ from skewtherm import (
     apply_full_operator,
     fiber_inverse_branches,
 )
+from skewtherm.errors import CapacityExhaustedError
+from skewtherm.fibers import _grid_preimage_tables
+from skewtherm.gridfn import interp_nodes
 from skewtherm.operators import (
     _check_positive,
     _full_stencil,
     fiber_stencil,
+    fiber_stencils,
     full_operator_column,
 )
 
@@ -50,6 +54,24 @@ class TestGridFn:
     def test_interp_wraps(self):
         g = GridFn(np.arange(16, dtype=float))
         assert g.interp(15.5 / 16) == pytest.approx((15.0 + 0.0) / 2)
+
+    def test_interp_nodes_match_the_float_remainder(self, rng):
+        # the cell and weights equal those of t % 1.0, bit for bit, over
+        # wide, tiny, negative and edge values of t
+        t = np.concatenate([
+            rng.uniform(-5.0, 5.0, 20000), -rng.uniform(0.0, 1e-15, 2000),
+            np.ldexp(rng.uniform(-1.0, 1.0, 20000),
+                     rng.integers(-1074, 1000, 20000)),
+            [0.0, -0.0, 1.0, -1.0, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53),
+             2.0 ** 53, 2.0 ** -1074, -2.0 ** -1074, 1e308, -1e308]])
+        for n in (16, 512):
+            s = (t % 1.0) * n
+            cell = np.floor(s)
+            j = cell.astype(np.intp) % n
+            (j0, j1), (w0, w1) = interp_nodes(t, n)
+            assert np.array_equal(j0, j) and np.array_equal(j1, (j + 1) % n)
+            assert np.array_equal(w1, s - cell)
+            assert np.array_equal(w0, 1.0 - (s - cell))
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
@@ -169,6 +191,33 @@ class TestAgainstReferencePaths:
             v = rng.uniform(0.2, 2.0, n)
             assert np.dot(stencil.apply_adjoint(u), v) == pytest.approx(
                 np.dot(u, stencil.apply(v)), rel=1e-13)
+
+
+class TestBlockStencils:
+    """Fiber stencils built a block of orbit points at a time, against one
+    point at a time."""
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_block_equals_single_points_along_orbits(self, family, rng, n):
+        # cold caches on both sides, so the block solves its misses stacked
+        pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+        for _ in range(4):
+            x = BasePoint.random(rng, 60)
+            orbit = [x.forward(k) for k in range(24)] + [x]
+            _grid_preimage_tables.cache_clear()
+            block = fiber_stencils(pot, family, orbit, n)
+            _grid_preimage_tables.cache_clear()
+            for z, got in zip(orbit, block):
+                want = fiber_stencil(pot, family, z, n)
+                assert np.array_equal(got.idx, want.idx)
+                assert np.array_equal(got.wgt, want.wgt)
+        _grid_preimage_tables.cache_clear()
+
+    def test_empty_block_and_spent_capacity(self, family, small_potential):
+        assert fiber_stencils(small_potential, family, [], 64) == []
+        with pytest.raises(CapacityExhaustedError):
+            fiber_stencils(small_potential, family,
+                           [BasePoint.from_bits("01"), BasePoint(0, 0)], 64)
 
 
 class TestCascade:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from oracles import phi_tolerance_loop, phi_two_cascades
-from skewtherm import BasePoint, TrigPotential
+from skewtherm import BasePoint, TrigPotential, phi
 from skewtherm.measures import rpf_base_solve
 from skewtherm.operators import base_preimage_points
 from skewtherm.errors import (
@@ -81,6 +81,24 @@ class TestPhiN:
         PhiSequence(pot, family, BasePoint.random(rng, 40)).value(30)
         assert len(stencil_builds) == 31
 
+    def test_value_builds_the_missing_steps_as_one_block(self, family, rng,
+                                                          monkeypatch):
+        blocks = []
+        original = phi.fiber_stencils
+
+        def recording(pot, family, xs, n_nodes):
+            blocks.append(len(xs))
+            return original(pot, family, xs, n_nodes)
+
+        monkeypatch.setattr(phi, "fiber_stencils", recording)
+        pot = TrigPotential(terms=((0, 1, 0.02),))
+        x = BasePoint.random(rng, 40)
+        seq = PhiSequence(pot, family, x)
+        values = [seq.value(9), seq.value(9), seq.value(30)]
+        assert blocks == [10, 21]
+        assert values[1:] == [phi_two_cascades(pot, family, x, n, 512,
+                                               "delta", 0.5) for n in (9, 30)]
+
     def test_anchor_independence_rate(self, family, rng):
         pot = TrigPotential(terms=((0, 1, 0.01),))
         x = BasePoint.random(rng, 45)
@@ -129,6 +147,24 @@ class TestComputePhi:
         assert len(table) == 1
         v2 = compute_phi(pot, family, x, tol=1e-8, table=table)[0]
         assert v1 == v2
+
+    def test_blocks_built_ahead_leave_phi_unchanged(self, family, rng,
+                                                    monkeypatch,
+                                                    stencil_builds):
+        # 64 random points: stencils built in predicted blocks give the
+        # values, depths and bounds of building one step at a time, and
+        # the prediction overshoots the steps taken by little
+        pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+        points = [BasePoint.random(rng, 128) for _ in range(64)]
+        blocked = [compute_phi(pot, family, x, tol=1e-10) for x in points]
+        built = len(stencil_builds)
+        del stencil_builds[:]
+        monkeypatch.setattr(phi, "_block_steps", lambda incs, certified: 1)
+        single = [compute_phi(pot, family, x, tol=1e-10) for x in points]
+        assert blocked == single
+        needed = sum(n_used + 1 for _, n_used, _ in single)
+        assert len(stencil_builds) == needed
+        assert needed <= built <= 1.2 * needed
 
     def test_capacity_cap_raises(self, family, rng):
         pot = TrigPotential(terms=((0, 1, 0.01),))
