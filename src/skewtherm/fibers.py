@@ -134,11 +134,13 @@ def _split_points(p):
     """Split points c + c^(p+1) = 1 for the rows of exponents p, shape (m, k).
 
     Newton from y = 1, right of the root.  The result is then taken one ulp
-    right where rounding left it short, so that c + c^(p+1) >= 1 in floating
-    point and g sends c to 0 rather than to just below 1.  A row of one
-    exponent is checked in scalar arithmetic (the C library's pow), longer
-    rows in numpy's array arithmetic, whose vectorized pow can round the
-    other way.
+    right where rounding left it short, so that c + c^(p+1) >= 1 in the
+    arithmetic of the check.  A row of one exponent is checked in scalar
+    arithmetic (the C library's pow), longer rows in numpy's array
+    arithmetic; the two pows can round differently.  So ``fiber_forward``,
+    which uses numpy's pow, sends c to 0, to just above 0 or, for a few
+    exponents, to 1 - 2^-53 (22 of 2000 uniform random base points of the
+    default family): the same circle point in every case.
     """
     c = _solve_increasing(p, 1.0, np.ones_like(p))
     if p.shape[1] == 1:

@@ -66,7 +66,13 @@ class GridFn:
 
     def pair_delta(self, y: float) -> float:
         """log <f, delta_y>; requires the interpolated value to be positive."""
-        v = float(self.interp(y))
+        return self.pair_anchor(anchor_nodes(y, self.n_nodes))
+
+    def pair_anchor(self, anchor) -> float:
+        """log <f, delta_y> from the ``anchor_nodes`` of y: two reads, with
+        no numpy arithmetic."""
+        (j0, j1), (w0, w1) = anchor
+        v = w0 * self.values.item(j0) + w1 * self.values.item(j1)
         if v <= 0.0:
             raise ValueError("log pairing needs a positive value at the anchor")
         return self.log_offset + math.log(v)
@@ -135,19 +141,31 @@ class GridFn2D:
 
 
 def interp_nodes(t, n: int):
-    """Periodic linear interpolation at circle point(s) t on the grid j/n.
+    """Periodic linear interpolation at circle point(s) t on the grid j/n,
+    n a power of two.
 
     Returns ((j0, j1), (w0, w1)): the left and right nodes of the grid cell
     holding t and their interpolation weights, each shaped like t.
     """
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"grid size must be a power of two, got {n}")
     t = np.asarray(t, dtype=float)
     # t - floor(t) is t % 1.0 to the bit (both round t - floor(t) once),
     # at a fraction of the cost of numpy's float remainder
     s = (t - np.floor(t)) * n
     cell = np.floor(s)
     frac = s - cell
-    j = cell.astype(np.intp) % n
-    return (j, (j + 1) % n), (1.0 - frac, frac)
+    # j & (n - 1) is j % n for a power of two n, and cheaper
+    mask = n - 1
+    j = cell.astype(np.intp) & mask
+    return (j, (j + 1) & mask), (1.0 - frac, frac)
+
+
+def anchor_nodes(y: float, n: int):
+    """``interp_nodes`` of one circle point y as Python ints and floats, for
+    pairing many functions on the grid j/n with the same delta_y."""
+    (j0, j1), (w0, w1) = interp_nodes(y, n)
+    return (int(j0), int(j1)), (float(w0), float(w1))
 
 
 def periodic_interp(values: np.ndarray, t):

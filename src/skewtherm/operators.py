@@ -12,6 +12,11 @@ per node, 33.5 MB of indices and weights at 512 x 512.
 The base operator uses the same interpolation routine
 (``gridfn.interp_nodes``) with e^Phi weights.
 
+Every stencil stores its k entries per output node column-major, as (k, N)
+arrays with the output node on the last axis: the adjoint's scatter then
+sweeps each entry's destinations in output order, and a fiber stencil is a
+slice of the block ``fiber_weights`` returns, with no copy.
+
 Every application renormalizes its output and accumulates the scale factor in
 log_offset, so n-fold cascades never overflow even though the raw iterates
 grow like e^(n * pressure).
@@ -34,27 +39,31 @@ from .potential import TrigPotential
 def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int):
     """Transfer weights of the fiber operators over the base points xs.
 
-    Returns (idx, wgt), each of shape (len(xs), 4, n_nodes).  Entry
-    (i, 2 * branch + side, j) is the left (side 0) or right (side 1)
-    interpolation node of the g_x-preimage of j / n_nodes on that branch,
-    x = xs[i], and its interpolation weight times e^phi(x, preimage).
+    Returns (idx, wgt), each a C-contiguous array of shape (len(xs), 4,
+    n_nodes).  Entry (i, 2 * branch + side, j) is the left (side 0) or right
+    (side 1) interpolation node of the g_x-preimage of j / n_nodes on that
+    branch, x = xs[i], and its interpolation weight times e^phi(x, preimage).
     """
     xv = np.array([float(x) for x in xs])
-    ys = np.stack(grid_preimages(family, xv, n_nodes), axis=1)
-    (j0, j1), (w0, w1) = interp_nodes(ys, n_nodes)
-    e_phi = np.exp(pot(xv[:, None, None], ys))
-    shape = (len(xv), 4, n_nodes)
-    return (np.stack([j0, j1], axis=2).reshape(shape),
-            np.stack([w0 * e_phi, w1 * e_phi], axis=2).reshape(shape))
+    idx = np.empty((len(xv), 4, n_nodes), dtype=np.intp)
+    wgt = np.empty((len(xv), 4, n_nodes))
+    for k, ys in zip((0, 2), grid_preimages(family, xv, n_nodes)):
+        (j0, j1), (w0, w1) = interp_nodes(ys, n_nodes)
+        e_phi = np.exp(pot(xv[:, None], ys))
+        idx[:, k], idx[:, k + 1] = j0, j1
+        np.multiply(w0, e_phi, out=wgt[:, k])
+        np.multiply(w1, e_phi, out=wgt[:, k + 1])
+    return idx, wgt
 
 
 class _Stencil:
     """Sparse incidence structure of a discretized transfer operator.
 
-    Row i of (idx, wgt) lists the source nodes and interpolation-times-
-    potential weights contributing to output node i.  Forward application is
-    a gather; the adjoint is the exact transpose, applied as a scatter, so
-    the two iterations are numerically consistent duals.
+    idx and wgt are C-contiguous (k, N) arrays: column i lists the k source
+    nodes and interpolation-times-potential weights contributing to output
+    node i.  Forward application is a gather; the adjoint is the exact
+    transpose, applied as a scatter that sweeps each row of idx in order,
+    so the two iterations are numerically consistent duals.
     """
 
     def __init__(self, idx: np.ndarray, wgt: np.ndarray, size: int):
@@ -63,11 +72,10 @@ class _Stencil:
         self.size = size
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.wgt, v[self.idx])
+        return np.einsum("ji,ji->i", self.wgt, v[self.idx])
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        contrib = self.wgt * u[:, None]
-        return np.bincount(self.idx.ravel(), weights=contrib.ravel(),
+        return np.bincount(self.idx.ravel(), weights=(self.wgt * u).ravel(),
                            minlength=self.size)
 
     def step(self, fn):
@@ -115,14 +123,14 @@ def _power_iterate(stencil: _Stencil, tol: float, max_iter: int):
 def fiber_stencils(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
                    n_nodes: int) -> list[_Stencil]:
     """The fiber operators over the points xs on n_nodes nodes, built as one
-    block (one ``fiber_weights`` call): row j of each gathers the weighted
-    interpolation nodes of both g_x-preimages of j / n_nodes."""
+    block (one ``fiber_weights`` call): column j of each gathers the
+    weighted interpolation nodes of both g_x-preimages of j / n_nodes."""
     if any(x.capacity < 1 for x in xs):
         raise CapacityExhaustedError("one operator step needs capacity >= 1")
     if not xs:
         return []
     idx, wgt = fiber_weights(pot, family, xs, n_nodes)
-    return [_Stencil(i.T, w.T, n_nodes) for i, w in zip(idx, wgt)]
+    return [_Stencil(i, w, n_nodes) for i, w in zip(idx, wgt)]
 
 
 def fiber_stencil(pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -156,8 +164,10 @@ class _TorusStencil:
     B: row q / 2 for even q, the mean of rows q // 2 and (q // 2 + 1) mod
     n_x for odd q (the (1, 0) and (1/2, 1/2) weights of ``interp_nodes``).
     F is a fiber stencil over the half grid: output (i, j) gathers the 8
-    fiber weights of half-grid rows i and i + n_x.  The adjoint is the exact
-    transpose, F^T as a scatter into the half grid, then B^T.
+    fiber weights of half-grid rows i and i + n_x, held as (8, n_x n_y)
+    arrays with rows ordered (base branch, fiber branch, y side).  The
+    adjoint is the exact transpose, F^T as a scatter into the half grid,
+    then B^T.
     """
 
     def __init__(self, fiber: _Stencil, n_x: int, n_y: int):
@@ -187,16 +197,16 @@ def _full_stencil(pot: TrigPotential, family: MpFamily,
                   n_x: int, n_y: int) -> _TorusStencil:
     """The full operator on the n_x x n_y torus grid (see _TorusStencil).
 
-    Row (i, j) of F holds, for each base preimage (i + b n_x) / (2 n_x) of
+    Column (i, j) of F holds, for each base preimage (i + b n_x) / (2 n_x) of
     i / n_x, the fiber weights of j / n_y over it: the interpolation nodes of
     both g-preimages on half-grid row i + b n_x, times e^phi there.
     """
     half = 2 * n_x
     idx, wgt = fiber_weights(pot, family, np.arange(half) / half, n_y)
     idx += (np.arange(half) * n_y)[:, None, None]
-    # columns ordered (base branch, fiber branch, y side)
-    idx, wgt = (a.reshape(2, n_x, 4, n_y).transpose(1, 3, 0, 2)
-                .reshape(n_x * n_y, 8) for a in (idx, wgt))
+    # rows ordered (base branch, fiber branch, y side)
+    idx, wgt = (a.reshape(2, n_x, 4, n_y).transpose(0, 2, 1, 3)
+                .reshape(8, n_x * n_y) for a in (idx, wgt))
     for a in (idx, wgt):
         a.setflags(write=False)
     return _TorusStencil(_Stencil(idx, wgt, half * n_y), n_x, n_y)
@@ -225,11 +235,11 @@ def full_operator_column(pot: TrigPotential, family: MpFamily, x: BasePoint,
 @functools.lru_cache(maxsize=16)
 def _base_stencil_geometry(n_x: int):
     """Interpolation stencils at the two preimage families of the base grid:
-    read-only (idx, w), each of shape (n_x, 4), ordered (node, 2 * branch +
-    side).  Every base stencil of this size shares them."""
+    read-only (idx, w), each of shape (4, n_x), ordered (2 * branch + side,
+    node).  Every base stencil of this size shares them."""
     xs = np.arange(n_x, dtype=float) / n_x
-    xbar = np.stack([xs / 2.0, (xs + 1.0) / 2.0], axis=-1)
-    out = tuple(np.stack(pair, axis=-1).reshape(n_x, 4)
+    xbar = np.stack([xs / 2.0, (xs + 1.0) / 2.0])
+    out = tuple(np.stack(pair, axis=1).reshape(4, n_x)
                 for pair in interp_nodes(xbar, n_x))
     for a in out:
         a.setflags(write=False)
@@ -265,8 +275,9 @@ def apply_base_operator(phi_eval, xi: GridFn, capacity: int = 64) -> GridFn:
 
 def base_stencil(phi_eval, n_x: int, capacity: int) -> _Stencil:
     """The base operator on n_x nodes: ``phi_eval`` is tabulated at the
-    ``base_preimage_points`` (lower branch first), rows weighted by e^Phi."""
+    ``base_preimage_points`` (lower branch first), entries weighted by
+    e^Phi."""
     phis = np.array([[phi_eval(p) for p in fam]
                      for fam in base_preimage_points(n_x, capacity)])
     idx, w = _base_stencil_geometry(n_x)
-    return _Stencil(idx, np.repeat(np.exp(phis).T, 2, axis=1) * w, n_x)
+    return _Stencil(idx, np.repeat(np.exp(phis), 2, axis=0) * w, n_x)

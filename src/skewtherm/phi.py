@@ -23,7 +23,7 @@ import numpy as np
 from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
 from .fibers import MpFamily
-from .gridfn import GridFn
+from .gridfn import GridFn, anchor_nodes
 from .operators import _Stencil, _power_iterate, fiber_stencils
 from .potential import TrigPotential
 
@@ -159,6 +159,9 @@ class PhiSequence:
         self.x = x
         self.anchor = anchor
         self.anchor_y = anchor_y
+        # the delta anchor's two nodes and weights, read by every pairing
+        self._anchor = (anchor_nodes(anchor_y, store.n_nodes)
+                        if anchor == "delta" else None)
         self._store = store
         self._top = GridFn.ones(store.n_nodes)    # cascade started over x
         self._bot = GridFn.ones(store.n_nodes)    # cascade started over f(x)
@@ -166,8 +169,8 @@ class PhiSequence:
         self._ahead: list[_Stencil] = []  # built, the next to apply first
 
     def _pair(self, fn: GridFn) -> float:
-        if self.anchor == "delta":
-            return fn.pair_delta(self.anchor_y)
+        if self._anchor is not None:
+            return fn.pair_anchor(self._anchor)
         return fn.pair_uniform()
 
     def prefetch(self, n: int) -> None:

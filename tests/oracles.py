@@ -7,8 +7,8 @@ formulations that the library's active-triple cone metric, shared
 transfer-weight builder, integer base points, Newton preimage solve,
 lockstep Phi cascades, adjoint fiber measures, their shared orbit chains,
 the exact Phi of dyadic orbits, the factored torus operator, the stacked
-preimage solve and the multi-function eigen-equation residual replaced;
-tests compare the two.
+preimage solve, the multi-function eigen-equation residual and the
+column-major stencil layout replaced; tests compare the two.
 """
 
 import itertools
@@ -26,8 +26,8 @@ from skewtherm.fibers import grid_preimages
 from skewtherm.gridfn import GridFn, interp_nodes
 from skewtherm.measures import conditional_integrate, fiber_integrate
 from skewtherm.operators import (
-    _Stencil,
     apply_fiber_operator,
+    base_preimage_points,
     fiber_stencil,
     fiber_weights,
     full_operator_column,
@@ -207,6 +207,61 @@ def full_operator_column_reference(pot, family, x, big_psi):
     return math.exp(big_psi.log_offset) * out
 
 
+class RowMajorStencil:
+    """A stencil held row-major: (N, k) arrays whose row i lists the k
+    source nodes and weights of output node i.  The forward step is a
+    row-wise gather, the adjoint a scatter of the (N, k) products in row
+    order: the layout and the two applications that the library's
+    column-major (k, N) stencils replaced."""
+
+    def __init__(self, idx, wgt, size):
+        self.idx = idx
+        self.wgt = wgt
+        self.size = size
+
+    def apply(self, v):
+        return np.einsum("ij,ij->i", self.wgt, v[self.idx])
+
+    def apply_adjoint(self, u):
+        contrib = self.wgt * u[:, None]
+        return np.bincount(self.idx.ravel(), weights=contrib.ravel(),
+                           minlength=self.size)
+
+
+def fiber_stencil_reference(pot, family, x, n_nodes):
+    """The fiber operator over x, row-major: row j lists the weighted
+    interpolation nodes of both g_x-preimages of j / n_nodes."""
+    idx, wgt = fiber_weights(pot, family, [x], n_nodes)
+    return RowMajorStencil(idx[0].T, wgt[0].T, n_nodes)
+
+
+def torus_fiber_reference(pot, family, n_x, n_y):
+    """The fiber factor F of the torus operator, row-major: row (i, j)
+    lists the 8 weighted entries of half-grid rows i and i + n_x, ordered
+    (base branch, fiber branch, y side)."""
+    half = 2 * n_x
+    idx, wgt = fiber_weights(pot, family, np.arange(half) / half, n_y)
+    idx = idx + (np.arange(half) * n_y)[:, None, None]
+    idx, wgt = (a.reshape(2, n_x, 4, n_y).transpose(1, 3, 0, 2)
+                .reshape(n_x * n_y, 8) for a in (idx, wgt))
+    return RowMajorStencil(idx, wgt, half * n_y)
+
+
+def base_stencil_reference(phi_eval, n_x, capacity):
+    """The base operator on n_x nodes, row-major: row i lists the
+    interpolation nodes of both doubling preimages (i/n_x + b)/2, ordered
+    (branch, side), weighted by e^Phi there."""
+    xs = np.arange(n_x, dtype=float) / n_x
+    idx = np.empty((n_x, 4), dtype=np.intp)
+    wgt = np.empty((n_x, 4))
+    for b, fam in enumerate(base_preimage_points(n_x, capacity)):
+        e_phi = np.exp([phi_eval(p) for p in fam])
+        (j0, j1), (w0, w1) = interp_nodes((xs + b) / 2.0, n_x)
+        idx[:, 2 * b], idx[:, 2 * b + 1] = j0, j1
+        wgt[:, 2 * b], wgt[:, 2 * b + 1] = w0 * e_phi, w1 * e_phi
+    return RowMajorStencil(idx, wgt, n_x)
+
+
 def full_stencil_reference(pot, family, n_x, n_y):
     """The full operator on the n_x x n_y torus grid as one 16-column
     stencil: output (i, j) gathers, for each base preimage xb of i/n_x and
@@ -226,7 +281,7 @@ def full_stencil_reference(pot, family, n_x, n_y):
             idx[:, :, col] = jx[side][:, None] * n_y + jy[:, k]
             wgt[:, :, col] = wx[side][:, None] * wy[:, k]
     size = n_x * n_y
-    return _Stencil(idx.reshape(size, 16), wgt.reshape(size, 16), size)
+    return RowMajorStencil(idx.reshape(size, 16), wgt.reshape(size, 16), size)
 
 
 class DigitPoint:

@@ -13,8 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from skewtherm import GridFn2D, TrigPotential
-from skewtherm.operators import _full_stencil
+from skewtherm import BasePoint, GridFn2D, TrigPotential, operators
+from skewtherm.fibers import grid_preimages
+from skewtherm.operators import _full_stencil, fiber_stencils
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,6 +59,35 @@ def test_full_stencil_hook_reads_a_real_stencil(family):
     assert counters["bytes_per_apply"] == (counters["full_stencil_bytes"]
                                            + 8 * 16 * 32 * 8 + 8 * 16 * 32)
     assert stencil.step(GridFn2D.ones(16, 32)).shape == (16, 32)
+
+
+def test_grid_preimages_hook_reads_a_block(family, rng):
+    # the tracer's return hook unpacks the (y1, y2) pair of a whole block
+    xs = [BasePoint.random(rng, 60) for _ in range(3)]
+    y1, y2 = out = grid_preimages(family, xs, 64)
+    counters = {"preimage_tables": {}}
+    load("tracer")._on_grid_preimages(counters, out)
+    assert list(counters["preimage_tables"].values()) == [2 * 3 * 64 * 8]
+    assert y1.shape == y2.shape == (3, 64)
+
+
+def test_fiber_stencils_reach_the_traced_preimages(family, monkeypatch, rng):
+    # the traced preimage metrics count operators.grid_preimages calls: one
+    # per block of fiber stencils, so a builder that bypassed it would
+    # leave them reading 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return grid_preimages(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "grid_preimages", counted)
+    pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+    x = BasePoint.random(rng, 60)
+    fiber_stencils(pot, family, [x.forward(k) for k in range(10)], 64)
+    assert len(calls) == 1
+    fiber_stencils(pot, family, [x], 64)
+    assert len(calls) == 2
 
 
 def test_selftest_passes():

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    base_stencil_reference,
+    fiber_stencil_reference,
     fiber_step_reference,
     full_operator_column_reference,
     full_stencil_reference,
     iterate_cascade,
+    torus_fiber_reference,
 )
 from skewtherm import (
     BasePoint,
@@ -23,10 +26,11 @@ from skewtherm import (
 )
 from skewtherm.errors import CapacityExhaustedError
 from skewtherm.fibers import _grid_preimage_tables
-from skewtherm.gridfn import interp_nodes
+from skewtherm.gridfn import anchor_nodes, interp_nodes, periodic_interp
 from skewtherm.operators import (
     _check_positive,
     _full_stencil,
+    base_stencil,
     fiber_stencil,
     fiber_stencils,
     full_operator_column,
@@ -72,6 +76,28 @@ class TestGridFn:
             assert np.array_equal(j0, j) and np.array_equal(j1, (j + 1) % n)
             assert np.array_equal(w1, s - cell)
             assert np.array_equal(w0, 1.0 - (s - cell))
+
+    def test_pair_delta_reads_the_interpolant(self, rng):
+        # two reads at the anchor's precomputed nodes give the log of the
+        # interpolated value, bit for bit
+        g = GridFn(rng.uniform(0.2, 2.0, 512), log_offset=0.7)
+        ys = np.concatenate([rng.uniform(-2.0, 2.0, 200),
+                             [0.0, 0.5, 1.0 - 2.0 ** -53, -1e-17]])
+        for y in ys:
+            want = g.log_offset + math.log(periodic_interp(g.values, y))
+            assert g.pair_anchor(anchor_nodes(y, 512)) == want
+            assert g.pair_delta(y) == want
+
+    def test_pair_delta_needs_a_positive_value(self):
+        g = GridFn(np.linspace(-1.0, 1.0, 16))
+        with pytest.raises(ValueError, match="positive value at the anchor"):
+            g.pair_delta(0.0)
+        with pytest.raises(ValueError, match="positive value at the anchor"):
+            g.pair_anchor(anchor_nodes(0.25, 16))
+
+    def test_interp_nodes_needs_a_power_of_two(self):
+        with pytest.raises(ValueError):
+            interp_nodes(0.5, 48)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
@@ -343,6 +369,83 @@ class TestFactoredFullOperator:
         ref = full_stencil_reference(self.POT, family, n_x, n_y)
         assert 2 * (stencil.idx.nbytes + stencil.wgt.nbytes) == (
             ref.idx.nbytes + ref.wgt.nbytes)
+
+
+class TestColumnMajorStencils:
+    """Every stencil holds (k, N) arrays, output node last, against the
+    row-major (N, k) gather and scatter they replaced."""
+
+    POT = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
+                        constant=0.1)
+
+    @staticmethod
+    def phi(p):
+        return 0.1 * math.cos(2 * math.pi * float(p)) + 0.05
+
+    @staticmethod
+    def assert_matches(stencil, ref, rng, exact_forward=False):
+        for _ in range(3):
+            v = rng.uniform(0.2, 2.0, ref.size)
+            u = rng.uniform(0.2, 2.0, len(ref.idx))
+            if exact_forward:
+                assert np.array_equal(stencil.apply(v), ref.apply(v))
+            else:
+                np.testing.assert_allclose(stencil.apply(v), ref.apply(v),
+                                           rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(stencil.apply_adjoint(u),
+                                       ref.apply_adjoint(u),
+                                       rtol=1e-14, atol=0.0)
+
+    @staticmethod
+    def assert_layout(stencil, k, n):
+        for a in (stencil.idx, stencil.wgt):
+            assert a.shape == (k, n)
+            assert a.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_fiber_stencil(self, family, rng, n):
+        for _ in range(4):
+            x = BasePoint.random(rng, 60)
+            stencil = fiber_stencil(self.POT, family, x, n)
+            self.assert_layout(stencil, 4, n)
+            self.assert_matches(stencil,
+                                fiber_stencil_reference(self.POT, family, x, n),
+                                rng, exact_forward=True)
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_block_fiber_stencils(self, family, rng, n):
+        x = BasePoint.random(rng, 60)
+        orbit = [x.forward(k) for k in range(12)]
+        for z, stencil in zip(orbit, fiber_stencils(self.POT, family, orbit, n)):
+            self.assert_layout(stencil, 4, n)
+            self.assert_matches(stencil,
+                                fiber_stencil_reference(self.POT, family, z, n),
+                                rng, exact_forward=True)
+
+    @pytest.mark.parametrize("n_x, n_y", [(16, 16), (32, 128), (128, 32)])
+    def test_torus_stencil(self, family, rng, n_x, n_y):
+        stencil = _full_stencil(self.POT, family, n_x, n_y)
+        self.assert_layout(stencil, 8, n_x * n_y)
+        self.assert_matches(stencil.fiber,
+                            torus_fiber_reference(self.POT, family, n_x, n_y),
+                            rng)
+
+    @pytest.mark.parametrize("n_x", [16, 64])
+    def test_base_stencil(self, rng, n_x):
+        stencil = base_stencil(self.phi, n_x, 40)
+        self.assert_layout(stencil, 4, n_x)
+        self.assert_matches(stencil, base_stencil_reference(self.phi, n_x, 40),
+                            rng)
+
+    @pytest.mark.parametrize("n_x", [16, 64])
+    def test_base_adjoint_is_transpose(self, rng, n_x):
+        # <L^T u, v> = <u, L v>
+        stencil = base_stencil(self.phi, n_x, 40)
+        for _ in range(5):
+            u = rng.uniform(0.2, 2.0, n_x)
+            v = rng.uniform(0.2, 2.0, n_x)
+            assert np.dot(stencil.apply_adjoint(u), v) == pytest.approx(
+                np.dot(u, stencil.apply(v)), rel=1e-14)
 
 
 class TestBaseOperator:
