@@ -127,9 +127,14 @@ class GridFn2D:
 
     def slice_at(self, x: float) -> GridFn:
         """The fiber restriction Psi(x, .) as a GridFn (interpolated in x)."""
-        (j0, j1), (w0, w1) = interp_nodes(x, self.values.shape[0])
-        row = w0 * self.values[j0] + w1 * self.values[j1]
-        return GridFn(row, self.log_offset)
+        return GridFn(self.rows_at(x), self.log_offset)
+
+    def rows_at(self, xs) -> np.ndarray:
+        """The stored values of the fiber restrictions at base point(s) xs,
+        interpolated in x: one row per point, without the log offset."""
+        (j0, j1), (w0, w1) = interp_nodes(xs, self.values.shape[0])
+        return (w0[..., None] * self.values[j0]
+                + w1[..., None] * self.values[j1])
 
     def renormalize(self) -> "GridFn2D":
         m = float(np.max(np.abs(self.values)))

@@ -4,13 +4,14 @@ the disintegration checks tying them together.
 The depth-n fiber measure over x is a vector of node weights: the anchor
 pulled back through the adjoint fiber cascade, as in the eigen-equation
 L_x* nu_f(x) = e^Phi(x) nu_x.  The pull-back is the one Phi's exact values
-use (``phi._MeasureStore``), started from the anchor instead of nu_0.
-Points whose orbits merge share the pulled-back weights below the merge, so
-the measures over a dyadic base grid take one adjoint step per distinct
-(orbit point, depth) pair, and every step over the fixed point x = 0 reuses
-one stencil.  Eigendata come from power iteration on the cached operator
-stencils; the adjoint iteration uses the exact transpose of the same
-incidence structure.
+use (``phi._MeasureStore``), started from the anchor instead of nu_0.  The
+measures over a list of points are one pull-back request: points whose
+orbits merge share the pulled-back weights below the merge, so the measures
+over a dyadic base grid take one adjoint step per distinct (orbit point,
+depth) pair, and build one stencil per distinct orbit point, all in one
+block besides the kept one over the fixed point x = 0.  Eigendata come
+from power iteration on the cached operator stencils; the adjoint iteration
+uses the exact transpose of the same incidence structure.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .operators import (
     _power_iterate,
     base_stencil,
     fiber_stencil,
+    fiber_stencils,
 )
 from .phi import DEFAULT_ANCHOR_Y, _MeasureStore
 from .potential import TrigPotential
@@ -43,7 +45,9 @@ def fiber_measures(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
     measures whose start is the interpolation weights of the anchor point:
     the adjoint fiber steps over f^(n-1)(x), ..., x, each renormalized by
     its sum, so that <w, psi> / <w, 1> pairs the depth-n cascade of psi with
-    the anchor.  Orbits that merge share every step below the merge.  The
+    the anchor.  All of xs go to the store as one ``pull``: orbits that
+    merge share every step below the merge, and every distinct orbit point
+    off zero gets one stencil, built in one block with the others.  The
     returned arrays are read-only: repeated points, merged chains and the
     bare anchor at n = 0 hand out the same array.
     """
@@ -55,7 +59,7 @@ def fiber_measures(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
     anchor = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
     anchor.setflags(write=False)
     store = _MeasureStore(pot, family, n_nodes, (anchor, 0.0))
-    return [store.pull(x, n)[0] for x in xs]
+    return [w for w, _ in store.pull(xs, n)]
 
 
 def fiber_measure(pot: TrigPotential, family: MpFamily, x: BasePoint, n: int,
@@ -170,25 +174,28 @@ def intertwine_residual(pot: TrigPotential, family: MpFamily,
 
     Route one applies the full operator and integrates its fiber restriction
     over x; route two integrates the restrictions at both base preimages and
-    sums them with e^Phi weights.  Per point, the measures over x and both
-    preimages come from one ``fiber_measures`` call (both preimages map onto
-    x, so they share every step from (x, n - 1) down), and the fiber
-    stencils over the preimages that make the full operator's column are
-    built once; every test function is paired with them.
+    sums them with e^Phi weights.  The measures over every sample point and
+    both its preimages come from one ``fiber_measures`` call (both preimages
+    map onto x, so they share every step from (x, n - 1) down), and the fiber
+    stencils over all the preimages, which make the full operator's columns,
+    are built as one block; every test function is paired with them.
     """
     n_y = big_psis[0].shape[1]
+    m = len(x_samples)
+    xbars = [xb for x in x_samples for xb in x.preimages()]
+    ws = fiber_measures(pot, family, [*x_samples, *xbars], n, n_y, anchor_y)
+    stencils = fiber_stencils(pot, family, xbars, n_y)
+    e_phis = [math.exp(phi_eval(xb)) for xb in xbars]
     worst = 0.0
-    for x in x_samples:
-        xbars = x.preimages()
-        w, *w_bars = fiber_measures(pot, family, [x, *xbars], n, n_y, anchor_y)
-        stencils = [fiber_stencil(pot, family, xb, n_y) for xb in xbars]
-        e_phis = [math.exp(phi_eval(xb)) for xb in xbars]
+    for i in range(m):
+        col = (2 * i, 2 * i + 1)  # the preimages of x_samples[i]
         for big_psi in big_psis:
-            slices = [big_psi.slice_at(float(xb)) for xb in xbars]
-            column = sum(s.apply(f.values) for s, f in zip(stencils, slices))
-            lhs = _pair(w, GridFn(column, big_psi.log_offset))
-            rhs = sum(e * _pair(wb, f)
-                      for e, wb, f in zip(e_phis, w_bars, slices))
+            slices = [big_psi.slice_at(float(xbars[j])) for j in col]
+            column = sum(stencils[j].apply(f.values)
+                         for j, f in zip(col, slices))
+            lhs = _pair(ws[i], GridFn(column, big_psi.log_offset))
+            rhs = sum(e_phis[j] * _pair(ws[m + j], f)
+                      for j, f in zip(col, slices))
             worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -200,18 +207,21 @@ def _fiber_grid(big_psi: GridFn2D, full_sol: RpfSolution) -> int:
     return n_y
 
 
-def _conditional_pairing(w: np.ndarray, x: BasePoint, big_psi: GridFn2D,
-                         full_sol: RpfSolution, base_sol: RpfSolution) -> float:
-    """psi * h paired with the fiber measure weights w over x, divided by
-    h_base(x)."""
-    h_slice = full_sol.eigenfunction.slice_at(float(x))
-    psi_slice = big_psi.slice_at(float(x))
-    integrand = GridFn(psi_slice.values * h_slice.values,
-                       psi_slice.log_offset + h_slice.log_offset)
-    h_base = float(base_sol.eigenfunction.interp(float(x)))
-    if h_base <= 0.0:
+def _conditional_pairings(ws: list[np.ndarray], xs: list[BasePoint],
+                          big_psi: GridFn2D, full_sol: RpfSolution,
+                          base_sol: RpfSolution) -> list[float]:
+    """psi * h paired with the fiber measure weights ws[i] over xs[i],
+    divided by h_base(xs[i]), for every i.  The slices of psi and h and the
+    values of h_base are read at all of xs with one interpolation each."""
+    t = np.array([float(x) for x in xs])
+    h = full_sol.eigenfunction
+    integrands = big_psi.rows_at(t) * h.rows_at(t)
+    h_base = base_sol.eigenfunction.interp(t)
+    if np.any(h_base <= 0.0):
         raise AssertionError("base eigenfunction must be positive")
-    return _pair(w, integrand) / h_base
+    offset = big_psi.log_offset + h.log_offset
+    return [_pair(w, GridFn(row, offset)) / hb
+            for w, row, hb in zip(ws, integrands, h_base)]
 
 
 def conditional_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -226,7 +236,7 @@ def conditional_integrate(pot: TrigPotential, family: MpFamily, x: BasePoint,
     """
     n_y = _fiber_grid(big_psi, full_sol)
     w = fiber_measure(pot, family, x, n, n_y, anchor_y)
-    return _conditional_pairing(w, x, big_psi, full_sol, base_sol)
+    return _conditional_pairings([w], [x], big_psi, full_sol, base_sol)[0]
 
 
 def disintegrate_integral(pot: TrigPotential, family: MpFamily,
@@ -238,7 +248,8 @@ def disintegrate_integral(pot: TrigPotential, family: MpFamily,
     conditional fiber integrals weighted by the base equilibrium quadrature.
 
     The fiber measures of all base nodes come from one ``fiber_measures``
-    call, so the nodes' merging dyadic orbits share their adjoint steps.
+    call, so the nodes' merging dyadic orbits share their adjoint steps and
+    their stencils, and the integrands are read at all nodes at once.
     """
     n_y = _fiber_grid(big_psi, full_sol)
     n_x = base_sol.eigenfunction.n_nodes
@@ -247,9 +258,9 @@ def disintegrate_integral(pot: TrigPotential, family: MpFamily,
     xs = [BasePoint.from_fraction(i, n_x, capacity) for i in nodes]
     ws = fiber_measures(pot, family, xs, n, n_y, anchor_y)
     total = 0.0
-    for i, x, w in zip(nodes, xs, ws):
-        total += mu_hat[i] * _conditional_pairing(w, x, big_psi, full_sol,
-                                                  base_sol)
+    for i, value in zip(nodes, _conditional_pairings(ws, xs, big_psi,
+                                                     full_sol, base_sol)):
+        total += mu_hat[i] * value
     return total
 
 

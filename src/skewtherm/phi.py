@@ -58,9 +58,12 @@ class _MeasureStore:
     an entry depends neither on the order of lookups nor on the capacity of
     the point it was first reached from.  Stored weights are read-only.
 
-    A point off zero gets a fresh stencil that is dropped after use.  The
-    fixed point x = 0 is different: ``forward`` masks digits, so an orbit
-    that reaches it never leaves it, and its one stencil is kept.
+    ``pull`` serves a list of points in one pass.  A value off zero gets
+    one stencil per pass, shared by every entry of the pass over that
+    value (a chain can meet one value at several depths), and dropped when
+    the pass ends.  The fixed point x = 0 is different: ``forward`` masks
+    digits, so an orbit that reaches it never leaves it, and its one
+    stencil is kept.
 
     Without a ``start`` the store holds exact measures, built on the first
     lookup of 0: the start is nu_0, the left Perron vector of L_0, taken one
@@ -99,22 +102,32 @@ class _MeasureStore:
         w.setflags(write=False)
         return w, math.log(mass)
 
-    def pull(self, x: BasePoint, k: int) -> tuple[np.ndarray, float]:
-        """The entry over x with k steps left: walk forward to the first
-        stored entry, then pull back from it through the stencils of the
-        walked chain, built as one block, storing each entry."""
-        chain = []
-        key = _exact(x), k
-        while k and key not in self._entries:
-            chain.append((x, key))
-            x, k = x.forward(1), k - 1
+    def pull(self, xs: list[BasePoint],
+             k: int) -> list[tuple[np.ndarray, float]]:
+        """The entries over xs with k steps left, in one pass.
+
+        Every chain is walked forward to its first stored entry, collecting
+        the missing keys.  One stencil per distinct exact value on the walks
+        is built, all in one block, and is shared by every key of that
+        value; the block holds 4 * n_nodes (index, weight) pairs per value
+        until the pass ends.  The missing entries are then filled in
+        increasing order of steps left, so the entry over f(x) with one
+        step fewer, which each is pulled back from, is there first.
+        """
+        missing = {}  # key -> (point, key of the entry it is pulled from)
+        for x in xs:
             key = _exact(x), k
-        entry = self._entries[key] if k else self.start
-        chain.reverse()
-        stencils = self.stencils([x for x, _ in chain])
-        for (_, key), stencil in zip(chain, stencils):
-            entry = self._entries[key] = self._step(stencil, entry[0])
-        return entry
+            while key[1] and key not in self._entries and key not in missing:
+                y = x.forward(1)
+                missing[key] = x, (_exact(y), key[1] - 1)
+                x, key = y, missing[key][1]
+        points = {value: x for (value, _), (x, _) in missing.items()}
+        stencils = dict(zip(points, self.stencils(list(points.values()))))
+        for key in sorted(missing, key=lambda key: key[1]):
+            prev = missing[key][1]
+            entry = self._entries[prev] if prev[1] else self.start
+            self._entries[key] = self._step(stencils[key[0]], entry[0])
+        return [self._entries[_exact(x), k] if k else self.start for x in xs]
 
     def knows(self, z: BasePoint) -> bool:
         """Whether the exact measure over z is stored; the first lookup of
@@ -298,29 +311,33 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
                 n_nodes: int = DEFAULT_FIBER_NODES,
                 known: _MeasureStore | None = None) -> tuple[float, int, float]:
     """Iterate Phi_n until the increment certifies the requested tolerance,
-    or until the orbit reaches a point whose fiber measure is known exactly.
+    or until the orbit is seen to reach a point whose fiber measure is
+    known exactly.
 
     The certified threshold is tol * (1 - tau) with the fixed rate tau =
-    CONSERVATIVE_TAU, so a value depends on its arguments alone.  Before
-    step n, f^(n+1)(x) is looked up in ``known``, a store of exact fiber
-    measures (a fresh one when None), whose stencils the cascades of the
-    loop share.  Every stored measure descends from nu_0, so a hit counts
-    when the residual of nu_0 (about 3e-15 at 512 and 1024 nodes) is within
-    the threshold.  Phi(x) is then the log-mass of x's entry, pulled back
-    from the first stored point of its orbit through fresh adjoint stencils,
-    each entry stored on the way: the eigen-equation with no truncation,
-    n_used = n and that residual as the bound.  An x pulled back before
-    hits at n = 0 and returns its stored log-mass without a stencil.  A
-    dyadic orbit hits within log2 of its denominator steps; a random
+    CONSERVATIVE_TAU, so a value depends on its arguments alone.  The
+    stencils of the steps are built ahead, a block at a time (see
+    ``_block_steps``), and before a block is built its orbit points
+    f^(m+1)(x) are looked up in ``known``, a store of exact fiber measures
+    (a fresh one when None), whose stencils the cascades of the loop share.
+    Every stored measure descends from nu_0, so a hit counts when the
+    residual of nu_0 (about 3e-15 at 512 and 1024 nodes) is within the
+    threshold.  On the first hit, at step m, no further cascade step is
+    taken: Phi(x) is the log-mass of x's entry, pulled back from f^(m+1)(x)
+    through one block of adjoint stencils over x, ..., f^m(x), each entry
+    stored on the way.  That is the eigen-equation with no truncation,
+    n_used = m and the residual of nu_0 as the bound.  An x pulled back
+    before hits at m = 0 and returns its stored log-mass without a stencil.
+    A dyadic orbit hits within log2 of its denominator steps; a random
     point's never does, and it takes the tolerance loop alone.
 
     Otherwise step n is taken, and the loop stops when |Phi_n - Phi_{n-1}|
-    is within the threshold, with bound increment / (1 - tau).  The
-    stencils of the steps are built ahead, a block at a time (see
-    ``_block_steps``); a block stops short of the first step that hits, and
-    blocks change no value.  Returns
-    (value, n_used, bound) and caches the entry when a table is given.
-    Consumers that evaluate Phi at many points take a ``phi_evaluator``.
+    is within the threshold, with bound increment / (1 - tau).  The exact
+    value wins over an increment: when a block's look-ahead hits at m, Phi
+    is the pulled-back value even if an increment before step m would have
+    certified.  Blocks change no other value.  Returns (value, n_used,
+    bound) and caches the entry when a table is given.  Consumers that
+    evaluate Phi at many points take a ``phi_evaluator``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -348,11 +365,10 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
         if n > built:
             built = min(n_cap, n - 1 + _block_steps(incs, certified))
             hit = next((m for m in range(n, built + 1) if exact(m)), None)
-            if hit == n:
-                entry = PhiEntry(known.pull(x, _exact(x)[1])[1], n, known.bound)
-                break
             if hit is not None:
-                built = hit - 1
+                ((_, log_mass),) = known.pull([x], _exact(x)[1])
+                entry = PhiEntry(log_mass, hit, known.bound)
+                break
             seq.prefetch(built)
         cur = seq.value(n)
         if n:

@@ -7,8 +7,9 @@ formulations that the library's active-triple cone metric, shared
 transfer-weight builder, integer base points, Newton preimage solve,
 lockstep Phi cascades, adjoint fiber measures, their shared orbit chains,
 the exact Phi of dyadic orbits, the factored torus operator, the stacked
-preimage solve, the multi-function eigen-equation residual and the
-column-major stencil layout replaced; tests compare the two.
+preimage solve, the multi-function eigen-equation residual, the
+column-major stencil layout and the all-node disintegration pairing
+replaced; tests compare the two.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from skewtherm.errors import (
 )
 from skewtherm.fibers import grid_preimages
 from skewtherm.gridfn import GridFn, interp_nodes
-from skewtherm.measures import conditional_integrate, fiber_integrate
+from skewtherm.measures import fiber_integrate
 from skewtherm.operators import (
     apply_fiber_operator,
     base_preimage_points,
@@ -395,6 +396,22 @@ def fiber_measure_chain(pot, family, x, n, n_nodes, anchor_y):
     return w
 
 
+def conditional_integrate_reference(pot, family, x, big_psi, full_sol,
+                                    base_sol, n, anchor_y):
+    """The conditional integral over one x: psi * h, both slices read by
+    interpolation at x alone, paired with the fiber measure of a fresh
+    chain and divided by h_base(x)."""
+    w = fiber_measure_chain(pot, family, x, n, big_psi.shape[1], anchor_y)
+    rows = []
+    for fn in (big_psi, full_sol.eigenfunction):
+        (j0, j1), (w0, w1) = interp_nodes(float(x), fn.shape[0])
+        rows.append(w0 * fn.values[j0] + w1 * fn.values[j1])
+    offset = big_psi.log_offset + full_sol.eigenfunction.log_offset
+    ratio = np.dot(w, rows[0] * rows[1]) / np.dot(w, np.ones(w.size))
+    h_base = float(base_sol.eigenfunction.interp(float(x)))
+    return math.exp(offset) * float(ratio) / h_base
+
+
 def disintegrate_reference(pot, family, big_psi, full_sol, base_sol, n,
                            capacity, anchor_y):
     """The disintegrated integral as a loop of conditional integrals, one
@@ -406,7 +423,7 @@ def disintegrate_reference(pot, family, big_psi, full_sol, base_sol, n,
         if mu_hat[i] == 0.0:
             continue
         x = BasePoint.from_fraction(i, n_x, capacity)
-        total += mu_hat[i] * conditional_integrate(
+        total += mu_hat[i] * conditional_integrate_reference(
             pot, family, x, big_psi, full_sol, base_sol, n, anchor_y)
     return total
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    conditional_integrate_reference,
     disintegrate_reference,
     eigen_equation_residual_single,
     fiber_integrate_two_cascades,
@@ -183,12 +184,35 @@ class TestSharedOrbitChains:
             fiber_measures(self.POT, family, xs, 7, 64)
         assert stencil_builds == []
 
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_one_block_per_request(self, family, rng, monkeypatch, n):
+        # x and f(x) meet each of f^j(x), j = 1 .. n - 1, at two depths,
+        # but one request pulls both back through one stencil per orbit
+        # point, n + 1 in all, built as one block
+        from skewtherm import phi
+        blocks = []
+        original = phi.fiber_stencils
+
+        def counting(pot, family, xs, n_nodes):
+            blocks.append(len(xs))
+            return original(pot, family, xs, n_nodes)
+
+        monkeypatch.setattr(phi, "fiber_stencils", counting)
+        x = BasePoint.random(rng, 40)
+        xs = [x, x.forward(1)]
+        got = fiber_measures(self.POT, family, xs, n, 64, 0.3)
+        assert blocks == [n + 1]
+        for p, w in zip(xs, got):
+            assert np.array_equal(w, fiber_measure_chain(self.POT, family, p,
+                                                         n, 64, 0.3))
+
     def test_disintegration_builds_each_chain_step_once(self, family,
                                                         small_potential,
                                                         stencil_builds):
-        # 64 nodes i/64 at depth 25: one stencil per distinct nonzero
-        # (point, steps left) pair, 63 + 31 + 15 + 7 + 3 + 1, plus L_0;
-        # a fresh chain per node builds 64 * 25 = 1600
+        # 64 nodes i/64 at depth 25: the orbits stay on the grid, so one
+        # stencil per nonzero node, 63, plus L_0; one per distinct
+        # (point, steps left) pair builds 63 + 31 + 15 + 7 + 3 + 1 plus
+        # L_0, 121, and a fresh chain per node 64 * 25 = 1600
         base = rpf_base_solve(lambda p: LOG2, 64)
         full = rpf_full_solve(small_potential, family, 64, 64)
         psi = GridFn2D.from_callable(
@@ -196,7 +220,7 @@ class TestSharedOrbitChains:
         assert np.all(base.mu_weights != 0.0)
         got = disintegrate_integral(small_potential, family, psi, full, base,
                                     25, capacity=96)
-        assert len(stencil_builds) == 121
+        assert len(stencil_builds) == 64
         assert got == disintegrate_reference(small_potential, family, psi, full,
                                              base, 25, 96, 0.5)
 
@@ -354,29 +378,30 @@ class TestIntertwine:
 
     def test_preimages_share_their_chain(self, family, small_potential, rng,
                                          stencil_builds):
-        # per point: n steps over x's orbit, one over the second preimage
-        # and n shared by both preimages from (x, n - 1) down; one chain per
-        # integral builds 3n
+        # per point: one stencil per distinct orbit point, n over x's orbit
+        # plus one over each preimage, 12; the preimages' entries over x's
+        # orbit, one step short of x's own, reuse x's stencils.  One per
+        # (point, steps left) pair builds 2n + 1, one chain per integral 3n
         xs = [BasePoint.random(rng, 20) for _ in range(3)]
         intertwine_residual(small_potential, family, [GridFn2D.ones(64, 64)],
                             xs, 10, lambda p: LOG2)
-        assert len(stencil_builds) == 63
+        assert len(stencil_builds) == 36
 
     def test_functions_share_one_pass_per_point(self, family,
                                                 small_potential, rng,
                                                 stencil_builds, monkeypatch):
-        # three test functions build the measure chains and the two column
-        # stencils per point once, as one does, and give the worst gap of
+        # three test functions build the measures and the six column
+        # stencils (one block) once, as one does, and give the worst gap of
         # the three computed one function and one chain at a time
         from skewtherm import measures
         columns = []
-        original = measures.fiber_stencil
+        original = measures.fiber_stencils
 
-        def counting(pot, family, x, n_nodes):
-            columns.append(x)
-            return original(pot, family, x, n_nodes)
+        def counting(pot, family, xs, n_nodes):
+            columns.append(len(xs))
+            return original(pot, family, xs, n_nodes)
 
-        monkeypatch.setattr(measures, "fiber_stencil", counting)
+        monkeypatch.setattr(measures, "fiber_stencils", counting)
         psis = [GridFn2D.from_callable(
             lambda X, Y, k=k: 1.0 + 0.3 * np.cos(2 * np.pi * (X + k * Y)),
             64, 64) for k in (1, 2, 3)]
@@ -386,8 +411,8 @@ class TestIntertwine:
             del stencil_builds[:], columns[:]
             got = intertwine_residual(small_potential, family, fns, xs, 10,
                                       lambda p: LOG2)
-            builds.append((len(stencil_builds), len(columns)))
-        assert builds == [(63, 6), (63, 6)]
+            builds.append((len(stencil_builds), list(columns)))
+        assert builds == [(36, [6]), (36, [6])]
         assert got == max(intertwine_residual_chains(
             small_potential, family, psi, xs, 10, lambda p: LOG2)
             for psi in psis)
@@ -444,6 +469,17 @@ class TestDisintegration:
                                     capacity=80)
         assert got == disintegrate_reference(pot, family, psi2, full, base, 25,
                                              80, 0.5)
+
+    def test_one_point_matches_scalar_reads(self, solutions, rng):
+        pot, family, base, full = solutions
+        psi2 = GridFn2D.from_callable(
+            lambda X, Y: 1.0 + 0.4 * np.cos(2 * np.pi * (X + Y)), 128, 128)
+        for _ in range(3):
+            x = BasePoint.random(rng, 40)
+            assert conditional_integrate(pot, family, x, psi2, full, base,
+                                         25) == \
+                conditional_integrate_reference(pot, family, x, psi2, full,
+                                                base, 25, 0.5)
 
 
 class TestMeasureContinuity:

@@ -230,12 +230,26 @@ class TestExactDyadicPhi:
         assert len(stencil_builds) <= 256
 
     def test_base_solve_reuses_stored_phi(self, family, stencil_builds):
-        # L_0 once (nu_0 and the pull-back over 0), one pull-back stencil
-        # per other preimage node, and 63 forward steps taken before an
-        # orbit's known point is found; a stored point's Phi needs none
+        # L_0 once (nu_0 and the pull-back over 0) and one pull-back stencil
+        # per other preimage node: every orbit meets the store within the
+        # first look-ahead block, so no forward step is taken, and a stored
+        # point's Phi needs no stencil
         ev = phi_evaluator(self.POT, family, tol=1e-12)
         rpf_base_solve(ev, 64, capacity=96)
-        assert len(stencil_builds) == 191
+        assert len(stencil_builds) == 128
+
+    def test_exact_value_wins_over_an_early_increment(self, family):
+        # under a constant potential the increments vanish from n = 1, but
+        # the first look-ahead block already sees 3/128 reach 0 after 7
+        # steps: Phi is the pulled-back log-mass, with n_used = 6 and the
+        # residual of nu_0 as the bound
+        pot = TrigPotential.constant_potential(0.3)
+        x = BasePoint.from_fraction(3, 128, 96)
+        value, n_used, bound = compute_phi(pot, family, x, tol=1e-12)
+        store = phi._MeasureStore(pot, family, 512)
+        assert store.knows(BasePoint.from_fraction(0, 1, 8))
+        ((_, log_mass),) = store.pull([x], 7)
+        assert (value, n_used, bound) == (log_mass, 6, store.bound)
 
     def test_tight_tolerance_shares_one_zero_stencil(self, family,
                                                      stencil_builds):
