@@ -8,10 +8,12 @@ use (``phi._MeasureStore``), started from the anchor instead of nu_0.  The
 measures over a list of points are one pull-back request: points whose
 orbits merge share the pulled-back weights below the merge, so the measures
 over a dyadic base grid take one adjoint step per distinct (orbit point,
-depth) pair, and build one stencil per distinct orbit point, all in one
-block besides the kept one over the fixed point x = 0.  Eigendata come
-from power iteration on the cached operator stencils; the adjoint iteration
-uses the exact transpose of the same incidence structure.
+depth) pair, and build one stencil per distinct orbit point, in blocks of
+at most 64 points, besides the kept one over the fixed point x = 0.
+Eigendata come from power iteration on the cached operator stencils; the
+adjoint iteration uses the exact transpose of the same incidence
+structure.  Each iteration extrapolates along its settled convergence rate
+and reads its residual off its last step (``operators._power_loop``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def fiber_measures(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
     its sum, so that <w, psi> / <w, 1> pairs the depth-n cascade of psi with
     the anchor.  All of xs go to the store as one ``pull``: orbits that
     merge share every step below the merge, and every distinct orbit point
-    off zero gets one stencil, built in one block with the others.  The
+    off zero gets one stencil, built in blocks of at most 64 points.  The
     returned arrays are read-only: repeated points, merged chains and the
     bare anchor at n = 0 hand out the same array.
     """
@@ -116,7 +118,10 @@ class RpfSolution:
     ``log_eigenvalue`` is the pressure estimate; ``eigenfunction`` is scaled
     so that its integral against the weights is 1; ``weights`` are
     nonnegative and sum to 1 (a quadrature rule for the eigenmeasure, not a
-    pointwise object).
+    pointwise object).  ``residual`` is the larger relative residual of
+    the two returned vectors, read off the last step of each power
+    iteration; ``iterations`` counts the operator applications of both
+    iterations, which are all the applications the solve makes.
     """
 
     log_eigenvalue: float

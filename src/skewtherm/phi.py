@@ -22,7 +22,7 @@ import numpy as np
 
 from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
-from .fibers import MpFamily
+from .fibers import _STACK_EXPONENTS, MpFamily
 from .gridfn import GridFn, anchor_nodes
 from .operators import _Stencil, _power_iterate, fiber_stencils
 from .potential import TrigPotential
@@ -84,14 +84,19 @@ class _MeasureStore:
 
     def stencils(self, xs: list[BasePoint]) -> list[_Stencil]:
         """The stencils over xs: the kept one over 0, built on first use,
-        and a fresh one over every other point, built as one block."""
+        and a fresh one over every other point, built in blocks of at most
+        _STACK_EXPONENTS points, so that a block's temporaries stay those of
+        one stacked preimage solve."""
         if self._zero is None:
             zeros = [x for x in xs if not x.num]
             if zeros:
                 self._zero = fiber_stencils(self.pot, self.family, zeros[:1],
                                             self.n_nodes)[0]
-        fresh = iter(fiber_stencils(self.pot, self.family,
-                                    [x for x in xs if x.num], self.n_nodes))
+        points = [x for x in xs if x.num]
+        fresh = iter([s for i in range(0, len(points), _STACK_EXPONENTS)
+                      for s in fiber_stencils(
+                          self.pot, self.family,
+                          points[i:i + _STACK_EXPONENTS], self.n_nodes)])
         return [next(fresh) if x.num else self._zero for x in xs]
 
     @staticmethod
@@ -108,9 +113,9 @@ class _MeasureStore:
 
         Every chain is walked forward to its first stored entry, collecting
         the missing keys.  One stencil per distinct exact value on the walks
-        is built, all in one block, and is shared by every key of that
-        value; the block holds 4 * n_nodes (index, weight) pairs per value
-        until the pass ends.  The missing entries are then filled in
+        is built (see ``stencils``) and is shared by every key of that
+        value; the pass holds 4 * n_nodes (index, weight) pairs per value
+        until it ends.  The missing entries are then filled in
         increasing order of steps left, so the entry over f(x) with one
         step fewer, which each is pulled back from, is there first.
         """
@@ -157,8 +162,8 @@ class PhiSequence:
     family and n_nodes, or a fresh one.  A dyadic orbit lands on the fixed
     point x = 0 and stays there; from then on every step applies the one
     L_0 stencil the store keeps.  ``value(n)`` only takes the missing
-    steps, and builds the stencils it lacks up to f^n(x) as one block;
-    ``prefetch`` builds them ahead of the steps.
+    steps, and builds the stencils it lacks up to f^n(x) in one request to
+    the store; ``prefetch`` builds them ahead of the steps.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -187,7 +192,7 @@ class PhiSequence:
         return fn.pair_uniform()
 
     def prefetch(self, n: int) -> None:
-        """Build the missing stencils over x, ..., f^n(x) as one block."""
+        """Build the missing stencils over x, ..., f^n(x) in one request."""
         if self.x.capacity < n + 1:
             raise CapacityExhaustedError(
                 f"Phi_{n} needs capacity >= {n + 1}, have {self.x.capacity}")
@@ -321,10 +326,10 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     f^(m+1)(x) are looked up in ``known``, a store of exact fiber measures
     (a fresh one when None), whose stencils the cascades of the loop share.
     Every stored measure descends from nu_0, so a hit counts when the
-    residual of nu_0 (about 3e-15 at 512 and 1024 nodes) is within the
+    residual of nu_0 (7e-15 at 512 nodes, 9e-15 at 1024) is within the
     threshold.  On the first hit, at step m, no further cascade step is
     taken: Phi(x) is the log-mass of x's entry, pulled back from f^(m+1)(x)
-    through one block of adjoint stencils over x, ..., f^m(x), each entry
+    through the adjoint stencils over x, ..., f^m(x), each entry
     stored on the way.  That is the eigen-equation with no truncation,
     n_used = m and the residual of nu_0 as the bound.  An x pulled back
     before hits at m = 0 and returns its stored log-mass without a stencil.

@@ -8,8 +8,8 @@ transfer-weight builder, integer base points, Newton preimage solve,
 lockstep Phi cascades, adjoint fiber measures, their shared orbit chains,
 the exact Phi of dyadic orbits, the factored torus operator, the stacked
 preimage solve, the multi-function eigen-equation residual, the
-column-major stencil layout and the all-node disintegration pairing
-replaced; tests compare the two.
+column-major stencil layout, the all-node disintegration pairing and the
+extrapolated power iteration replaced; tests compare the two.
 """
 
 import itertools
@@ -283,6 +283,47 @@ def full_stencil_reference(pot, family, n_x, n_y):
             wgt[:, :, col] = wx[side][:, None] * wy[:, k]
     size = n_x * n_y
     return RowMajorStencil(idx.reshape(size, 16), wgt.reshape(size, 16), size)
+
+
+def power_loop_reference(apply, v, norm, tol, max_iter):
+    """Plain power iteration: v <- apply(v) / norm(apply(v)) until
+    |Delta log lambda| <= tol and norm(|w - v|) <= 10 tol.  Returns
+    (lambda, the last iterate w, iterations)."""
+    log_prev = math.inf
+    for iterations in range(1, max_iter + 1):
+        w = apply(v)
+        lam = float(norm(w))
+        w /= lam
+        log_lam = math.log(lam)
+        moved = float(norm(np.abs(w - v)))
+        v = w
+        if abs(log_lam - log_prev) <= tol and moved <= 10.0 * tol:
+            return lam, v, iterations
+        log_prev = log_lam
+    raise NoConvergenceError(f"power iteration did not settle in {max_iter} steps")
+
+
+def power_residual_reference(stencil, lam, v, u):
+    """The larger residual of v and u, measured by one more application
+    each: max |L v - lambda v| / (lambda max v) and sum |L* u - lambda u| /
+    lambda."""
+    res_fwd = float(np.max(np.abs(stencil.apply(v) - lam * v))) / lam / float(np.max(v))
+    res_adj = float(np.sum(np.abs(stencil.apply_adjoint(u) - lam * u))) / lam
+    return max(res_fwd, res_adj)
+
+
+def power_iterate_reference(stencil, tol, max_iter):
+    """Forward and adjoint plain power iteration, each returning its last
+    iterate, with the residual measured by ``power_residual_reference``.
+    Returns (lambda, v, u, residual, loop iterations)."""
+    lam, v, iterations = power_loop_reference(
+        stencil.apply, np.ones(stencil.size), np.max, tol, max_iter)
+    _, u, adj_iterations = power_loop_reference(
+        stencil.apply_adjoint, np.full(stencil.size, 1.0 / stencil.size),
+        np.sum, tol, max_iter)
+    v = v / float(np.dot(u, v))
+    return (lam, v, u, power_residual_reference(stencil, lam, v, u),
+            iterations + adj_iterations)
 
 
 class DigitPoint:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,34 @@ class TestSharedOrbitChains:
         for p, w in zip(xs, got):
             assert np.array_equal(w, fiber_measure_chain(self.POT, family, p,
                                                          n, 64, 0.3))
+
+    def test_blocks_bound_the_peak(self, family, monkeypatch):
+        # criterion 7's size: 512 dyadic nodes at depth 25 on 256 fiber
+        # nodes pull back 511 values off zero, whose stencils the pass
+        # holds (8.4 MB).  Built as one block, the fiber_weights
+        # temporaries took the tracemalloc peak to 22-24 MB; in blocks of
+        # at most 64 points it is 11-13 MB
+        from skewtherm import phi
+        blocks = []
+        original = phi.fiber_stencils
+
+        def counting(pot, family, xs, n_nodes):
+            blocks.append(len(xs))
+            return original(pot, family, xs, n_nodes)
+
+        monkeypatch.setattr(phi, "fiber_stencils", counting)
+        xs = [BasePoint.from_fraction(i, 512, 96) for i in range(512)]
+        tracemalloc.start()
+        try:
+            got = fiber_measures(self.POT, family, xs, 25, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        assert blocks == [1] + [64] * 7 + [63]
+        for i in range(1, 512, 73):
+            assert np.array_equal(got[i], fiber_measure_chain(
+                self.POT, family, xs[i], 25, 256, 0.5))
 
     def test_disintegration_builds_each_chain_step_once(self, family,
                                                         small_potential,

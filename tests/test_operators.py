@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from oracles import (
     full_operator_column_reference,
     full_stencil_reference,
     iterate_cascade,
+    power_iterate_reference,
+    power_residual_reference,
     torus_fiber_reference,
 )
 from skewtherm import (
@@ -24,12 +27,15 @@ from skewtherm import (
     apply_full_operator,
     fiber_inverse_branches,
 )
-from skewtherm.errors import CapacityExhaustedError
+from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import _grid_preimage_tables
 from skewtherm.gridfn import anchor_nodes, interp_nodes, periodic_interp
 from skewtherm.operators import (
     _check_positive,
     _full_stencil,
+    _power_iterate,
+    _Stencil,
+    _steady_ratio,
     base_stencil,
     fiber_stencil,
     fiber_stencils,
@@ -475,3 +481,97 @@ class TestBaseOperator:
         out = apply_base_operator(ev, GridFn.ones(64))
         total = np.exp(out.log_offset) * out.values
         np.testing.assert_allclose(total, np.full(64, 4.0), atol=1e-9)
+
+
+POWER_POT = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+
+
+def dense_stencil(a):
+    """A hand-built stencil of the matrix a: column i gathers every node j
+    with weight a[i, j]."""
+    n = len(a)
+    return _Stencil(np.repeat(np.arange(n)[:, None], n, axis=1),
+                    np.ascontiguousarray(a.T), n)
+
+
+@pytest.fixture(scope="module")
+def power_operators():
+    """The full operators at 64, 128 and 256 squared and the 64-node base
+    operator, each with its eigenvalue from the plain loop run to 1e-14."""
+    from skewtherm.phi import phi_evaluator
+    family = MpFamily(p0=0.5, p1=0.5, delta_a=0.1)
+    ops = {n: _full_stencil(POWER_POT, family, n, n) for n in (64, 128, 256)}
+    ops["base"] = base_stencil(phi_evaluator(POWER_POT, family, tol=1e-12),
+                               64, 96)
+    return {name: (op, power_iterate_reference(op, 1e-14, 10000)[0])
+            for name, op in ops.items()}
+
+
+class TestPowerIteration:
+    """The extrapolated power iteration against the plain loop it
+    replaced (``oracles.power_iterate_reference``)."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("name", [64, 128, 256, "base"])
+    def test_matches_plain_loop(self, power_operators, name, tol):
+        stencil, lam_ref = power_operators[name]
+        lam, v, u, res, _ = _power_iterate(stencil, tol, 10000)
+        assert abs(math.log(lam) - math.log(lam_ref)) <= 10.0 * tol
+        assert res <= 10.0 * tol
+        # the residual taken from the last step is the one measured anew
+        assert power_residual_reference(stencil, lam, v, u) == pytest.approx(
+            res, rel=1e-3, abs=1e-15)
+        assert np.all(v > 0.0) and np.all(u > 0.0)
+        assert float(np.dot(u, v)) == pytest.approx(1.0, rel=1e-14)
+
+    def test_fewer_applications_at_256(self, power_operators):
+        # the plain loop takes 61 applications at tol 1e-12, and two more
+        # for the residuals
+        stencil, _ = power_operators[256]
+        assert power_iterate_reference(stencil, 1e-12, 10000)[4] == 61
+        assert _power_iterate(stencil, 1e-12, 10000)[4] <= 47
+
+    def test_no_convergence_raises(self, power_operators):
+        stencil, _ = power_operators[64]
+        with pytest.raises(NoConvergenceError):
+            _power_iterate(stencil, 1e-12, 10)
+
+    def test_steady_ratio(self):
+        assert _steady_ratio([4.0, 2.0, 1.0]) == 0.5
+        assert _steady_ratio([2.0, 1.0]) is None
+        assert _steady_ratio([4.0, 2.0, 1.1]) is None        # not steady
+        assert _steady_ratio([1.0, 0.96, 0.9216]) is None    # too slow
+        for moves in ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.5]):
+            assert _steady_ratio(moves) is None
+
+    def test_moves_of_zero_raise_nothing(self, family, zero_potential):
+        # with Phi = 0 the base operator maps ones and the uniform measure
+        # to twice themselves, so both loops move 0 at once
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            lam, v, u, res, iterations = _power_iterate(
+                base_stencil(lambda p: 0.0, 64, 40), 1e-12, 100)
+            _power_iterate(_full_stencil(zero_potential, family, 16, 16),
+                           1e-12, 100)
+        assert (lam, res, iterations) == (2.0, 0.0, 4)
+        np.testing.assert_array_equal(u, np.full(64, 1.0 / 64))
+
+    @pytest.mark.parametrize("a", [
+        # eigenvalues 1.005 and -0.905
+        [[0.05, 0.96], [0.95, 0.05]],
+        # a 3-cycle: second eigenvalues -0.436 +- 0.772i, modulus 0.886
+        (0.1 / 3) * np.ones((3, 3)) + 0.9 * np.roll(np.eye(3), 1, axis=1)
+        + np.diag([0.0, 0.01, 0.02]),
+    ], ids=["negative", "complex"])
+    def test_second_eigenvalue_off_the_positive_axis(self, a):
+        # steady moves, but extrapolating along them moves away from the
+        # eigenvector: the step after it shows that and ends extrapolation
+        a = np.asarray(a)
+        want = max(np.linalg.eigvals(a).real)
+        stencil = dense_stencil(a)
+        lam, v, u, res, iterations = _power_iterate(stencil, 1e-12, 10000)
+        assert abs(math.log(lam) - math.log(want)) <= 1e-11
+        assert res <= 1e-11
+        assert np.all(v > 0.0) and np.all(u > 0.0)
+        plain = power_iterate_reference(stencil, 1e-12, 10000)[4]
+        assert iterations <= 1.25 * plain

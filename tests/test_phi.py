@@ -166,9 +166,11 @@ class TestComputePhi:
         assert len(stencil_builds) == needed
         assert needed <= built <= 1.2 * needed
 
-    def test_capacity_cap_raises(self, family, rng):
+    def test_capacity_cap_raises(self, family):
+        # an odd numerator: the orbit reaches 0 only with no digits left,
+        # so no exact value can stand in for the five cascade steps
         pot = TrigPotential(terms=((0, 1, 0.01),))
-        x = BasePoint.random(rng, 6)
+        x = BasePoint.from_fraction(0b110001, 64, 6)
         with pytest.raises(NoConvergenceError):
             compute_phi(pot, family, x, tol=1e-14)
 
@@ -178,6 +180,17 @@ class TestExactDyadicPhi:
     the tolerance loop alone."""
 
     POT = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+
+    @pytest.mark.parametrize("n_nodes", [512, 1024])
+    def test_nu0_reaches_the_floor(self, family, n_nodes):
+        # nu_0 is iterated to tol 1e-15: its residual, the bound of every
+        # exact value, stays within 10 tol
+        store = phi._MeasureStore(self.POT, family, n_nodes)
+        assert store.knows(BasePoint.from_fraction(0, 1, 8))
+        assert store.bound <= 1e-14
+        weights, _ = store.start
+        assert weights.min() > 0.0
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
 
     def test_base_grid_matches_tolerance_loop(self, family):
         ev = phi_evaluator(self.POT, family, tol=1e-12)
