@@ -21,7 +21,6 @@ from .fibers import (
     estimate_constants,
     fiber_forward,
     fiber_inverse_branches,
-    paired_preimage_trees,
     preimage_tree,
 )
 from .config import ExperimentConfig
@@ -57,7 +56,6 @@ from .phi import (
     estimate_holder,
     fit_convergence_rate,
     phi_evaluator,
-    phi_n,
 )
 from .potential import TrigPotential, birkhoff_sum, check_condition_P
 from .words import Word, bad_mass_ratio, count_I, good_branch_contraction, is_good

@@ -278,8 +278,12 @@ class Runner:
             psis.append(GridFn2D.from_callable(
                 lambda X, Y: 1.0 + a * np.cos(2 * np.pi * (X + Y))
                 + b * np.sin(2 * np.pi * Y), self.cfg.n_x, self.cfg.n_y))
+        # Phi on the n_y grid of the measures and columns it is paired with
+        phi_eval = phi_evaluator(self.cfg.potential, self.cfg.family,
+                                 tol=self.cfg.phi_tol, table=self.phi_table,
+                                 anchor_y=self.cfg.anchor_y, n_nodes=self.cfg.n_y)
         worst = intertwine_residual(self.cfg.potential, self.cfg.family, psis,
-                                    xs, args.depth, self.evaluator(),
+                                    xs, args.depth, phi_eval,
                                     anchor_y=self.cfg.anchor_y)
         self.save_phi_cache()
         self.write_json("intertwine.json", {"max_residual": worst,

@@ -27,6 +27,11 @@ from .operators import _check_positive, fiber_stencil
 from .potential import TrigPotential
 
 MAX_SEMINORM_NODES = 4096
+# the margin sampler's cosine modes; the extremal witnesses' highest mode,
+# and the fraction of the cone bound their seminorm reaches
+_SAMPLE_MODES = 3
+_WITNESS_MODES = 4
+_WITNESS_FRACTION = 0.98
 
 
 @dataclass(frozen=True)
@@ -154,18 +159,18 @@ def positive_cone_distance(phi: GridFn, psi: GridFn) -> float:
 
 
 def sample_cone_functions(cone: ConeParams, n_nodes: int, count: int,
-                          rng: np.random.Generator, n_modes: int = 3) -> list[GridFn]:
+                          rng: np.random.Generator) -> list[GridFn]:
     """Random cone elements 1 + sum a_k cos(2 pi k y + theta_k).
 
     Amplitudes are scaled so sum |a_k| 2 pi k <= K/4 and sum |a_k| <= 1/2,
     which keeps every sample inside the cone with a factor-2 margin.
     """
     ys = np.arange(n_nodes, dtype=float) / n_nodes
-    ks = np.arange(1, n_modes + 1)
+    ks = np.arange(1, _SAMPLE_MODES + 1)
     out = []
     for _ in range(count):
-        raw = rng.uniform(-1.0, 1.0, size=n_modes)
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=n_modes)
+        raw = rng.uniform(-1.0, 1.0, size=_SAMPLE_MODES)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, size=_SAMPLE_MODES)
         lip = np.sum(np.abs(raw) * 2.0 * math.pi * ks)
         amp = np.sum(np.abs(raw))
         scale = min(cone.K / 4.0 / lip, 0.5 / amp) * rng.uniform(0.2, 1.0)
@@ -177,25 +182,23 @@ def sample_cone_functions(cone: ConeParams, n_nodes: int, count: int,
     return out
 
 
-def extremal_witness_functions(cone: ConeParams, n_nodes: int,
-                               k_max: int = 4,
-                               boundary_fraction: float = 0.98) -> list[GridFn]:
+def extremal_witness_functions(cone: ConeParams, n_nodes: int) -> list[GridFn]:
     """Single-mode cone elements pushed close to the cone boundary.
 
     The margin sampler alone badly under-measures the image diameter (its
     images hug the constant function), so diameter estimates append these
-    deterministic witnesses: for each frequency and quarter-turn phase, the
-    largest-amplitude 1 + A cos(2 pi k y + theta) whose seminorm is the given
-    fraction of the cone bound.
+    deterministic witnesses: for each frequency k = 1 .. _WITNESS_MODES and
+    quarter-turn phase, the largest-amplitude 1 + A cos(2 pi k y + theta)
+    whose seminorm is _WITNESS_FRACTION of the cone bound.
     """
     ys = np.arange(n_nodes, dtype=float) / n_nodes
     out = []
-    for k in range(1, k_max + 1):
+    for k in range(1, _WITNESS_MODES + 1):
         for theta in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
             shape = np.cos(2.0 * math.pi * k * ys + theta)
             s0 = holder_seminorm(GridFn(shape - shape.min() + 1.0), cone.alpha)
             m0 = float(np.max(np.abs(shape)))
-            amp = boundary_fraction * cone.K / (s0 + boundary_fraction * cone.K * m0)
+            amp = _WITNESS_FRACTION * cone.K / (s0 + _WITNESS_FRACTION * cone.K * m0)
             out.append(GridFn(1.0 + amp * shape))
     return out
 

@@ -7,11 +7,11 @@ neutral fixed point y=0) is the only branch whose inverse can fail to contract.
 Both inverse branches, and c_x itself, are roots of the increasing convex
 function y + y^(p+1) - target, found by unbracketed vectorized Newton
 iteration.  The grid-node preimage tables are cached per exponent, up to a
-fixed number of bytes.  A block of base points (the orbit points a Phi
-cascade or a fiber measure needs next) looks its exponents up together,
-and the misses are solved as one stacked Newton iteration in which each
-exponent's rows stop where a solve of that exponent alone would: a table
-does not depend on the block that computed it.
+fixed number of bytes.  A block of base points (``operators.fiber_weights``
+decides its size) looks its exponents up together, and the misses are
+solved as one stacked Newton iteration in which each exponent's rows stop
+where a solve of that exponent alone would: a table does not depend on the
+block that computed it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ DIAM_Y = 0.5
 # below which it has converged
 _NEWTON_CAP = 60
 _STEP_ULPS = 4.0
-# exponents per stacked preimage solve: bounds each Newton temporary to
-# 64 x 2n doubles (512 KB at n = 512) when a block is large, such as the 512
-# half-grid rows of a 256 x 256 torus operator
-_STACK_EXPONENTS = 64
 # numpy raises an array to a single exponent of 0.5 or 2 by sqrt or square,
 # to several by pow, which rounds differently: these exponents are solved
 # alone, so that no table depends on the exponents stacked with it
@@ -65,9 +61,6 @@ class MpFamily:
         """Fiber exponent p(x); accepts a BasePoint or a float."""
         xv = float(x)
         return self.p0 + self.p1 * (1.0 - math.cos(2.0 * math.pi * xv)) / 2.0
-
-    def in_neutral_band(self, y) -> np.ndarray | bool:
-        return circle_distance(y, 0.0) < self.delta_a
 
     def to_json(self) -> dict:
         return {"p0": self.p0, "p1": self.p1, "delta_a": self.delta_a}
@@ -214,9 +207,8 @@ class _PreimageTables:
 
     A table is a read-only (2, n) array (y1, y2) that owns its 2n doubles.
     ``rows`` looks up the exponents of a block of base points; its misses
-    are solved together, in stacks of at most _STACK_EXPONENTS exponents.
-    The hit and miss counts are those of looking the exponents up one at a
-    time: a repeat within a block is a hit.
+    are solved as one stack.  The hit and miss counts are those of looking
+    the exponents up one at a time: a repeat within a block is a hit.
     """
 
     def __init__(self, max_bytes: int):
@@ -248,11 +240,9 @@ class _PreimageTables:
                 found[key] = None
         missing = [p for (p, _), table in found.items() if table is None]
         stacks = [[p] for p in missing if p in _SCALAR_POWERS]
-        missing = [p for p in missing if p not in _SCALAR_POWERS]
-        stacks += [missing[i:i + _STACK_EXPONENTS]
-                   for i in range(0, len(missing), _STACK_EXPONENTS)]
+        stacks.append([p for p in missing if p not in _SCALAR_POWERS])
         t = np.arange(n_nodes, dtype=float) / n_nodes
-        for chunk in stacks:
+        for chunk in filter(None, stacks):
             for p, ys in zip(chunk, _branch_rows(np.array(chunk)[:, None], t)):
                 table = found[p, n_nodes] = ys.copy()
                 table.setflags(write=False)
@@ -275,9 +265,8 @@ def grid_preimages(family: MpFamily, xs, n_nodes: int):
     branch first.
 
     The tables come from a cache keyed on the exponent p(x); the exponents
-    it misses are solved in one stacked Newton iteration (at most
-    _STACK_EXPONENTS to a stack), so a block of orbit points costs one
-    solve instead of one per point.
+    it misses are solved in one stacked Newton iteration, so a block of
+    orbit points costs one solve instead of one per point.
     """
     ys = np.array(_grid_preimage_tables.rows(
         [family.exponent(x) for x in xs], n_nodes)).reshape(len(xs), 2, n_nodes)
@@ -305,17 +294,6 @@ def preimage_tree(family: MpFamily, x: BasePoint, y: float, n: int) -> list[np.n
         merged[1::2] = y2
         levels[j] = merged
     return levels
-
-
-def paired_preimage_trees(family: MpFamily, x: BasePoint, x2: BasePoint,
-                          y: float, n: int):
-    """Preimage trees over x and x2 with identical word indexing.
-
-    Pairing leaves (and partial orbits) by branch-word label realizes the
-    preimage pairing for this two-branch family, because the branches are
-    globally ordered on the circle.
-    """
-    return preimage_tree(family, x, y, n), preimage_tree(family, x2, y, n)
 
 
 @dataclass(frozen=True)

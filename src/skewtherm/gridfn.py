@@ -8,7 +8,6 @@ accumulates in log_offset.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -53,7 +52,9 @@ class GridFn:
 
     def interp(self, t):
         """Periodic linear interpolation at circle point(s) t."""
-        return periodic_interp(self.values, t)
+        (j0, j1), (w0, w1) = interp_nodes(t, self.n_nodes)
+        out = w0 * self.values[j0] + w1 * self.values[j1]
+        return float(out) if out.ndim == 0 else out
 
     def renormalize(self) -> "GridFn":
         """Scale stored values to unit max-abs, folding the factor into log_offset."""
@@ -83,14 +84,6 @@ class GridFn:
         if v <= 0.0:
             raise ValueError("log pairing needs a positive node average")
         return self.log_offset + math.log(v)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# log_offset,{self.log_offset:.15g}\n")
-        buf.write("node,value\n")
-        for t, v in zip(self.nodes, self.values):
-            buf.write(f"{t:.15g},{v:.15g}\n")
-        return buf.getvalue()
 
 
 @dataclass
@@ -123,7 +116,11 @@ class GridFn2D:
 
     def interp(self, x, y):
         """Periodic bilinear interpolation at torus point(s) (x, y)."""
-        return periodic_interp_2d(self.values, x, y)
+        jx, wx = interp_nodes(x, self.values.shape[0])
+        jy, wy = interp_nodes(y, self.values.shape[1])
+        out = sum(wx[a] * wy[b] * self.values[jx[a], jy[b]]
+                  for b in (0, 1) for a in (0, 1))
+        return float(out) if np.ndim(out) == 0 else out
 
     def slice_at(self, x: float) -> GridFn:
         """The fiber restriction Psi(x, .) as a GridFn (interpolated in x)."""
@@ -136,13 +133,7 @@ class GridFn2D:
         return (w0[..., None] * self.values[j0]
                 + w1[..., None] * self.values[j1])
 
-    def renormalize(self) -> "GridFn2D":
-        m = float(np.max(np.abs(self.values)))
-        if m == 0.0:
-            return self
-        self.values /= m
-        self.log_offset += math.log(m)
-        return self
+    renormalize = GridFn.renormalize
 
 
 def interp_nodes(t, n: int):
@@ -171,23 +162,3 @@ def anchor_nodes(y: float, n: int):
     pairing many functions on the grid j/n with the same delta_y."""
     (j0, j1), (w0, w1) = interp_nodes(y, n)
     return (int(j0), int(j1)), (float(w0), float(w1))
-
-
-def periodic_interp(values: np.ndarray, t):
-    """Linear interpolation of node samples (nodes j/N) at circle points t."""
-    (j0, j1), (w0, w1) = interp_nodes(t, values.size)
-    out = w0 * values[j0] + w1 * values[j1]
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def periodic_interp_2d(values: np.ndarray, x, y):
-    """Bilinear interpolation on the torus grid (nodes (i/NX, j/NY))."""
-    jx, wx = interp_nodes(x, values.shape[0])
-    jy, wy = interp_nodes(y, values.shape[1])
-    out = sum(wx[a] * wy[b] * values[jx[a], jy[b]]
-              for b in (0, 1) for a in (0, 1))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out

@@ -8,8 +8,8 @@ use (``phi._MeasureStore``), started from the anchor instead of nu_0.  The
 measures over a list of points are one pull-back request: points whose
 orbits merge share the pulled-back weights below the merge, so the measures
 over a dyadic base grid take one adjoint step per distinct (orbit point,
-depth) pair, and build one stencil per distinct orbit point, in blocks of
-at most 64 points, besides the kept one over the fixed point x = 0.
+depth) pair, and build one stencil per distinct orbit point, besides the
+kept one over the fixed point x = 0.
 Eigendata come from power iteration on the cached operator stencils; the
 adjoint iteration uses the exact transpose of the same incidence
 structure.  Each iteration extrapolates along its settled convergence rate
@@ -38,29 +38,35 @@ from .phi import DEFAULT_ANCHOR_Y, _MeasureStore
 from .potential import TrigPotential
 
 
+def _anchored_store(pot: TrigPotential, family: MpFamily, n_nodes: int,
+                    anchor_y: float) -> _MeasureStore:
+    """A store of pulled-back measures whose start is the interpolation
+    weights of the anchor point (read-only), with log-mass 0."""
+    (j0, j1), (a0, a1) = interp_nodes(anchor_y, n_nodes)
+    anchor = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
+    anchor.setflags(write=False)
+    return _MeasureStore(pot, family, n_nodes, (anchor, 0.0))
+
+
 def fiber_measures(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
                    n: int, n_nodes: int,
                    anchor_y: float = DEFAULT_ANCHOR_Y) -> list[np.ndarray]:
     """Node weights of the depth-n fiber measure over each x in xs.
 
-    Each is the entry over x with n steps left in one store of pulled-back
-    measures whose start is the interpolation weights of the anchor point:
-    the adjoint fiber steps over f^(n-1)(x), ..., x, each renormalized by
-    its sum, so that <w, psi> / <w, 1> pairs the depth-n cascade of psi with
-    the anchor.  All of xs go to the store as one ``pull``: orbits that
-    merge share every step below the merge, and every distinct orbit point
-    off zero gets one stencil, built in blocks of at most 64 points.  The
-    returned arrays are read-only: repeated points, merged chains and the
-    bare anchor at n = 0 hand out the same array.
+    Each is the entry over x with n steps left in one anchored store of
+    pulled-back measures: the adjoint fiber steps over f^(n-1)(x), ..., x,
+    each renormalized by its sum, so that <w, psi> / <w, 1> pairs the
+    depth-n cascade of psi with the anchor.  All of xs go to the store as
+    one ``pull``: orbits that merge share every step below the merge, and
+    every distinct orbit point off zero gets one stencil.  The returned
+    arrays are read-only: repeated points, merged chains and the bare
+    anchor at n = 0 hand out the same array.
     """
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     if any(x.capacity < n for x in xs):
         raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
-    (j0, j1), (a0, a1) = interp_nodes(anchor_y, n_nodes)
-    anchor = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
-    anchor.setflags(write=False)
-    store = _MeasureStore(pot, family, n_nodes, (anchor, 0.0))
+    store = _anchored_store(pot, family, n_nodes, anchor_y)
     return [w for w, _ in store.pull(xs, n)]
 
 
@@ -94,18 +100,21 @@ def eigen_equation_residual(pot: TrigPotential, family: MpFamily,
     Left side: one transfer step of psi integrated against the depth-n
     measure over f(x).  Right side: e^Phi(x) times psi integrated at depth
     n+1 over x, with Phi(x) from ``phi_eval`` (a ``phi_evaluator`` on the
-    grid of psis and this anchor).  Both sides are computed independently,
-    each measure by its own ``fiber_measure`` call; the theorem sends the
-    gap to zero geometrically in n.  Neither measure nor the step's stencil
-    depends on psi, so they are built once and paired with every function.
+    grid of psis and this anchor).  Both measures come from one anchored
+    store: the pull of x at depth n + 1 stores the entry over f(x) at depth
+    n on its way, so the second pull is a hit and each orbit point gets one
+    stencil.  The theorem sends the gap to zero geometrically in n.
+    Neither measure nor the step's stencil depends on psi, so they are
+    built once and paired with every function.
     """
     if x.capacity < n + 1:
         raise CapacityExhaustedError(
             f"residual at depth {n} needs capacity >= {n + 1}")
     n_nodes = psis[0].n_nodes
     stencil = fiber_stencil(pot, family, x, n_nodes)
-    w_lhs = fiber_measure(pot, family, x.forward(1), n, n_nodes, anchor_y)
-    w_rhs = fiber_measure(pot, family, x, n + 1, n_nodes, anchor_y)
+    store = _anchored_store(pot, family, n_nodes, anchor_y)
+    ((w_rhs, _),) = store.pull([x], n + 1)
+    ((w_lhs, _),) = store.pull([x.forward(1)], n)
     e_phi = math.exp(phi_eval(x))
     return [abs(_pair(w_lhs, stencil.step(psi)) - e_phi * _pair(w_rhs, psi))
             for psi in psis]

@@ -4,7 +4,7 @@ Every operator is built from one set of weights: for a base point x and a
 fiber grid of n nodes, ``fiber_weights`` lists the interpolation nodes of
 both g_x-preimages of every grid node, weighted by e^phi at the preimage.
 The fiber stencil holds them once per base point, for the forward step and
-its exact adjoint; ``fiber_stencils`` builds those of a block of base points
+its exact adjoint; ``fiber_stencils`` builds those of a list of base points
 (the next orbit points of a cascade) with one ``fiber_weights`` call.  The
 full operator reads Psi on the half grid that holds the base preimages of
 its nodes, then applies the fiber weights over those preimages: 8 entries
@@ -36,8 +36,15 @@ from .gridfn import GridFn, GridFn2D, interp_nodes
 from .potential import TrigPotential
 
 
+# base points per fiber_weights block: bounds the block's temporaries, the
+# stacked preimage solve's among them, to 64 x 2n doubles each (512 KB at
+# n = 512), however many points a caller asks for
+_BLOCK_POINTS = 64
+
+
 def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int):
-    """Transfer weights of the fiber operators over the base points xs.
+    """Transfer weights of the fiber operators over the base points xs,
+    built _BLOCK_POINTS points at a time (one ``grid_preimages`` call each).
 
     Returns (idx, wgt), each a C-contiguous array of shape (len(xs), 4,
     n_nodes).  Entry (i, 2 * branch + side, j) is the left (side 0) or right
@@ -47,12 +54,14 @@ def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int):
     xv = np.array([float(x) for x in xs])
     idx = np.empty((len(xv), 4, n_nodes), dtype=np.intp)
     wgt = np.empty((len(xv), 4, n_nodes))
-    for k, ys in zip((0, 2), grid_preimages(family, xv, n_nodes)):
-        (j0, j1), (w0, w1) = interp_nodes(ys, n_nodes)
-        e_phi = np.exp(pot(xv[:, None], ys))
-        idx[:, k], idx[:, k + 1] = j0, j1
-        np.multiply(w0, e_phi, out=wgt[:, k])
-        np.multiply(w1, e_phi, out=wgt[:, k + 1])
+    for start in range(0, len(xv), _BLOCK_POINTS):
+        rows = slice(start, start + _BLOCK_POINTS)
+        for k, ys in zip((0, 2), grid_preimages(family, xv[rows], n_nodes)):
+            (j0, j1), (w0, w1) = interp_nodes(ys, n_nodes)
+            e_phi = np.exp(pot(xv[rows, None], ys))
+            idx[rows, k], idx[rows, k + 1] = j0, j1
+            np.multiply(w0, e_phi, out=wgt[rows, k])
+            np.multiply(w1, e_phi, out=wgt[rows, k + 1])
     return idx, wgt
 
 
@@ -174,9 +183,9 @@ def _power_iterate(stencil: _Stencil, tol: float, max_iter: int):
 
 def fiber_stencils(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
                    n_nodes: int) -> list[_Stencil]:
-    """The fiber operators over the points xs on n_nodes nodes, built as one
-    block (one ``fiber_weights`` call): column j of each gathers the
-    weighted interpolation nodes of both g_x-preimages of j / n_nodes."""
+    """The fiber operators over the points xs on n_nodes nodes, built by one
+    ``fiber_weights`` call: column j of each gathers the weighted
+    interpolation nodes of both g_x-preimages of j / n_nodes."""
     if any(x.capacity < 1 for x in xs):
         raise CapacityExhaustedError("one operator step needs capacity >= 1")
     if not xs:

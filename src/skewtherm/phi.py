@@ -22,7 +22,7 @@ import numpy as np
 
 from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
-from .fibers import _STACK_EXPONENTS, MpFamily
+from .fibers import MpFamily
 from .gridfn import GridFn, anchor_nodes
 from .operators import _Stencil, _power_iterate, fiber_stencils
 from .potential import TrigPotential
@@ -37,6 +37,8 @@ _FIRST_BLOCK = 8
 # every Phi value pulled back from it
 _NU0_TOL = 1e-15
 _NU0_MAX_ITER = 1000
+# per-scale median gaps of Phi at or below this are roundoff, not a trend
+_HOLDER_DIFF_FLOOR = 1e-12
 
 
 def _exact(x: BasePoint) -> tuple[int, int]:
@@ -84,19 +86,15 @@ class _MeasureStore:
 
     def stencils(self, xs: list[BasePoint]) -> list[_Stencil]:
         """The stencils over xs: the kept one over 0, built on first use,
-        and a fresh one over every other point, built in blocks of at most
-        _STACK_EXPONENTS points, so that a block's temporaries stay those of
-        one stacked preimage solve."""
+        and a fresh one over every other point, all of those built by one
+        ``fiber_stencils`` call."""
         if self._zero is None:
             zeros = [x for x in xs if not x.num]
             if zeros:
                 self._zero = fiber_stencils(self.pot, self.family, zeros[:1],
                                             self.n_nodes)[0]
-        points = [x for x in xs if x.num]
-        fresh = iter([s for i in range(0, len(points), _STACK_EXPONENTS)
-                      for s in fiber_stencils(
-                          self.pot, self.family,
-                          points[i:i + _STACK_EXPONENTS], self.n_nodes)])
+        fresh = iter(fiber_stencils(self.pot, self.family,
+                                    [x for x in xs if x.num], self.n_nodes))
         return [next(fresh) if x.num else self._zero for x in xs]
 
     @staticmethod
@@ -212,14 +210,6 @@ class PhiSequence:
             self._steps += 1
         del self._ahead[:todo]
         return self._pair(self._top) - self._pair(self._bot)
-
-
-def phi_n(pot: TrigPotential, family: MpFamily, x: BasePoint, n: int,
-          anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
-          n_nodes: int = DEFAULT_FIBER_NODES) -> float:
-    """One-shot Phi_n; prefer PhiSequence when sweeping n."""
-    return PhiSequence(pot, family, x, n_nodes=n_nodes, anchor=anchor,
-                       anchor_y=anchor_y).value(n)
 
 
 @dataclass
@@ -524,8 +514,7 @@ def _dyadic_exponent(delta: float) -> int:
 
 def estimate_holder(phi_eval, scales: tuple[float, ...],
                     pairs_per_scale: int, rng: np.random.Generator,
-                    capacity: int = 80,
-                    diff_floor: float = 1e-12) -> HolderEstimate:
+                    capacity: int = 80) -> HolderEstimate:
     """Sample |Phi(x) - Phi(x + delta)| at dyadic separations and fit a
     power law in the separation.
 
@@ -549,7 +538,7 @@ def estimate_holder(phi_eval, scales: tuple[float, ...],
             diffs.append(abs(phi_eval(x) - phi_eval(x2)))
         medians.append(float(np.median(diffs)))
     usable = [(math.log(d), math.log(m)) for d, m in zip(scales, medians)
-              if m > diff_floor]
+              if m > _HOLDER_DIFF_FLOOR]
     if len(usable) < 3:
         return HolderEstimate(exponent_emp=0.0, seminorm_emp=0.0, r_squared=0.0,
                               scales=tuple(scales), medians=tuple(medians),

@@ -16,9 +16,10 @@ from .fibers import HypothesisConstants, MpFamily, fiber_forward
 class TrigPotential:
     """phi(x, y) = constant + sum of a * cos(2*pi*(kx*x + ky*y)) terms.
 
-    Restricting to finite trig sums keeps sup/inf and seminorm bounds
-    certifiable; near-constant defaults keep the potential inside the
-    almost-constant regime the operator estimates assume.
+    A finite trig sum evaluates on a whole grid at once, where
+    ``check_condition_P`` measures its range and seminorm; near-constant
+    defaults keep the potential inside the almost-constant regime the
+    operator estimates assume.
     """
 
     terms: tuple[tuple[int, int, float], ...] = ()
@@ -27,21 +28,6 @@ class TrigPotential:
     @classmethod
     def constant_potential(cls, c: float) -> "TrigPotential":
         return cls(terms=(), constant=c)
-
-    @property
-    def amplitude_sum(self) -> float:
-        return sum(abs(a) for _, _, a in self.terms)
-
-    @property
-    def lipschitz_bound(self) -> float:
-        """Upper bound on the Lipschitz seminorm w.r.t. the L1 torus metric."""
-        return sum(2.0 * math.pi * abs(a) * (abs(kx) + abs(ky))
-                   for kx, ky, a in self.terms)
-
-    @property
-    def range_bound(self) -> float:
-        """Crude bound on sup(phi) - inf(phi)."""
-        return 2.0 * self.amplitude_sum
 
     def __call__(self, x, y):
         """Evaluate at (x, y); x is a BasePoint, a float or an array that

@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import BasePoint, circle_distance
 from .errors import EmptyGoodSetError
-from .fibers import HypothesisConstants, MpFamily, paired_preimage_trees, preimage_tree
+from .fibers import HypothesisConstants, MpFamily, preimage_tree
 from .phi import _line_fit
 from .potential import TrigPotential
 
@@ -167,14 +167,16 @@ def good_branch_contraction(family: MpFamily, x: BasePoint, x2: BasePoint,
                             constants: HypothesisConstants) -> BranchContractionFit:
     """Fit the backward contraction of paired partial preimages on good words.
 
-    For every good word and every level k the distance between the paired
-    partial preimages is recorded; a pooled regression of log distance
-    against n - k gives the empirical decay rate (returned as c_emp = rate/2)
-    and the prefactor q_emp is set as the envelope constant that makes
-    q_emp^m * e^(-2 c_emp (n-k)) * d(f^n x, f^n x') dominate every recorded
-    distance.
+    The preimage trees of y over x and x2 are paired by word index, which
+    is the preimage pairing for this family: its two branches are globally
+    ordered on the circle.  For every good word and every level k the
+    distance between the paired partial preimages is recorded; a pooled
+    regression of log distance against n - k gives the empirical decay rate
+    (returned as c_emp = rate/2) and the prefactor q_emp is set as the
+    envelope constant that makes q_emp^m * e^(-2 c_emp (n-k)) *
+    d(f^n x, f^n x') dominate every recorded distance.
     """
-    t1, t2 = paired_preimage_trees(family, x, x2, y, n)
+    t1, t2 = preimage_tree(family, x, y, n), preimage_tree(family, x2, y, n)
     good = good_mask(n, m, constants.iota, constants.q)
     if not np.any(good):
         raise EmptyGoodSetError(f"no good words at n={n}, m={m}")

@@ -8,8 +8,9 @@ transfer-weight builder, integer base points, Newton preimage solve,
 lockstep Phi cascades, adjoint fiber measures, their shared orbit chains,
 the exact Phi of dyadic orbits, the factored torus operator, the stacked
 preimage solve, the multi-function eigen-equation residual, the
-column-major stencil layout, the all-node disintegration pairing and the
-extrapolated power iteration replaced; tests compare the two.
+column-major stencil layout, the all-node disintegration pairing, the
+extrapolated power iteration and the blocked transfer-weight build
+replaced; tests compare the two.
 """
 
 import itertools
@@ -184,6 +185,23 @@ def triple_scan_distance(f, g, cone):
     if a <= 0.0:
         return math.inf
     return math.log(b / a)
+
+
+def fiber_weights_one_block(pot, family, xs, n_nodes):
+    """The transfer weights of the fiber operators over all of xs from one
+    ``grid_preimages`` call, however many points: the builder before it
+    split its points into blocks.  Returns (idx, wgt) of shape (len(xs),
+    4, n_nodes), entry (i, 2 * branch + side, j) as in ``fiber_weights``."""
+    xv = np.array([float(x) for x in xs])
+    idx = np.empty((len(xv), 4, n_nodes), dtype=np.intp)
+    wgt = np.empty((len(xv), 4, n_nodes))
+    for k, ys in zip((0, 2), grid_preimages(family, xv, n_nodes)):
+        (j0, j1), (w0, w1) = interp_nodes(ys, n_nodes)
+        e_phi = np.exp(pot(xv[:, None], ys))
+        idx[:, k], idx[:, k + 1] = j0, j1
+        np.multiply(w0, e_phi, out=wgt[:, k])
+        np.multiply(w1, e_phi, out=wgt[:, k + 1])
+    return idx, wgt
 
 
 def fiber_step_reference(pot, family, x, psi):

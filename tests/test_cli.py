@@ -173,6 +173,35 @@ class TestCli:
         assert abs(float(payload["P_Phi"]) - math.log(4.0)) < 1e-8
         assert float(payload["gap"]) < 1e-8
 
+    def test_intertwine_reads_phi_on_the_fiber_grid(self, tmp_path,
+                                                    monkeypatch):
+        # the measures and columns live on the n_y grid, and so must Phi:
+        # the residual is the one a matched evaluator gives
+        from skewtherm import cli
+        from skewtherm.measures import intertwine_residual
+        from skewtherm.phi import phi_evaluator
+        cfg_path = write_config(tmp_path / "cfg.json", n_fiber=128, n_x=32,
+                                n_y=64, n_x_base=16, capacity=48)
+        cfg = ExperimentConfig.load(cfg_path)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return intertwine_residual(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "intertwine_residual", recording)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "intertwine", "--points", "3", "--functions", "2",
+                     "--depth", "12"]) == 0
+        got = json.loads((out / "intertwine.json").read_text())["max_residual"]
+        [((pot, family, psis, xs, depth, _), kwargs)] = calls
+        matched = phi_evaluator(pot, family, tol=cfg.phi_tol,
+                                anchor_y=cfg.anchor_y, n_nodes=cfg.n_y)
+        assert got == intertwine_residual(pot, family, psis, xs, depth,
+                                          matched, **kwargs)
+        assert pot.terms and psis[0].shape == (32, 64)
+
     def test_words_csv(self, zero_config, tmp_path):
         out = tmp_path / "out"
         code = main(["--config", str(zero_config), "--out", str(out),

@@ -12,7 +12,6 @@ from skewtherm import (
     estimate_constants,
     fiber_forward,
     fiber_inverse_branches,
-    paired_preimage_trees,
     preimage_tree,
 )
 from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
@@ -266,7 +265,7 @@ class TestStackedPreimageSolve:
 class TestPreimageTrees:
     def test_trees_coincide_for_equal_points(self, family, rng):
         x = BasePoint.random(rng, 8)
-        t1, t2 = paired_preimage_trees(family, x, x, 0.3, 2)
+        t1, t2 = (preimage_tree(family, x, 0.3, 2) for _ in range(2))
         for a, b in zip(t1, t2):
             np.testing.assert_array_equal(a, b)
 
@@ -306,7 +305,7 @@ class TestPreimageTrees:
         x2 = x.add_dyadic(1, 12)
         consts = estimate_constants(family, 1.0, 0.04, 0.995, 0.05, 2000,
                                     rng=np.random.default_rng(7))
-        t1, t2 = paired_preimage_trees(family, x, x2, 0.5, n)
+        t1, t2 = (preimage_tree(family, p, 0.5, n) for p in (x, x2))
         from skewtherm import circle_distance
         d_base = circle_distance(float(x.forward(n)), float(x2.forward(n)))
         idx = 2 ** n - 1

@@ -211,17 +211,18 @@ class TestSharedOrbitChains:
         # criterion 7's size: 512 dyadic nodes at depth 25 on 256 fiber
         # nodes pull back 511 values off zero, whose stencils the pass
         # holds (8.4 MB).  Built as one block, the fiber_weights
-        # temporaries took the tracemalloc peak to 22-24 MB; in blocks of
-        # at most 64 points it is 11-13 MB
-        from skewtherm import phi
+        # temporaries took the tracemalloc peak to 22-24 MB; fiber_weights
+        # builds them 64 points at a time, one grid_preimages call each,
+        # and the peak is 11-13 MB
+        from skewtherm import operators
         blocks = []
-        original = phi.fiber_stencils
+        original = operators.grid_preimages
 
-        def counting(pot, family, xs, n_nodes):
+        def counting(family, xs, n_nodes):
             blocks.append(len(xs))
-            return original(pot, family, xs, n_nodes)
+            return original(family, xs, n_nodes)
 
-        monkeypatch.setattr(phi, "fiber_stencils", counting)
+        monkeypatch.setattr(operators, "grid_preimages", counting)
         xs = [BasePoint.from_fraction(i, 512, 96) for i in range(512)]
         tracemalloc.start()
         try:
@@ -287,9 +288,10 @@ class TestEigenEquation:
 
     def test_functions_share_one_pass_per_point(self, family, rng,
                                                 stencil_builds):
-        # one function or three: the measure over f(x) at depth n and the
-        # one over x at depth n + 1, each from its own store, 2n + 1
-        # stencils; the gaps equal those computed one function at a time
+        # one function or three: the measure over x at depth n + 1 and,
+        # stored on its way, the one over f(x) at depth n, from one store,
+        # n + 1 stencils; the gaps equal those computed one function and
+        # one store at a time
         pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
         x = BasePoint.random(rng, 40)
         psis = [trig_grid_fn(64, [(k, 0.3)]) for k in (1, 2, 3)]
@@ -300,7 +302,7 @@ class TestEigenEquation:
             del stencil_builds[:]
             got = eigen_equation_residual(pot, family, x, fns, 10, phi_eval)
             builds.append(len(stencil_builds))
-        assert builds == [21, 21]
+        assert builds == [11, 11]
         assert got == [eigen_equation_residual_single(pot, family, x, psi, 10,
                                                       phi_eval, 0.5)
                        for psi in psis]

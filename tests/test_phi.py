@@ -20,7 +20,6 @@ from skewtherm.phi import (
     estimate_holder,
     fit_convergence_rate,
     phi_evaluator,
-    phi_n,
 )
 
 LOG2 = math.log(2.0)
@@ -31,28 +30,29 @@ class TestPhiN:
         for _ in range(5):
             x = BasePoint.random(rng, 12)
             for n in (0, 3, 7):
-                assert phi_n(zero_potential, family, x, n) == pytest.approx(
-                    LOG2, abs=1e-12)
+                value = PhiSequence(zero_potential, family, x).value(n)
+                assert value == pytest.approx(LOG2, abs=1e-12)
 
     def test_constant_shift(self, family, rng):
         # replacing phi by phi + c shifts the value by exactly c
         c = 0.05
         pot = TrigPotential.constant_potential(c)
         x = BasePoint.random(rng, 12)
-        assert phi_n(pot, family, x, 5) == pytest.approx(LOG2 + c, abs=1e-10)
+        value = PhiSequence(pot, family, x).value(5)
+        assert value == pytest.approx(LOG2 + c, abs=1e-10)
 
     def test_shift_covariance_nonconstant(self, family, rng):
         base = TrigPotential(terms=((0, 1, 0.01),))
         shifted = TrigPotential(terms=((0, 1, 0.01),), constant=0.3)
         x = BasePoint.random(rng, 15)
-        a = phi_n(base, family, x, 10)
-        b = phi_n(shifted, family, x, 10)
+        a = PhiSequence(base, family, x).value(10)
+        b = PhiSequence(shifted, family, x).value(10)
         assert b - a == pytest.approx(0.3, abs=1e-10)
 
     def test_capacity_guard(self, family, small_potential, rng):
         x = BasePoint.random(rng, 5)
         with pytest.raises(CapacityExhaustedError):
-            phi_n(small_potential, family, x, 5)
+            PhiSequence(small_potential, family, x).value(5)
 
     @pytest.mark.parametrize("anchor", ["delta", "uniform"])
     def test_lockstep_matches_independent_cascades(self, family, rng, anchor):
@@ -128,7 +128,7 @@ class TestComputePhi:
         x = BasePoint.random(rng, 50)
         tol = 1e-8
         value, n_used, bound = compute_phi(pot, family, x, tol=tol)
-        long_run = phi_n(pot, family, x, 40)
+        long_run = PhiSequence(pot, family, x).value(40)
         assert abs(value - long_run) <= 10 * tol
 
     def test_bound_honest(self, family, rng):
@@ -136,7 +136,7 @@ class TestComputePhi:
         for _ in range(5):
             x = BasePoint.random(rng, 50)
             value, _, bound = compute_phi(pot, family, x, tol=1e-8)
-            long_run = phi_n(pot, family, x, 40)
+            long_run = PhiSequence(pot, family, x).value(40)
             assert abs(value - long_run) <= max(bound, 1e-12) * 3
 
     def test_uses_table(self, family, rng):

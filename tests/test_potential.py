@@ -39,13 +39,6 @@ class TestEval:
         for y, v in zip(ys, vals):
             assert v == pytest.approx(1.0 + 0.5 * math.cos(2 * math.pi * (0.1 + 2 * y)))
 
-    def test_bounds(self):
-        pot = TrigPotential(terms=((0, 1, 0.01), (1, 1, 0.02)))
-        assert pot.amplitude_sum == pytest.approx(0.03)
-        assert pot.range_bound == pytest.approx(0.06)
-        assert pot.lipschitz_bound == pytest.approx(
-            2 * math.pi * (0.01 * 1 + 0.02 * 2))
-
     def test_json_round_trip(self):
         pot = TrigPotential(terms=((0, 1, 0.004),), constant=0.3)
         assert TrigPotential.from_json(pot.to_json()) == pot

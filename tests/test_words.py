@@ -171,14 +171,14 @@ class TestGoodBranchContraction:
 
     def test_domination_by_construction(self, family, rng):
         from skewtherm.base import circle_distance
-        from skewtherm.fibers import paired_preimage_trees
+        from skewtherm.fibers import preimage_tree
         x = BasePoint.random(rng, 20)
         x2 = x.add_dyadic(1, 14)
         consts = constants(iota=0.995)
         n, m = 8, 2
         fit = good_branch_contraction(family, x, x2, 0.4, n=n, m=m,
                                       constants=consts)
-        t1, t2 = paired_preimage_trees(family, x, x2, 0.4, n)
+        t1, t2 = (preimage_tree(family, p, 0.4, n) for p in (x, x2))
         mask = good_mask(n, m, consts.iota)
         d_anchor = circle_distance(float(x.forward(n)), float(x2.forward(n)))
         idx = np.arange(1 << n)[mask]
