@@ -27,13 +27,7 @@ from .base import BasePoint
 from .errors import CapacityExhaustedError
 from .fibers import MpFamily
 from .gridfn import GridFn, GridFn2D, interp_nodes
-from .operators import (
-    _full_stencil,
-    _power_iterate,
-    base_stencil,
-    fiber_stencil,
-    fiber_stencils,
-)
+from .operators import _full_stencil, _power_iterate, base_stencil
 from .phi import DEFAULT_ANCHOR_Y, _MeasureStore
 from .potential import TrigPotential
 
@@ -46,6 +40,19 @@ def _anchored_store(pot: TrigPotential, family: MpFamily, n_nodes: int,
     anchor = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
     anchor.setflags(write=False)
     return _MeasureStore(pot, family, n_nodes, (anchor, 0.0))
+
+
+def _anchored_pull(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
+                   n: int, n_nodes: int, anchor_y: float,
+                   stencils: bool = False):
+    """The pull of xs at depth n from a fresh anchored store (see
+    ``fiber_measures``); with ``stencils``, also the stencils over xs."""
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
+    if any(x.capacity < n for x in xs):
+        raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
+    store = _anchored_store(pot, family, n_nodes, anchor_y)
+    return store.pull(xs, n, stencils)
 
 
 def fiber_measures(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
@@ -62,12 +69,8 @@ def fiber_measures(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
     arrays are read-only: repeated points, merged chains and the bare
     anchor at n = 0 hand out the same array.
     """
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if any(x.capacity < n for x in xs):
-        raise CapacityExhaustedError(f"cascade of depth {n} needs capacity >= {n}")
-    store = _anchored_store(pot, family, n_nodes, anchor_y)
-    return [w for w, _ in store.pull(xs, n)]
+    return [w for w, _ in _anchored_pull(pot, family, xs, n, n_nodes,
+                                         anchor_y)]
 
 
 def fiber_measure(pot: TrigPotential, family: MpFamily, x: BasePoint, n: int,
@@ -103,7 +106,8 @@ def eigen_equation_residual(pot: TrigPotential, family: MpFamily,
     grid of psis and this anchor).  Both measures come from one anchored
     store: the pull of x at depth n + 1 stores the entry over f(x) at depth
     n on its way, so the second pull is a hit and each orbit point gets one
-    stencil.  The theorem sends the gap to zero geometrically in n.
+    stencil, at most n + 1; the pull hands back its stencil over x for the
+    transfer step.  The theorem sends the gap to zero geometrically in n.
     Neither measure nor the step's stencil depends on psi, so they are
     built once and paired with every function.
     """
@@ -111,9 +115,8 @@ def eigen_equation_residual(pot: TrigPotential, family: MpFamily,
         raise CapacityExhaustedError(
             f"residual at depth {n} needs capacity >= {n + 1}")
     n_nodes = psis[0].n_nodes
-    stencil = fiber_stencil(pot, family, x, n_nodes)
     store = _anchored_store(pot, family, n_nodes, anchor_y)
-    ((w_rhs, _),) = store.pull([x], n + 1)
+    ((w_rhs, _),), (stencil,) = store.pull([x], n + 1, stencils=True)
     ((w_lhs, _),) = store.pull([x.forward(1)], n)
     e_phi = math.exp(phi_eval(x))
     return [abs(_pair(w_lhs, stencil.step(psi)) - e_phi * _pair(w_rhs, psi))
@@ -189,16 +192,19 @@ def intertwine_residual(pot: TrigPotential, family: MpFamily,
     Route one applies the full operator and integrates its fiber restriction
     over x; route two integrates the restrictions at both base preimages and
     sums them with e^Phi weights.  The measures over every sample point and
-    both its preimages come from one ``fiber_measures`` call (both preimages
-    map onto x, so they share every step from (x, n - 1) down), and the fiber
-    stencils over all the preimages, which make the full operator's columns,
-    are built as one block; every test function is paired with them.
+    both its preimages come from one pull (both preimages map onto x, so
+    they share every step from (x, n - 1) down), which also hands back the
+    fiber stencils over the preimages that make the full operator's
+    columns; for n >= 1 it builds them anyway.  Every test function is
+    paired with them.
     """
     n_y = big_psis[0].shape[1]
     m = len(x_samples)
     xbars = [xb for x in x_samples for xb in x.preimages()]
-    ws = fiber_measures(pot, family, [*x_samples, *xbars], n, n_y, anchor_y)
-    stencils = fiber_stencils(pot, family, xbars, n_y)
+    entries, stencils = _anchored_pull(pot, family, [*x_samples, *xbars], n,
+                                       n_y, anchor_y, stencils=True)
+    ws = [w for w, _ in entries]
+    stencils = stencils[m:]
     e_phis = [math.exp(phi_eval(xb)) for xb in xbars]
     worst = 0.0
     for i in range(m):

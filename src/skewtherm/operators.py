@@ -15,7 +15,12 @@ The base operator uses the same interpolation routine
 Every stencil stores its k entries per output node column-major, as (k, N)
 arrays with the output node on the last axis: the adjoint's scatter then
 sweeps each entry's destinations in output order, and a fiber stencil is a
-slice of the block ``fiber_weights`` returns, with no copy.
+slice of the block ``fiber_weights`` returns, with no copy.  Stored arrays
+are read-only, and nothing copies them: the adjoint scatters with
+``np.add.at``, which reads a read-only index as it is (``np.bincount``
+copies any read-only input, the whole index on every call), and the full
+operator's build has ``fiber_weights`` write F straight into its stored
+layout.
 
 Every application renormalizes its output and accumulates the scale factor in
 log_offset, so n-fold cascades never overflow even though the raw iterates
@@ -42,18 +47,24 @@ from .potential import TrigPotential
 _BLOCK_POINTS = 64
 
 
-def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int):
+def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int,
+                  out=None):
     """Transfer weights of the fiber operators over the base points xs,
     built _BLOCK_POINTS points at a time (one ``grid_preimages`` call each).
 
-    Returns (idx, wgt), each a C-contiguous array of shape (len(xs), 4,
-    n_nodes).  Entry (i, 2 * branch + side, j) is the left (side 0) or right
-    (side 1) interpolation node of the g_x-preimage of j / n_nodes on that
-    branch, x = xs[i], and its interpolation weight times e^phi(x, preimage).
+    Returns (idx, wgt), each of shape (len(xs), 4, n_nodes).  Entry (i, 2 *
+    branch + side, j) is the left (side 0) or right (side 1) interpolation
+    node of the g_x-preimage of j / n_nodes on that branch, x = xs[i], and
+    its interpolation weight times e^phi(x, preimage).  They are new
+    C-contiguous arrays, or the pair ``out`` of intp and float arrays of
+    that shape and any strides, filled in place: ``_full_stencil`` passes
+    strided views of its stored arrays, so that F is never copied.
     """
     xv = np.array([float(x) for x in xs])
-    idx = np.empty((len(xv), 4, n_nodes), dtype=np.intp)
-    wgt = np.empty((len(xv), 4, n_nodes))
+    if out is None:
+        out = (np.empty((len(xv), 4, n_nodes), dtype=np.intp),
+               np.empty((len(xv), 4, n_nodes)))
+    idx, wgt = out
     for start in range(0, len(xv), _BLOCK_POINTS):
         rows = slice(start, start + _BLOCK_POINTS)
         for k, ys in zip((0, 2), grid_preimages(family, xv[rows], n_nodes)):
@@ -68,11 +79,13 @@ def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int):
 class _Stencil:
     """Sparse incidence structure of a discretized transfer operator.
 
-    idx and wgt are C-contiguous (k, N) arrays: column i lists the k source
-    nodes and interpolation-times-potential weights contributing to output
-    node i.  Forward application is a gather; the adjoint is the exact
-    transpose, applied as a scatter that sweeps each row of idx in order,
-    so the two iterations are numerically consistent duals.
+    idx and wgt are C-contiguous, read-only (k, N) arrays: column i lists
+    the k source nodes and interpolation-times-potential weights
+    contributing to output node i.  Forward application is a gather; the
+    adjoint is the exact transpose, applied as a scatter that sweeps each
+    row of idx in order, so the two iterations are numerically consistent
+    duals.  The scatter is ``np.add.at``, which takes the read-only index
+    as it is; ``np.bincount`` would copy it on every call.
     """
 
     def __init__(self, idx: np.ndarray, wgt: np.ndarray, size: int):
@@ -84,8 +97,9 @@ class _Stencil:
         return np.einsum("ji,ji->i", self.wgt, v[self.idx])
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        return np.bincount(self.idx.ravel(), weights=(self.wgt * u).ravel(),
-                           minlength=self.size)
+        out = np.zeros(self.size)
+        np.add.at(out, self.idx.ravel(), (self.wgt * u).ravel())
+        return out
 
     def step(self, fn):
         """One transfer step on a GridFn or GridFn2D: apply, keep the log
@@ -191,6 +205,8 @@ def fiber_stencils(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
     if not xs:
         return []
     idx, wgt = fiber_weights(pot, family, xs, n_nodes)
+    for a in (idx, wgt):
+        a.setflags(write=False)
     return [_Stencil(i, w, n_nodes) for i, w in zip(idx, wgt)]
 
 
@@ -260,17 +276,23 @@ def _full_stencil(pot: TrigPotential, family: MpFamily,
 
     Column (i, j) of F holds, for each base preimage (i + b n_x) / (2 n_x) of
     i / n_x, the fiber weights of j / n_y over it: the interpolation nodes of
-    both g-preimages on half-grid row i + b n_x, times e^phi there.
+    both g-preimages on half-grid row i + b n_x, times e^phi there.  The
+    (8, n_x n_y) arrays are allocated once and filled in place, one
+    ``fiber_weights`` call per base branch b through (n_x, 4, n_y) views of
+    rows 4b .. 4b + 3, and stored read-only: neither the build nor the
+    adjoint's scatter copies them.
     """
-    half = 2 * n_x
-    idx, wgt = fiber_weights(pot, family, np.arange(half) / half, n_y)
-    idx += (np.arange(half) * n_y)[:, None, None]
-    # rows ordered (base branch, fiber branch, y side)
-    idx, wgt = (a.reshape(2, n_x, 4, n_y).transpose(0, 2, 1, 3)
-                .reshape(8, n_x * n_y) for a in (idx, wgt))
+    idx = np.empty((8, n_x * n_y), dtype=np.intp)
+    wgt = np.empty((8, n_x * n_y))
+    for b in (0, 1):
+        rows = np.arange(b * n_x, (b + 1) * n_x)  # half-grid rows
+        view = [a[4 * b:4 * b + 4].reshape(4, n_x, n_y).transpose(1, 0, 2)
+                for a in (idx, wgt)]
+        fiber_weights(pot, family, rows / (2 * n_x), n_y, out=view)
+        view[0] += (rows * n_y)[:, None, None]
     for a in (idx, wgt):
         a.setflags(write=False)
-    return _TorusStencil(_Stencil(idx, wgt, half * n_y), n_x, n_y)
+    return _TorusStencil(_Stencil(idx, wgt, 2 * n_x * n_y), n_x, n_y)
 
 
 def apply_full_operator(pot: TrigPotential, family: MpFamily,
@@ -341,4 +363,6 @@ def base_stencil(phi_eval, n_x: int, capacity: int) -> _Stencil:
     phis = np.array([[phi_eval(p) for p in fam]
                      for fam in base_preimage_points(n_x, capacity)])
     idx, w = _base_stencil_geometry(n_x)
-    return _Stencil(idx, np.repeat(np.exp(phis), 2, axis=0) * w, n_x)
+    wgt = np.repeat(np.exp(phis), 2, axis=0) * w
+    wgt.setflags(write=False)
+    return _Stencil(idx, wgt, n_x)

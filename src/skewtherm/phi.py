@@ -105,8 +105,7 @@ class _MeasureStore:
         w.setflags(write=False)
         return w, math.log(mass)
 
-    def pull(self, xs: list[BasePoint],
-             k: int) -> list[tuple[np.ndarray, float]]:
+    def pull(self, xs: list[BasePoint], k: int, stencils: bool = False):
         """The entries over xs with k steps left, in one pass.
 
         Every chain is walked forward to its first stored entry, collecting
@@ -116,6 +115,10 @@ class _MeasureStore:
         until it ends.  The missing entries are then filled in
         increasing order of steps left, so the entry over f(x) with one
         step fewer, which each is pulled back from, is there first.
+
+        With ``stencils``, returns (entries, the stencils over xs): a
+        stencil the pass builds anyway is handed back, and the others are
+        built in the same block, so every x needs capacity >= 1.
         """
         missing = {}  # key -> (point, key of the entry it is pulled from)
         for x in xs:
@@ -125,12 +128,19 @@ class _MeasureStore:
                 missing[key] = x, (_exact(y), key[1] - 1)
                 x, key = y, missing[key][1]
         points = {value: x for (value, _), (x, _) in missing.items()}
-        stencils = dict(zip(points, self.stencils(list(points.values()))))
+        if stencils:
+            for x in xs:
+                points.setdefault(_exact(x), x)
+        built = dict(zip(points, self.stencils(list(points.values()))))
         for key in sorted(missing, key=lambda key: key[1]):
             prev = missing[key][1]
             entry = self._entries[prev] if prev[1] else self.start
-            self._entries[key] = self._step(stencils[key[0]], entry[0])
-        return [self._entries[_exact(x), k] if k else self.start for x in xs]
+            self._entries[key] = self._step(built[key[0]], entry[0])
+        entries = [self._entries[_exact(x), k] if k else self.start
+                   for x in xs]
+        if stencils:
+            return entries, [built[_exact(x)] for x in xs]
+        return entries
 
     def knows(self, z: BasePoint) -> bool:
         """Whether the exact measure over z is stored; the first lookup of

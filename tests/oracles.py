@@ -9,8 +9,9 @@ lockstep Phi cascades, adjoint fiber measures, their shared orbit chains,
 the exact Phi of dyadic orbits, the factored torus operator, the stacked
 preimage solve, the multi-function eigen-equation residual, the
 column-major stencil layout, the all-node disintegration pairing, the
-extrapolated power iteration and the blocked transfer-weight build
-replaced; tests compare the two.
+extrapolated power iteration, the blocked transfer-weight build, the
+copy-free adjoint scatter and the in-place torus build replaced; tests
+compare the two.
 """
 
 import itertools
@@ -28,6 +29,8 @@ from skewtherm.fibers import grid_preimages
 from skewtherm.gridfn import GridFn, interp_nodes
 from skewtherm.measures import fiber_integrate
 from skewtherm.operators import (
+    _Stencil,
+    _TorusStencil,
     apply_fiber_operator,
     base_preimage_points,
     fiber_stencil,
@@ -264,6 +267,32 @@ def torus_fiber_reference(pot, family, n_x, n_y):
     idx, wgt = (a.reshape(2, n_x, 4, n_y).transpose(1, 3, 0, 2)
                 .reshape(n_x * n_y, 8) for a in (idx, wgt))
     return RowMajorStencil(idx, wgt, half * n_y)
+
+
+class BincountStencil(_Stencil):
+    """A column-major stencil whose adjoint scatters with ``np.bincount``:
+    the scatter that ``np.add.at`` replaced.  bincount copies any read-only
+    input, so it copied a stored index on every call."""
+
+    def apply_adjoint(self, u):
+        return np.bincount(self.idx.ravel(), weights=(self.wgt * u).ravel(),
+                           minlength=self.size)
+
+
+def full_stencil_transposed(pot, family, n_x, n_y):
+    """The torus operator as built before F was written in place: one
+    ``fiber_weights`` call over the 2 n_x half-grid rows in its (2 n_x, 4,
+    n_y) layout, the index offsets added, then a transposed copy into the
+    read-only (8, n_x n_y) arrays.  Its fiber factor scatters with
+    ``np.bincount``."""
+    half = 2 * n_x
+    idx, wgt = fiber_weights(pot, family, np.arange(half) / half, n_y)
+    idx += (np.arange(half) * n_y)[:, None, None]
+    idx, wgt = (a.reshape(2, n_x, 4, n_y).transpose(0, 2, 1, 3)
+                .reshape(8, n_x * n_y) for a in (idx, wgt))
+    for a in (idx, wgt):
+        a.setflags(write=False)
+    return _TorusStencil(BincountStencil(idx, wgt, half * n_y), n_x, n_y)
 
 
 def base_stencil_reference(phi_eval, n_x, capacity):

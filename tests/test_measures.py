@@ -255,6 +255,24 @@ class TestSharedOrbitChains:
                                              base, 25, 96, 0.5)
 
 
+@pytest.fixture
+def weight_builds(monkeypatch):
+    """The number of base points of every fiber_weights call: every fiber
+    stencil is built through it, whichever module binds the builder that
+    asked (phi.fiber_stencils, or a fiber_stencil or fiber_stencils bound
+    elsewhere)."""
+    from skewtherm import operators
+    counts = []
+    original = operators.fiber_weights
+
+    def counting(pot, family, xs, n_nodes, **kwargs):
+        counts.append(len(xs))
+        return original(pot, family, xs, n_nodes, **kwargs)
+
+    monkeypatch.setattr(operators, "fiber_weights", counting)
+    return counts
+
+
 class TestEigenEquation:
     def test_zero_potential_tiny_residual(self, family, zero_potential, rng):
         x = BasePoint.random(rng, 20)
@@ -306,6 +324,24 @@ class TestEigenEquation:
         assert got == [eigen_equation_residual_single(pot, family, x, psi, 10,
                                                       phi_eval, 0.5)
                        for psi in psis]
+
+    @pytest.mark.parametrize("point, builds", [(None, 11), ((3, 16), 5)])
+    def test_builds_through_every_path(self, family, rng, stencil_builds,
+                                       weight_builds, point, builds):
+        # the step over x is the pull's own stencil: a random orbit builds
+        # its n + 1 points, x = 3/16 its four off zero and the kept L_0, and
+        # nothing builds outside the store
+        pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+        x = (BasePoint.random(rng, 40) if point is None
+             else BasePoint.from_fraction(*point, 40))
+        psi = trig_grid_fn(64, [(1, 0.3)])
+        phi_eval = phi_evaluator(pot, family, tol=1e-12, n_nodes=64)
+        phi_eval(x)
+        del stencil_builds[:], weight_builds[:]
+        (got,) = eigen_equation_residual(pot, family, x, [psi], 10, phi_eval)
+        assert (len(stencil_builds), sum(weight_builds)) == (builds, builds)
+        assert got == eigen_equation_residual_single(pot, family, x, psi, 10,
+                                                     phi_eval, 0.5)
 
 
 class TestRpfBase:
@@ -418,32 +454,24 @@ class TestIntertwine:
                             xs, 10, lambda p: LOG2)
         assert len(stencil_builds) == 36
 
-    def test_functions_share_one_pass_per_point(self, family,
-                                                small_potential, rng,
-                                                stencil_builds, monkeypatch):
+    def test_functions_share_one_pass_and_its_stencils(
+            self, family, small_potential, rng, stencil_builds, weight_builds):
         # three test functions build the measures and the six column
-        # stencils (one block) once, as one does, and give the worst gap of
-        # the three computed one function and one chain at a time
-        from skewtherm import measures
-        columns = []
-        original = measures.fiber_stencils
-
-        def counting(pot, family, xs, n_nodes):
-            columns.append(len(xs))
-            return original(pot, family, xs, n_nodes)
-
-        monkeypatch.setattr(measures, "fiber_stencils", counting)
+        # stencils once, as one does: the pull hands the column stencils
+        # back, so the 36 stencils of the pass are every build there is,
+        # and the worst gap is that of the three computed one function and
+        # one chain at a time
         psis = [GridFn2D.from_callable(
             lambda X, Y, k=k: 1.0 + 0.3 * np.cos(2 * np.pi * (X + k * Y)),
             64, 64) for k in (1, 2, 3)]
         xs = [BasePoint.random(rng, 20) for _ in range(3)]
         builds = []
         for fns in (psis[:1], psis):
-            del stencil_builds[:], columns[:]
+            del stencil_builds[:], weight_builds[:]
             got = intertwine_residual(small_potential, family, fns, xs, 10,
                                       lambda p: LOG2)
-            builds.append((len(stencil_builds), list(columns)))
-        assert builds == [(36, [6]), (36, [6])]
+            builds.append((len(stencil_builds), sum(weight_builds)))
+        assert builds == [(36, 36), (36, 36)]
         assert got == max(intertwine_residual_chains(
             small_potential, family, psi, xs, 10, lambda p: LOG2)
             for psi in psis)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    BincountStencil,
     base_stencil_reference,
     fiber_stencil_reference,
     fiber_step_reference,
     fiber_weights_one_block,
     full_operator_column_reference,
     full_stencil_reference,
+    full_stencil_transposed,
     iterate_cascade,
     power_iterate_reference,
     power_residual_reference,
@@ -33,6 +35,7 @@ from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import _grid_preimage_tables
 from skewtherm.gridfn import anchor_nodes, interp_nodes
 from skewtherm.operators import (
+    _base_stencil_geometry,
     _check_positive,
     _full_stencil,
     _power_iterate,
@@ -487,6 +490,83 @@ class TestColumnMajorStencils:
             v = rng.uniform(0.2, 2.0, n_x)
             assert np.dot(stencil.apply_adjoint(u), v) == pytest.approx(
                 np.dot(u, stencil.apply(v)), rel=1e-14)
+
+
+class TestCopyFreeStencils:
+    """The adjoint scatter through ``np.add.at`` and the torus build into
+    its stored arrays, against the ``np.bincount`` scatter and the build
+    with a transposed copy that they replaced: the same bits, fewer bytes."""
+
+    POT = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
+                        constant=0.1)
+
+    @staticmethod
+    def phi(p):
+        return 0.1 * math.cos(2 * math.pi * float(p)) + 0.05
+
+    @pytest.mark.parametrize("n_x, n_y",
+                             [(16, 16), (32, 128), (128, 32), (256, 256)])
+    def test_torus_matches_the_copying_path(self, family, rng, n_x, n_y):
+        stencil = _full_stencil(self.POT, family, n_x, n_y)
+        ref = full_stencil_transposed(self.POT, family, n_x, n_y)
+        assert np.array_equal(stencil.idx, ref.idx)
+        assert np.array_equal(stencil.wgt, ref.wgt)
+        for _ in range(3):
+            v = rng.uniform(0.2, 2.0, n_x * n_y)
+            assert np.array_equal(stencil.apply(v), ref.apply(v))
+            assert np.array_equal(stencil.apply_adjoint(v),
+                                  ref.apply_adjoint(v))
+
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_fiber_and_base_adjoints_match_bincount(self, family, rng, n):
+        x = BasePoint.random(rng, 60)
+        stencils = [*fiber_stencils(self.POT, family,
+                                    [x.forward(k) for k in range(6)], n),
+                    base_stencil(self.phi, n, 40)]
+        for stencil in stencils:
+            ref = BincountStencil(stencil.idx, stencil.wgt, stencil.size)
+            u = rng.uniform(0.2, 2.0, n)
+            assert np.array_equal(stencil.apply_adjoint(u),
+                                  ref.apply_adjoint(u))
+
+    def test_stored_arrays_are_read_only(self, family, rng):
+        x = BasePoint.random(rng, 60)
+        stencils = [_full_stencil(self.POT, family, 16, 32).fiber,
+                    fiber_stencil(self.POT, family, x, 64),
+                    *fiber_stencils(self.POT, family, [x, x.forward(1)], 64),
+                    base_stencil(self.phi, 16, 40)]
+        arrays = [a for st in stencils for a in (st.idx, st.wgt)]
+        for a in [*arrays, *_base_stencil_geometry(16)]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = a[0, 0]
+
+    def test_torus_adjoint_copies_no_index(self, family, rng):
+        # 256 x 256: the index and the weight products hold 4 MB each, the
+        # half-grid output 1 MB.  Scattered by np.bincount, which copied
+        # the read-only index, one adjoint peaked at 9.0 MB
+        stencil = _full_stencil(self.POT, family, 256, 256)
+        u = rng.uniform(0.2, 2.0, 256 * 256)
+        tracemalloc.start()
+        try:
+            stencil.apply_adjoint(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5e6
+
+    def test_torus_build_copies_no_block(self, family):
+        # 256 x 256: the stored arrays hold 8 MB.  Built in fiber_weights'
+        # layout and copied into (8, N), the build peaked at 17.5 MB
+        _grid_preimage_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            _full_stencil.__wrapped__(self.POT, family, 256, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _grid_preimage_tables.cache_clear()
+        assert peak <= 12.5e6
 
 
 class TestBaseOperator:
