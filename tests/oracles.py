@@ -10,8 +10,8 @@ the exact Phi of dyadic orbits, the factored torus operator, the stacked
 preimage solve, the multi-function eigen-equation residual, the
 column-major stencil layout, the all-node disintegration pairing, the
 extrapolated power iteration, the blocked transfer-weight build, the
-copy-free adjoint scatter and the in-place torus build replaced; tests
-compare the two.
+copy-free adjoint scatter, the in-place torus build and the row-blocked
+torus apply replaced; tests compare the two.
 """
 
 import itertools
@@ -30,7 +30,6 @@ from skewtherm.gridfn import GridFn, interp_nodes
 from skewtherm.measures import fiber_integrate
 from skewtherm.operators import (
     _Stencil,
-    _TorusStencil,
     apply_fiber_operator,
     base_preimage_points,
     fiber_stencil,
@@ -279,6 +278,32 @@ class BincountStencil(_Stencil):
                            minlength=self.size)
 
 
+class UnblockedTorusStencil:
+    """The torus operator L = F o B applied over the whole grid at once:
+    B builds the half grid through ``np.roll``, and F is the fiber stencil's
+    own whole-F gather, or its one scatter over ``idx.ravel()``.  The path
+    that the row-blocked ``_TorusStencil`` replaced."""
+
+    def __init__(self, fiber, n_x, n_y):
+        self.fiber = fiber
+        self.idx = fiber.idx
+        self.wgt = fiber.wgt
+        self.shape = (n_x, n_y)
+        self.size = n_x * n_y
+
+    def apply(self, v):
+        psi = v.reshape(self.shape)
+        half = np.empty((2 * self.shape[0], self.shape[1]))
+        half[0::2] = psi
+        half[1::2] = 0.5 * (psi + np.roll(psi, -1, axis=0))
+        return self.fiber.apply(half.reshape(-1))
+
+    def apply_adjoint(self, u):
+        half = self.fiber.apply_adjoint(u).reshape(2 * self.shape[0], -1)
+        odd = 0.5 * half[1::2]
+        return (half[0::2] + odd + np.roll(odd, 1, axis=0)).reshape(-1)
+
+
 def full_stencil_transposed(pot, family, n_x, n_y):
     """The torus operator as built before F was written in place: one
     ``fiber_weights`` call over the 2 n_x half-grid rows in its (2 n_x, 4,
@@ -292,7 +317,8 @@ def full_stencil_transposed(pot, family, n_x, n_y):
                 .reshape(8, n_x * n_y) for a in (idx, wgt))
     for a in (idx, wgt):
         a.setflags(write=False)
-    return _TorusStencil(BincountStencil(idx, wgt, half * n_y), n_x, n_y)
+    return UnblockedTorusStencil(BincountStencil(idx, wgt, half * n_y),
+                                 n_x, n_y)
 
 
 def base_stencil_reference(phi_eval, n_x, capacity):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from oracles import (
     full_stencil_reference,
     intertwine_residual_chains,
 )
+import skewtherm
 from skewtherm import (
     BasePoint,
     CapacityExhaustedError,
@@ -402,6 +407,30 @@ class TestRpfFull:
         lam = _power_iterate(full_stencil_reference(pot, family, n, n),
                              1e-10, 10000)[0]
         assert abs(full.log_eigenvalue - math.log(lam)) <= 1e-13
+
+    def test_solve_is_independent_of_blas_threads(self):
+        # np.dot splits a product of 65536 entries over OpenBLAS threads, so
+        # a joint normalization by it gave other bits on 2 threads than on 1
+        code = "\n".join([
+            "import hashlib",
+            "from skewtherm import MpFamily, TrigPotential",
+            "from skewtherm.measures import rpf_full_solve",
+            "pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))",
+            "sol = rpf_full_solve(pot, MpFamily(), 256, 256)",
+            "h = hashlib.sha256(sol.eigenfunction.values.tobytes())",
+            "h.update(sol.weights.tobytes())",
+            "h.update(repr(sol.residual).encode())",
+            "print(h.hexdigest())",
+        ])
+        src = str(Path(skewtherm.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
 
 class TestIntertwine:

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     BincountStencil,
+    UnblockedTorusStencil,
     base_stencil_reference,
     fiber_stencil_reference,
     fiber_step_reference,
@@ -31,6 +32,7 @@ from skewtherm import (
     apply_full_operator,
     fiber_inverse_branches,
 )
+from skewtherm import operators
 from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import _grid_preimage_tables
 from skewtherm.gridfn import anchor_nodes, interp_nodes
@@ -567,6 +569,57 @@ class TestCopyFreeStencils:
             tracemalloc.stop()
         _grid_preimage_tables.cache_clear()
         assert peak <= 12.5e6
+
+
+class TestRowBlockedTorus:
+    """The torus operator applied _BLOCK_POINTS base points at a time,
+    against the whole-grid path it replaced: the same bits, bounded
+    temporaries."""
+
+    POT = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
+                        constant=0.1)
+
+    # 3 base points: many blocks, and a ragged last one on every grid
+    @pytest.mark.parametrize("block", [64, 3])
+    @pytest.mark.parametrize("n_x, n_y", [(16, 16), (32, 128), (128, 32),
+                                          (256, 256), (512, 512)])
+    def test_matches_the_unblocked_path(self, family, rng, monkeypatch,
+                                        n_x, n_y, block):
+        # built past the lru cache, so that no 512 x 512 stencil stays held
+        stencil = _full_stencil.__wrapped__(self.POT, family, n_x, n_y)
+        ref = UnblockedTorusStencil(stencil.fiber, n_x, n_y)
+        monkeypatch.setattr(operators, "_BLOCK_POINTS", block)
+        for _ in range(2):
+            v = rng.uniform(0.2, 2.0, n_x * n_y)
+            assert np.array_equal(stencil.apply(v), ref.apply(v))
+            assert np.array_equal(stencil.apply_adjoint(v),
+                                  ref.apply_adjoint(v))
+
+    @staticmethod
+    def peak_bytes(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 256 x 256: the half grid holds 1 MB, the output 0.5 MB and a block
+    # buffer 128 KB.  Applied to the whole grid at once, a forward peaked
+    # at 5.8 MB, an adjoint at 5.3 MB and a power iteration at 6.3 MB
+    def test_forward_temporaries(self, family, rng):
+        stencil = _full_stencil(self.POT, family, 256, 256)
+        v = rng.uniform(0.2, 2.0, 256 * 256)
+        assert self.peak_bytes(stencil.apply, v) <= 2.5e6
+
+    def test_adjoint_temporaries(self, family, rng):
+        stencil = _full_stencil(self.POT, family, 256, 256)
+        u = rng.uniform(0.2, 2.0, 256 * 256)
+        assert self.peak_bytes(stencil.apply_adjoint, u) <= 2.5e6
+
+    def test_power_iteration_temporaries(self, family):
+        stencil = _full_stencil(self.POT, family, 256, 256)
+        assert self.peak_bytes(_power_iterate, stencil, 1e-10, 10000) <= 3.5e6
 
 
 class TestBaseOperator:
