@@ -1,9 +1,10 @@
 """Command-line harness: runs the experiments and emits JSON/CSV artifacts.
 
-Every output file carries the config hash and seed, and floating fields are
-printed at 15 significant digits so a rerun with the same config reproduces
-byte-identical numeric columns.  Exit codes: 0 ok, 1 check failed, 2 bad
-usage or config, 3 numerical failure.
+Every output file carries the config hash and seed.  CSV floats are printed
+at 15 significant digits, JSON floats as Python's shortest repr; either way
+a rerun with the same config reproduces the files byte for byte.  Exit
+codes: 0 ok, 1 check failed, 2 bad usage or config, 3 numerical failure; a
+failure also writes ``error.json`` (see ``_FAILURES``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import BasePoint
-from .cones import ConeParams, image_diameter
+from .cones import image_diameter
 from .config import ExperimentConfig
 from .errors import (
     CapacityExhaustedError,
@@ -25,6 +26,7 @@ from .errors import (
     DegenerateFitError,
     HypothesisViolatedError,
     NoConvergenceError,
+    NonpositiveFunctionError,
     SkewthermError,
 )
 from .fibers import estimate_constants
@@ -43,6 +45,21 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# the first row whose types match a failure gives its error.json kind (None:
+# the exception's class name), its stderr label and the exit code.  Capacity
+# is a config field, so a run that needs more of it than the config gives
+# (say, a --depth beyond it) is a usage error.  e^phi overflowing, or
+# underflowing to a zero that is divided by or logged, is numerical.
+_FAILURES = (
+    ((ConfigError, CapacityExhaustedError), "config", "config error",
+     EXIT_USAGE),
+    ((HypothesisViolatedError,), "hypothesis", "hypothesis check failed",
+     EXIT_CHECK_FAILED),
+    ((NoConvergenceError, NonpositiveFunctionError, ArithmeticError),
+     "numerical", "numerical failure", EXIT_NUMERICAL),
+    ((SkewthermError,), None, "error", EXIT_NUMERICAL),
+)
 
 
 def _fmt(v) -> str:
@@ -106,14 +123,15 @@ class Runner:
             pair_distance=self.cfg.pair_distance,
             exploratory=self.cfg.exploratory if exploratory is None else exploratory)
 
-    def evaluator(self, tol: float | None = None):
-        """The run's Phi evaluator, caching into the --phi-cache table; one
-        at a tighter ``tol`` keeps a table of its own."""
+    def evaluator(self, tol: float | None = None, n_nodes: int | None = None):
+        """The run's Phi evaluator on n_nodes fiber nodes (default n_fiber),
+        caching into the --phi-cache table; one at a tighter ``tol`` keeps a
+        table of its own."""
         return phi_evaluator(self.cfg.potential, self.cfg.family,
                              tol=self.cfg.phi_tol if tol is None else tol,
                              table=self.phi_table if tol is None else None,
                              anchor_y=self.cfg.anchor_y,
-                             n_nodes=self.cfg.n_fiber)
+                             n_nodes=n_nodes or self.cfg.n_fiber)
 
     def sample_points(self, count: int, rng=None) -> list[BasePoint]:
         rng = rng or self.rng()
@@ -179,12 +197,11 @@ class Runner:
 
     def cmd_cones(self, args) -> int:
         consts = self.constants()
-        cone = ConeParams(K=self.cfg.cone_k, alpha=self.cfg.alpha)
         rng = self.rng()
         reports = []
         for x in self.sample_points(args.points, rng):
-            rep = image_diameter(self.cfg.potential, self.cfg.family, x, cone,
-                                 samples=20, rng=rng, zeta=consts.zeta,
+            rep = image_diameter(self.cfg.potential, self.cfg.family, x,
+                                 self.cfg.cone, rng=rng, zeta=consts.zeta,
                                  n_nodes=self.cfg.n_fiber,
                                  n_theta=self.cfg.n_theta)
             reports.append({"bits": x.bit_string(), **rep.to_json()})
@@ -279,11 +296,9 @@ class Runner:
                 lambda X, Y: 1.0 + a * np.cos(2 * np.pi * (X + Y))
                 + b * np.sin(2 * np.pi * Y), self.cfg.n_x, self.cfg.n_y))
         # Phi on the n_y grid of the measures and columns it is paired with
-        phi_eval = phi_evaluator(self.cfg.potential, self.cfg.family,
-                                 tol=self.cfg.phi_tol, table=self.phi_table,
-                                 anchor_y=self.cfg.anchor_y, n_nodes=self.cfg.n_y)
         worst = intertwine_residual(self.cfg.potential, self.cfg.family, psis,
-                                    xs, args.depth, phi_eval,
+                                    xs, args.depth,
+                                    self.evaluator(n_nodes=self.cfg.n_y),
                                     anchor_y=self.cfg.anchor_y)
         self.save_phi_cache()
         self.write_json("intertwine.json", {"max_residual": worst,
@@ -335,9 +350,8 @@ class Runner:
             checks.append(("geometric convergence", True,
                            "constant potential: converged immediately"))
 
-        cone = ConeParams(K=self.cfg.cone_k, alpha=self.cfg.alpha)
-        rep = image_diameter(self.cfg.potential, self.cfg.family, x, cone,
-                             samples=20, rng=rng, zeta=consts.zeta,
+        rep = image_diameter(self.cfg.potential, self.cfg.family, x,
+                             self.cfg.cone, rng=rng, zeta=consts.zeta,
                              n_nodes=self.cfg.n_fiber, n_theta=self.cfg.n_theta)
         checks.append(("cone contraction", rep.zeta_emp < 1.0 and rep.tau < 1.0,
                        f"M_emp {rep.m_emp:.4g}, zeta_emp {rep.zeta_emp:.4g}"))
@@ -434,24 +448,12 @@ def main(argv: list[str] | None = None) -> int:
         # artifact; underflow to zero is routine in cascades and stays quiet
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return handler(args)
-    except (ConfigError, CapacityExhaustedError) as exc:
-        # capacity is a config field, so a run that needs more of it than
-        # the config gives (say, a --depth beyond it) is a usage error
-        _write_error(args.out, "config", str(exc))
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HypothesisViolatedError as exc:
-        _write_error(args.out, "hypothesis", str(exc))
-        print(f"hypothesis check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (NoConvergenceError, FloatingPointError) as exc:
-        _write_error(args.out, "numerical", str(exc))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SkewthermError as exc:
-        _write_error(args.out, type(exc).__name__, str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except (SkewthermError, ArithmeticError) as exc:
+        kind, label, code = next(row[1:] for row in _FAILURES
+                                 if isinstance(exc, row[0]))
+        _write_error(args.out, kind or type(exc).__name__, str(exc))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def _write_error(out_dir: Path, kind: str, message: str) -> None:

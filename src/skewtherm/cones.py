@@ -27,6 +27,8 @@ from .operators import _check_positive, fiber_stencil
 from .potential import TrigPotential
 
 MAX_SEMINORM_NODES = 4096
+# margin-sampler cone elements per image diameter, besides the witnesses
+_CONE_SAMPLES = 20
 # the margin sampler's cosine modes; the extremal witnesses' highest mode,
 # and the fraction of the cone bound their seminorm reaches
 _SAMPLE_MODES = 3
@@ -218,24 +220,22 @@ class ContractionReport:
 
 
 def image_diameter(pot: TrigPotential, family: MpFamily, x: BasePoint,
-                   cone: ConeParams, samples: int = 20,
+                   cone: ConeParams,
                    rng: np.random.Generator | None = None,
                    zeta: float | None = None,
                    n_nodes: int = 512, n_theta: int = 64) -> ContractionReport:
     """Push sampled cone elements through one fiber transfer step and measure
     the projective diameter of the image set.
 
-    The sample set is the margin sampler's output plus the deterministic
-    extremal witnesses, without which the measured diameter is far below the
-    contraction factor actually observed on close pairs.
+    The sample set is _CONE_SAMPLES draws of the margin sampler plus the
+    deterministic extremal witnesses, without which the measured diameter
+    is far below the contraction factor actually observed on close pairs.
     zeta_emp records the largest image seminorm-to-infimum ratio divided by
     K; when the analytic contraction factor ``zeta`` is supplied, an image
     whose ratio exceeds min(1, 1.05 * zeta) raises ConeEscapeError.
     """
-    if samples < 20:
-        raise ValueError("need at least 20 cone samples")
     rng = rng or np.random.default_rng(0)
-    fns = sample_cone_functions(cone, n_nodes, samples, rng)
+    fns = sample_cone_functions(cone, n_nodes, _CONE_SAMPLES, rng)
     fns.extend(extremal_witness_functions(cone, n_nodes))
     stencil = fiber_stencil(pot, family, x, n_nodes)
     images = []

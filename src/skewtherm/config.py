@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
+from .cones import ConeParams
 from .errors import ConfigError
 from .fibers import MpFamily
 from .potential import TrigPotential
@@ -55,6 +56,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {f.type}, not {v!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must be in (0, 1]")
+        # the cone of every cone check, built here so that its bound on
+        # cone_k is a config error
+        try:
+            object.__setattr__(self, "cone",
+                               ConeParams(K=self.cone_k, alpha=self.alpha))
+        except ValueError as exc:
+            raise ConfigError(f"cone_k: {exc}") from exc
         if self.eps_phi <= 0.0:
             raise ConfigError("eps_phi must be positive")
         if not 0.0 < self.iota < 1.0:
@@ -131,6 +139,4 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        raw = self.to_json()
-        raw["seed"] = seed
-        return ExperimentConfig.from_json(raw)
+        return replace(self, seed=seed)

@@ -36,8 +36,9 @@ class ConeEscapeError(SkewthermError):
     """An operator image left the contracted cone by more than the allowed margin."""
 
 
-class NonpositiveFunctionError(SkewthermError):
-    """A grid function required to be positive had a nonpositive value."""
+class NonpositiveFunctionError(SkewthermError, ValueError):
+    """A grid function required to be positive had a nonpositive value, e.g.
+    after e^phi underflowed to zero."""
 
 
 class EmptyGoodSetError(SkewthermError):

@@ -57,10 +57,11 @@ class MpFamily:
         if not 0 < self.delta_a < branch_boundary_for_exponent(self.p0):
             raise ValueError("neutral band must sit inside branch 1's domain")
 
-    def exponent(self, x) -> float:
-        """Fiber exponent p(x); accepts a BasePoint or a float."""
-        xv = float(x)
-        return self.p0 + self.p1 * (1.0 - math.cos(2.0 * math.pi * xv)) / 2.0
+    def exponent(self, x):
+        """Fiber exponent p(x) at a BasePoint or a float, or elementwise at
+        a float array."""
+        xv = x if isinstance(x, np.ndarray) else float(x)
+        return self.p0 + self.p1 * (1.0 - np.cos(2.0 * np.pi * xv)) / 2.0
 
     def to_json(self) -> dict:
         return {"p0": self.p0, "p1": self.p1, "delta_a": self.delta_a}
@@ -264,12 +265,14 @@ def grid_preimages(family: MpFamily, xs, n_nodes: int):
     point x in xs: the pair (y1, y2) of (len(xs), n_nodes) arrays, neutral
     branch first.
 
-    The tables come from a cache keyed on the exponent p(x); the exponents
-    it misses are solved in one stacked Newton iteration, so a block of
-    orbit points costs one solve instead of one per point.
+    xs may be BasePoints, floats or a float array.  The tables come from a
+    cache keyed on the exponent p(x); the exponents it misses are solved in
+    one stacked Newton iteration, so a block of orbit points costs one
+    solve instead of one per point.
     """
-    ys = np.array(_grid_preimage_tables.rows(
-        [family.exponent(x) for x in xs], n_nodes)).reshape(len(xs), 2, n_nodes)
+    ps = family.exponent(np.array([float(x) for x in xs]))
+    ys = np.array(_grid_preimage_tables.rows(ps, n_nodes)).reshape(
+        len(xs), 2, n_nodes)
     return ys[:, 0], ys[:, 1]
 
 
@@ -398,12 +401,10 @@ def estimate_constants(family: MpFamily, alpha: float, eps_phi: float,
     x2 = (x + dx) % 1.0
     y2 = y + dy
 
-    p = family.p0 + family.p1 * (1.0 - np.cos(2.0 * np.pi * x)) / 2.0
-    p2 = family.p0 + family.p1 * (1.0 - np.cos(2.0 * np.pi * x2)) / 2.0
     d_img = circle_distance((2.0 * x) % 1.0, (2.0 * x2) % 1.0) + circle_distance(y, y2)
 
-    b1, b2 = inverse_branches_for_exponent(p, y)
-    b1p, b2p = inverse_branches_for_exponent(p2, y2)
+    b1, b2 = inverse_branches_for_exponent(family.exponent(x), y)
+    b1p, b2p = inverse_branches_for_exponent(family.exponent(x2), y2)
     d_base = circle_distance(x, x2)
 
     gamma_emp = math.inf

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonpositiveFunctionError
+
 MIN_NODES = 16
 
 
@@ -75,14 +77,16 @@ class GridFn:
         (j0, j1), (w0, w1) = anchor
         v = w0 * self.values.item(j0) + w1 * self.values.item(j1)
         if v <= 0.0:
-            raise ValueError("log pairing needs a positive value at the anchor")
+            raise NonpositiveFunctionError(
+                "log pairing needs a positive value at the anchor")
         return self.log_offset + math.log(v)
 
     def pair_uniform(self) -> float:
         """log <f, uniform>, the uniform measure being the node average."""
         v = float(np.mean(self.values))
         if v <= 0.0:
-            raise ValueError("log pairing needs a positive node average")
+            raise NonpositiveFunctionError(
+                "log pairing needs a positive node average")
         return self.log_offset + math.log(v)
 
 

@@ -28,7 +28,7 @@ from .errors import CapacityExhaustedError
 from .fibers import MpFamily
 from .gridfn import GridFn, GridFn2D, interp_nodes
 from .operators import _full_stencil, _power_iterate, base_stencil
-from .phi import DEFAULT_ANCHOR_Y, _MeasureStore
+from .phi import DEFAULT_ANCHOR_Y, _dyadic_exponent, _MeasureStore
 from .potential import TrigPotential
 
 
@@ -299,12 +299,7 @@ def measure_continuity_probe(pot: TrigPotential, family: MpFamily,
     Deltas must be dyadic so the perturbed points are exact; the gaps should
     shrink as delta does (weak-* continuity of the fiber measures).
     """
-    xs = [x]
-    for delta in deltas:
-        k = round(-math.log2(delta))
-        if 2.0 ** -k != delta:
-            raise ValueError(f"delta {delta} is not dyadic")
-        xs.append(x.add_dyadic(1, k))
+    xs = [x, *(x.add_dyadic(1, _dyadic_exponent(d)) for d in deltas)]
     base_w, *ws = fiber_measures(pot, family, xs, n, psi.n_nodes, anchor_y)
     base_val = _pair(base_w, psi)
     return [abs(base_val - _pair(w, psi)) for w in ws]

@@ -90,16 +90,18 @@ def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int,
 class _Stencil:
     """Sparse incidence structure of a discretized transfer operator.
 
-    idx and wgt are C-contiguous, read-only (k, N) arrays: column i lists
-    the k source nodes and interpolation-times-potential weights
-    contributing to output node i.  Forward application is a gather; the
-    adjoint is the exact transpose, applied as a scatter that sweeps each
-    row of idx in order, so the two iterations are numerically consistent
-    duals.  The scatter is ``np.add.at``, which takes the read-only index
-    as it is; ``np.bincount`` would copy it on every call.
+    idx and wgt are C-contiguous (k, N) arrays, made read-only here:
+    column i lists the k source nodes and interpolation-times-potential
+    weights contributing to output node i.  Forward application is a
+    gather; the adjoint is the exact transpose, applied as a scatter that
+    sweeps each row of idx in order, so the two iterations are numerically
+    consistent duals.  The scatter is ``np.add.at``, which takes the
+    read-only index as it is; ``np.bincount`` would copy it on every call.
     """
 
     def __init__(self, idx: np.ndarray, wgt: np.ndarray, size: int):
+        for a in (idx, wgt):
+            a.setflags(write=False)
         self.idx = idx
         self.wgt = wgt
         self.size = size
@@ -218,8 +220,6 @@ def fiber_stencils(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],
     if not xs:
         return []
     idx, wgt = fiber_weights(pot, family, xs, n_nodes)
-    for a in (idx, wgt):
-        a.setflags(write=False)
     return [_Stencil(i, w, n_nodes) for i, w in zip(idx, wgt)]
 
 
@@ -347,8 +347,6 @@ def _full_stencil(pot: TrigPotential, family: MpFamily,
                 for a in (idx, wgt)]
         fiber_weights(pot, family, rows / (2 * n_x), n_y, out=view)
         view[0] += (rows * n_y)[:, None, None]
-    for a in (idx, wgt):
-        a.setflags(write=False)
     return _TorusStencil(_Stencil(idx, wgt, 2 * n_x * n_y), n_x, n_y)
 
 
@@ -421,5 +419,4 @@ def base_stencil(phi_eval, n_x: int, capacity: int) -> _Stencil:
                      for fam in base_preimage_points(n_x, capacity)])
     idx, w = _base_stencil_geometry(n_x)
     wgt = np.repeat(np.exp(phis), 2, axis=0) * w
-    wgt.setflags(write=False)
     return _Stencil(idx, wgt, n_x)

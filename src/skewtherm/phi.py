@@ -514,11 +514,10 @@ class HolderEstimate:
 
 
 def _dyadic_exponent(delta: float) -> int:
+    """The k with delta == 2^-k exactly; ValueError for any other delta."""
     k = round(-math.log2(delta))
     if 2.0 ** -k != delta:
         raise ValueError(f"scale {delta} is not a dyadic 2^-k")
-    if not 4 <= k <= 12:
-        raise ValueError("scales must lie in 2^-4 .. 2^-12")
     return k
 
 
@@ -539,6 +538,8 @@ def estimate_holder(phi_eval, scales: tuple[float, ...],
     degenerate estimate (flagged, not raised).
     """
     ks = [_dyadic_exponent(d) for d in scales]
+    if not all(4 <= k <= 12 for k in ks):
+        raise ValueError("scales must lie in 2^-4 .. 2^-12")
     medians = []
     for delta, k in zip(scales, ks):
         diffs = []

@@ -10,8 +10,9 @@ the exact Phi of dyadic orbits, the factored torus operator, the stacked
 preimage solve, the multi-function eigen-equation residual, the
 column-major stencil layout, the all-node disintegration pairing, the
 extrapolated power iteration, the blocked transfer-weight build, the
-copy-free adjoint scatter, the in-place torus build and the row-blocked
-torus apply replaced; tests compare the two.
+copy-free adjoint scatter, the in-place torus build, the row-blocked
+torus apply and the one-point exponent profile replaced; tests compare the
+two.
 """
 
 import itertools
@@ -72,6 +73,12 @@ def binomial_count_oracle(iota, n, q, d):
 
 BISECT_WIDTH = 1e-12
 BISECT_NEWTON_STEPS = 5
+
+
+def exponent_scalar(family, x):
+    """The fiber exponent p(x) of one point in the C library's cos."""
+    c = math.cos(2.0 * math.pi * float(x))
+    return family.p0 + family.p1 * (1.0 - c) / 2.0
 
 
 def branch_boundary_bisect(p):

@@ -137,7 +137,7 @@ def test_criterion_3_cone_contraction(constants):
     worst_ratio = 0.0
     for point in range(5):
         x = BasePoint.random(rng, 10)
-        rep = image_diameter(POT_DEFAULT, FAMILY, x, CONE, samples=20,
+        rep = image_diameter(POT_DEFAULT, FAMILY, x, CONE,
                              rng=rng, zeta=constants.zeta)
         assert rep.zeta_emp < 1.0
         bound = math.tanh(rep.m_emp / 4.0)
@@ -283,7 +283,7 @@ def test_criterion_8_word_lemmas(constants):
     # transverse-potential weight; the orbit point f^29(x) still needs
     # enough digits left for its own potential cascade
     x = BasePoint.random(rng, 96)
-    rep = image_diameter(POT_DEFAULT, FAMILY, x, CONE, samples=20,
+    rep = image_diameter(POT_DEFAULT, FAMILY, x, CONE,
                          rng=rng, zeta=constants.zeta)
     s_n_phi = 0.0
     cascade = GridFn.ones(512)

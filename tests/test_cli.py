@@ -26,6 +26,11 @@ def zero_config(tmp_path):
                         constants_samples=2000, capacity=64)
 
 
+COMMANDS = ["check-hypotheses", "compute-phi", "holder", "cones",
+            "fiber-measures", "rpf-base", "rpf-full", "pressure", "intertwine",
+            "words", "verify"]
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -60,6 +65,13 @@ class TestConfig:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=1.5)
+
+    def test_cone_k_below_diameter_bound_rejected(self):
+        # the cone needs K >= diam(Y)^-alpha, which is 2 at alpha = 1
+        with pytest.raises(ConfigError, match="cone_k"):
+            ExperimentConfig(cone_k=1.0)
+        assert ExperimentConfig(cone_k=2.0).cone.K == 2.0
+        assert ExperimentConfig(cone_k=1.5, alpha=0.5).cone.K == 1.5
 
     def test_int_float_and_bool_fields_keep_their_values(self):
         raw = {"capacity": 40, "cone_k": 50, "phi_tol": 1e-9,
@@ -235,6 +247,35 @@ class TestCli:
         assert err["error"] == "numerical"
         for csv in out.glob("*.csv"):
             assert "nan" not in csv.read_text()
+
+    @pytest.mark.parametrize("constant", [-800.0, 800.0])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_under_and_overflow_exit_3(self, tmp_path, capsys, command,
+                                       constant):
+        # e^phi underflows to 0 at -800 and overflows at +800: every run
+        # stops with a numerical failure, never with a traceback
+        cfg = write_config(tmp_path / "cfg.json",
+                           potential={"terms": [[0, 1, 0.002]],
+                                      "constant": constant},
+                           n_x=16, n_y=16, n_x_base=16, n_fiber=16,
+                           n_theta=16)
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "--out", str(out), command])
+        assert "Traceback" not in capsys.readouterr().err
+        if command == "check-hypotheses" and constant < 0.0:
+            # condition (P) fails, which is a failed check
+            assert code == 1
+            return
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "numerical"
+
+    @pytest.mark.parametrize("command", ["cones", "verify"])
+    def test_cone_k_below_bound_exits_2(self, tmp_path, command):
+        cfg = write_config(tmp_path / "cfg.json", cone_k=1.0)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "config"
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_artifact_is_rejected_unwritten(self, tmp_path, bad):

@@ -214,7 +214,7 @@ class TestImageDiameter:
 
     def test_report_on_default_config(self, family, small_potential, rng, cone):
         x = BasePoint.random(rng, 4)
-        rep = image_diameter(small_potential, family, x, cone, samples=20,
+        rep = image_diameter(small_potential, family, x, cone,
                              rng=rng, zeta=0.99)
         assert 0.0 < rep.tau < 1.0
         assert rep.zeta_emp < 0.99
@@ -231,7 +231,7 @@ class TestImageDiameter:
 
         monkeypatch.setattr(cones, "fiber_stencil", counting)
         x = BasePoint.random(rng, 4)
-        rep = image_diameter(small_potential, family, x, cone, samples=20,
+        rep = image_diameter(small_potential, family, x, cone,
                              rng=rng, n_nodes=64, n_theta=16)
         assert rep.samples == 36
         assert built == [x]
@@ -244,9 +244,4 @@ class TestImageDiameter:
                             lambda cone, n_nodes: [bad])
         with pytest.raises(NonpositiveFunctionError):
             image_diameter(small_potential, family, BasePoint.random(rng, 4),
-                           cone, samples=20, rng=rng, n_nodes=64, n_theta=16)
-
-    def test_min_samples(self, family, small_potential, rng, cone):
-        x = BasePoint.random(rng, 4)
-        with pytest.raises(ValueError):
-            image_diameter(small_potential, family, x, cone, samples=5, rng=rng)
+                           cone, rng=rng, n_nodes=64, n_theta=16)

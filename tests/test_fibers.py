@@ -16,17 +16,20 @@ from skewtherm import (
 )
 from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import (
+    _SCALAR_POWERS,
     _TABLE_CACHE_BYTES,
     _grid_preimage_tables,
     _PreimageTables,
     _split_points,
     branch_boundary_for_exponent,
+    grid_preimages,
     inverse_branches_for_exponent,
 )
 
 from oracles import (
     branch_boundary_bisect,
     branch_boundary_scalar,
+    exponent_scalar,
     inverse_branches_bisect,
     inverse_branches_scalar,
 )
@@ -61,6 +64,38 @@ class TestForwardMap:
             y = float(rng.uniform(1e-6, 1))
             p = family.exponent(x)
             assert 1.0 + (p + 1.0) * y ** p > 1.0
+
+
+class TestExponent:
+    """p(x) of a float array, elementwise, against p(x) of one point."""
+
+    @pytest.mark.parametrize("xs", [
+        np.random.default_rng(31).uniform(0.0, 1.0, 5000),
+        np.arange(1024) / 1024,
+        np.arange(1, 4096, 2) / 8192,
+    ], ids=["random", "grid", "half-grid"])
+    def test_array_equals_one_point_at_a_time(self, family, xs):
+        ps = family.exponent(xs)
+        assert ps.tolist() == [family.exponent(x) for x in xs.tolist()]
+        assert ps.tolist() == [exponent_scalar(family, x) for x in xs.tolist()]
+
+    def test_zero_is_p0_exactly(self, family):
+        assert family.p0 in _SCALAR_POWERS
+        assert family.exponent(np.zeros(3)).tolist() == [family.p0] * 3
+        zero = BasePoint.from_fraction(0, 1, 8)
+        assert family.exponent(0.0) == family.exponent(zero) == family.p0
+
+    def test_grid_preimages_take_points_floats_or_an_array(self, family, rng):
+        points = [BasePoint.random(rng, 16) for _ in range(70)]
+        points += [BasePoint.from_fraction(0, 1, 16), points[3]]
+        floats = [float(x) for x in points]
+        want = grid_preimages(family, points, 32)
+        misses = _grid_preimage_tables.cache_info().misses
+        for xs in (floats, np.array(floats)):
+            for got, ys in zip(grid_preimages(family, xs, 32), want):
+                assert np.array_equal(got, ys)
+        # the same exponents: every table of the later calls is a hit
+        assert _grid_preimage_tables.cache_info().misses == misses
 
 
 class TestBranchBoundary:
