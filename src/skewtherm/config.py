@@ -54,6 +54,12 @@ class ExperimentConfig:
             if f.type in _TYPES and (not isinstance(v, _TYPES[f.type])
                                      or isinstance(v, bool) != (f.type == "bool")):
                 raise ConfigError(f"{f.name} must be {f.type}, not {v!r}")
+        # NaN and inf pass every range check below, so none gets that far
+        for name, v in self.to_json().items():
+            try:
+                json.dumps(v, allow_nan=False)
+            except ValueError:
+                raise ConfigError(f"{name} must be finite, not {v!r}") from None
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must be in (0, 1]")
         # the cone of every cone check, built here so that its bound on

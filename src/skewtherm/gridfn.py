@@ -67,26 +67,12 @@ class GridFn:
         self.log_offset += math.log(m)
         return self
 
-    def pair_delta(self, y: float) -> float:
-        """log <f, delta_y>; requires the interpolated value to be positive."""
-        return self.pair_anchor(anchor_nodes(y, self.n_nodes))
-
-    def pair_anchor(self, anchor) -> float:
-        """log <f, delta_y> from the ``anchor_nodes`` of y: two reads, with
-        no numpy arithmetic."""
-        (j0, j1), (w0, w1) = anchor
-        v = w0 * self.values.item(j0) + w1 * self.values.item(j1)
+    def pair_log(self, weights: np.ndarray) -> float:
+        """log <f, w> for node weights w, such as an anchor's."""
+        v = float(np.dot(weights, self.values))
         if v <= 0.0:
             raise NonpositiveFunctionError(
                 "log pairing needs a positive value at the anchor")
-        return self.log_offset + math.log(v)
-
-    def pair_uniform(self) -> float:
-        """log <f, uniform>, the uniform measure being the node average."""
-        v = float(np.mean(self.values))
-        if v <= 0.0:
-            raise NonpositiveFunctionError(
-                "log pairing needs a positive node average")
         return self.log_offset + math.log(v)
 
 
@@ -160,9 +146,3 @@ def interp_nodes(t, n: int):
     j = cell.astype(np.intp) & mask
     return (j, (j + 1) & mask), (1.0 - frac, frac)
 
-
-def anchor_nodes(y: float, n: int):
-    """``interp_nodes`` of one circle point y as Python ints and floats, for
-    pairing many functions on the grid j/n with the same delta_y."""
-    (j0, j1), (w0, w1) = interp_nodes(y, n)
-    return (int(j0), int(j1)), (float(w0), float(w1))

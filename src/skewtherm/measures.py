@@ -26,20 +26,19 @@ import numpy as np
 from .base import BasePoint
 from .errors import CapacityExhaustedError
 from .fibers import MpFamily
-from .gridfn import GridFn, GridFn2D, interp_nodes
+from .gridfn import GridFn, GridFn2D
 from .operators import _full_stencil, _power_iterate, base_stencil
-from .phi import DEFAULT_ANCHOR_Y, _dyadic_exponent, _MeasureStore
+from .phi import (DEFAULT_ANCHOR_Y, _dyadic_exponent, _MeasureStore,
+                  anchor_weights)
 from .potential import TrigPotential
 
 
 def _anchored_store(pot: TrigPotential, family: MpFamily, n_nodes: int,
                     anchor_y: float) -> _MeasureStore:
-    """A store of pulled-back measures whose start is the interpolation
-    weights of the anchor point (read-only), with log-mass 0."""
-    (j0, j1), (a0, a1) = interp_nodes(anchor_y, n_nodes)
-    anchor = np.bincount([j0, j1], weights=[a0, a1], minlength=n_nodes)
-    anchor.setflags(write=False)
-    return _MeasureStore(pot, family, n_nodes, (anchor, 0.0))
+    """A store of pulled-back measures whose start is the delta anchor's
+    weights (``phi.anchor_weights``), with log-mass 0."""
+    return _MeasureStore(pot, family, n_nodes,
+                         (anchor_weights("delta", anchor_y, n_nodes), 0.0))
 
 
 def _anchored_pull(pot: TrigPotential, family: MpFamily, xs: list[BasePoint],

@@ -10,6 +10,11 @@ L_0, and the eigen-equation L_x* nu_f(x) = e^Phi(x) nu_x pulls it back.
 One store of pulled-back fiber measures (``_MeasureStore``) serves those
 exact values, the depth-n fiber measures of ``measures`` and the stencils
 of the cascades.
+
+The anchor has one representation, a read-only vector of node weights
+(``anchor_weights``), used on both sides of the duality <L^(n+1) 1, w> =
+<1, (L*)^(n+1) w>: the forward cascades of ``PhiSequence`` pair with it,
+and the store of the fiber measures starts its pull-back from it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
 from .fibers import MpFamily
-from .gridfn import GridFn, anchor_nodes
+from .gridfn import GridFn, interp_nodes
 from .operators import _Stencil, _power_iterate, fiber_stencils
 from .potential import TrigPotential
 
@@ -31,7 +36,7 @@ DEFAULT_FIBER_NODES = 512
 DEFAULT_ANCHOR_Y = 0.5
 CONSERVATIVE_TAU = 0.9
 MAX_PHI_DEPTH = 200
-# stencils compute_phi builds before it has two increments to predict from
+# steps compute_phi takes before it has two increments to predict from
 _FIRST_BLOCK = 8
 # nu_0 is iterated to the floating-point floor; its residual is the bound of
 # every Phi value pulled back from it
@@ -72,6 +77,12 @@ class _MeasureStore:
     more adjoint step over 0, so that its log-mass is Phi(0).  A dyadic z
     with d digits reaches 0 after d steps, and its entry at k = d is nu_z,
     with log-mass Phi(z) by the eigen-equation L_z* nu_f(z) = e^Phi(z) nu_z.
+
+    With the anchor's weights as start (``anchor_weights``, log-mass 0),
+    as in ``measures``, the entry over x with k steps left is the depth-k
+    fiber measure, and its log-mass is the Phi_(k-1)(x) of ``PhiSequence``,
+    which pairs its forward cascades with the same weights: by the duality
+    <L^j 1, w> = <1, (L*)^j w>, at j = k and j = k - 1.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, n_nodes: int,
@@ -159,67 +170,67 @@ class _MeasureStore:
         return True
 
 
+def anchor_weights(anchor: str, anchor_y: float, n_nodes: int) -> np.ndarray:
+    """The anchor measure as read-only node weights summing to 1: the
+    interpolation weights of delta at anchor_y for "delta", the node
+    average for "uniform".  Phi's forward cascades pair with it, and the
+    fiber measures are it pulled back (``_MeasureStore`` with it as start)."""
+    if anchor == "delta":
+        weights = np.bincount(*interp_nodes(anchor_y, n_nodes),
+                              minlength=n_nodes)
+    elif anchor == "uniform":
+        weights = np.full(n_nodes, 1.0 / n_nodes)
+    else:
+        raise ValueError("anchor must be 'delta' or 'uniform'")
+    weights.setflags(write=False)
+    return weights
+
+
 class PhiSequence:
     """Incrementally extended cascades behind the Phi_n values at one x.
 
     The cascade started over x is one step ahead of the one started over
     f(x): after its first step over x, both apply L_{f(x)}, L_{f^2(x)}, ...
     in lockstep, so each orbit point's stencil is built once and applied to
-    both.  The stencils come from a store (a ``_MeasureStore``): the
-    caller's ``store``, whose potential, family and grid then replace pot,
-    family and n_nodes, or a fresh one.  A dyadic orbit lands on the fixed
-    point x = 0 and stays there; from then on every step applies the one
-    L_0 stencil the store keeps.  ``value(n)`` only takes the missing
-    steps, and builds the stencils it lacks up to f^n(x) in one request to
-    the store; ``prefetch`` builds them ahead of the steps.
+    both.  Phi_n is the log-ratio of their pairings with the anchor's
+    weights (``anchor_weights``), the vector whose pull-back through the
+    adjoint steps gives the same number as a log-mass: <L^(n+1) 1, w> =
+    <1, (L*)^(n+1) w>.  The stencils come from a store (a
+    ``_MeasureStore``): the caller's ``store``, whose potential, family and
+    grid then replace pot, family and n_nodes, or a fresh one.  A dyadic
+    orbit lands on the fixed point x = 0 and stays there; from then on
+    every step applies the one L_0 stencil the store keeps.  ``value(n)``
+    takes the missing steps, with their stencils built in one request to
+    the store, and ``values`` holds Phi_0, Phi_1, ... as far as taken.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, x: BasePoint,
                  n_nodes: int = DEFAULT_FIBER_NODES, anchor: str = "delta",
                  anchor_y: float = DEFAULT_ANCHOR_Y,
                  store: _MeasureStore | None = None):
-        if anchor not in ("delta", "uniform"):
-            raise ValueError("anchor must be 'delta' or 'uniform'")
-        if store is None:
-            store = _MeasureStore(pot, family, n_nodes)
         self.x = x
-        self.anchor = anchor
-        self.anchor_y = anchor_y
-        # the delta anchor's two nodes and weights, read by every pairing
-        self._anchor = (anchor_nodes(anchor_y, store.n_nodes)
-                        if anchor == "delta" else None)
-        self._store = store
-        self._top = GridFn.ones(store.n_nodes)    # cascade started over x
-        self._bot = GridFn.ones(store.n_nodes)    # cascade started over f(x)
-        self._steps = 0    # stencils applied, over x, ..., f^(steps-1)(x)
-        self._ahead: list[_Stencil] = []  # built, the next to apply first
-
-    def _pair(self, fn: GridFn) -> float:
-        if self._anchor is not None:
-            return fn.pair_anchor(self._anchor)
-        return fn.pair_uniform()
-
-    def prefetch(self, n: int) -> None:
-        """Build the missing stencils over x, ..., f^n(x) in one request."""
-        if self.x.capacity < n + 1:
-            raise CapacityExhaustedError(
-                f"Phi_{n} needs capacity >= {n + 1}, have {self.x.capacity}")
-        first = self._steps + len(self._ahead)
-        if n >= first:
-            self._ahead += self._store.stencils(
-                [self.x.forward(j) for j in range(first, n + 1)])
+        self._store = store or _MeasureStore(pot, family, n_nodes)
+        n_nodes = self._store.n_nodes
+        self._weights = anchor_weights(anchor, anchor_y, n_nodes)
+        # the cascades started over x and over f(x)
+        self._top = self._bot = GridFn.ones(n_nodes)
+        self.values: list[float] = []
 
     def value(self, n: int) -> float:
         """Phi_n at x: the log-ratio of the two anchored cascade pairings."""
-        self.prefetch(n)
-        todo = max(0, n + 1 - self._steps)
-        for stencil in self._ahead[:todo]:
-            self._top = stencil.step(self._top)
-            if self._steps:
-                self._bot = stencil.step(self._bot)
-            self._steps += 1
-        del self._ahead[:todo]
-        return self._pair(self._top) - self._pair(self._bot)
+        if self.x.capacity < n + 1:
+            raise CapacityExhaustedError(
+                f"Phi_{n} needs capacity >= {n + 1}, have {self.x.capacity}")
+        first = len(self.values)
+        if n >= first:
+            for j, stencil in enumerate(self._store.stencils(
+                    [self.x.forward(j) for j in range(first, n + 1)]), first):
+                self._top = stencil.step(self._top)
+                if j:
+                    self._bot = stencil.step(self._bot)
+                self.values.append(self._top.pair_log(self._weights)
+                                   - self._bot.pair_log(self._weights))
+        return self.values[n]
 
 
 @dataclass
@@ -307,6 +318,8 @@ def _entry_from_json(key: str, entry) -> PhiEntry:
     value, n_used, bound = float(entry[0]), int(entry[1]), float(entry[2])
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ValueError(f"entry {key!r} is not finite")
+    if n_used < 0 or bound < 0.0:
+        raise ValueError(f"entry {key!r} has a negative n_used or bound")
     return PhiEntry(value, n_used, bound)
 
 
@@ -321,13 +334,13 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
 
     The certified threshold is tol * (1 - tau) with the fixed rate tau =
     CONSERVATIVE_TAU, so a value depends on its arguments alone.  The
-    stencils of the steps are built ahead, a block at a time (see
-    ``_block_steps``), and before a block is built its orbit points
-    f^(m+1)(x) are looked up in ``known``, a store of exact fiber measures
-    (a fresh one when None), whose stencils the cascades of the loop share.
-    Every stored measure descends from nu_0, so a hit counts when the
-    residual of nu_0 (7e-15 at 512 nodes, 9e-15 at 1024) is within the
-    threshold.  On the first hit, at step m, no further cascade step is
+    steps are taken a block at a time, each block one request to the
+    ``PhiSequence`` (see ``_block_steps``), and before a block is taken its
+    orbit points f^(m+1)(x) are looked up in ``known``, a store of exact
+    fiber measures (a fresh one when None), whose stencils the cascades of
+    the loop share.  Every stored measure descends from nu_0, so a hit
+    counts when the residual of nu_0 (7e-15 at 512 nodes, 9e-15 at 1024)
+    is within the threshold.  On the first hit, at step m, no further cascade step is
     taken: Phi(x) is the log-mass of x's entry, pulled back from f^(m+1)(x)
     through the adjoint stencils over x, ..., f^m(x), each entry
     stored on the way.  That is the eigen-equation with no truncation,
@@ -336,13 +349,14 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     A dyadic orbit hits within log2 of its denominator steps; a random
     point's never does, and it takes the tolerance loop alone.
 
-    Otherwise step n is taken, and the loop stops when |Phi_n - Phi_{n-1}|
-    is within the threshold, with bound increment / (1 - tau).  The exact
-    value wins over an increment: when a block's look-ahead hits at m, Phi
-    is the pulled-back value even if an increment before step m would have
-    certified.  Blocks change no other value.  Returns (value, n_used,
-    bound) and caches the entry when a table is given.  Consumers that
-    evaluate Phi at many points take a ``phi_evaluator``.
+    Otherwise the block's steps are taken, and the loop stops at the first
+    n of the block with |Phi_n - Phi_{n-1}| within the threshold, with
+    bound increment / (1 - tau).  The exact value wins over an increment:
+    when a block's look-ahead hits at m, Phi is the pulled-back value even
+    if an increment before step m would have certified.  Blocks change no
+    other value.  Returns (value, n_used, bound) and caches the entry when
+    a table is given.  Consumers that evaluate Phi at many points take a
+    ``phi_evaluator``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -365,23 +379,22 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
         return known.knows(x.forward(n + 1)) and known.bound <= certified
 
     incs = []  # |Phi_n - Phi_(n-1)| for n = 1, 2, ...
-    built = -1  # the stencils over x, ..., f^built(x) are built
-    for n in range(n_cap + 1):
-        if n > built:
-            built = min(n_cap, n - 1 + _block_steps(incs, certified))
-            hit = next((m for m in range(n, built + 1) if exact(m)), None)
-            if hit is not None:
-                ((_, log_mass),) = known.pull([x], _exact(x)[1])
-                entry = PhiEntry(log_mass, hit, known.bound)
-                break
-            seq.prefetch(built)
-        cur = seq.value(n)
-        if n:
-            incs.append(abs(cur - prev))
-            if incs[-1] <= certified:
-                entry = PhiEntry(cur, n, incs[-1] / (1.0 - CONSERVATIVE_TAU))
-                break
-        prev = cur
+    while len(seq.values) <= n_cap:
+        n = len(seq.values)
+        last = min(n_cap, n - 1 + _block_steps(incs, certified))
+        hit = next((m for m in range(n, last + 1) if exact(m)), None)
+        if hit is not None:
+            ((_, log_mass),) = known.pull([x], _exact(x)[1])
+            entry = PhiEntry(log_mass, hit, known.bound)
+            break
+        seq.value(last)
+        block = range(max(n, 1), last + 1)
+        incs += [abs(seq.values[m] - seq.values[m - 1]) for m in block]
+        done = next((m for m in block if incs[m - 1] <= certified), None)
+        if done is not None:
+            entry = PhiEntry(seq.values[done], done,
+                             incs[done - 1] / (1.0 - CONSERVATIVE_TAU))
+            break
     else:
         raise NoConvergenceError(
             f"Phi increments above tolerance after n = {n_cap} (capacity "
@@ -392,8 +405,8 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
 
 
 def _block_steps(incs: list[float], certified: float) -> int:
-    """How many steps of stencils to build ahead, given the increments so
-    far: _FIRST_BLOCK at first, then as many as the ratio of the last two
+    """How many steps the next block takes, given the increments so far:
+    _FIRST_BLOCK at first, then as many as the ratio of the last two
     increments predicts the increments need to fall to the threshold, at
     most as many as were taken (the ratio of two increments is noisy)."""
     if len(incs) < 2 or not incs[-1] < incs[-2]:
@@ -471,8 +484,8 @@ def fit_convergence_rate(pot: TrigPotential, family: MpFamily, x: BasePoint,
         raise ValueError("rate fit needs n_max >= 15")
     seq = PhiSequence(pot, family, x, n_nodes=n_nodes, anchor=anchor,
                       anchor_y=anchor_y)
-    seq.prefetch(n_max)
-    values = np.array([seq.value(n) for n in range(n_max + 1)])
+    seq.value(n_max)
+    values = np.array(seq.values)
     gaps = np.abs(values[:-1] - values[-1])
     ns = np.arange(n_max)
     usable = (gaps > increment_floor) & (ns >= n_min)

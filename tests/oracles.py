@@ -25,6 +25,7 @@ from skewtherm.errors import (
     CapacityExhaustedError,
     NoConvergenceError,
     NonpositiveDenominatorError,
+    NonpositiveFunctionError,
 )
 from skewtherm.fibers import grid_preimages
 from skewtherm.gridfn import GridFn, interp_nodes
@@ -496,9 +497,10 @@ def phi_two_cascades(pot, family, x, n, n_nodes, anchor, anchor_y):
     """Phi_n at x from two independent cascades: n + 1 steps started over x
     against n steps started over f(x), each paired with the anchor."""
     def pair(fn):
-        if anchor == "delta":
-            return fn.pair_delta(anchor_y)
-        return fn.pair_uniform()
+        v = fn.interp(anchor_y) if anchor == "delta" else np.mean(fn.values)
+        if v <= 0.0:
+            raise NonpositiveFunctionError("log pairing needs a positive value")
+        return fn.log_offset + math.log(v)
     top = iterate_cascade(pot, family, x, GridFn.ones(n_nodes), n + 1)
     bot = iterate_cascade(pot, family, x.forward(1), GridFn.ones(n_nodes), n)
     return pair(top) - pair(bot)

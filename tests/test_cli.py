@@ -80,6 +80,26 @@ class TestConfig:
         assert [type(getattr(cfg, k)) for k in raw] == [int, int, float, bool]
         assert cfg.to_json()["cone_k"] == 50
 
+    @pytest.mark.parametrize("bad", [
+        {"phi_tol": math.nan}, {"power_tol": math.inf},
+        {"pair_distance": math.inf}, {"eps": math.nan},
+        {"eps_phi": math.inf}, {"cone_k": math.nan},
+        {"fiber_family": {**MpFamily().to_json(), "p1": math.nan}},
+        {"potential": {"terms": [[0, 1, math.nan]], "constant": 0.0}},
+        {"potential": {"terms": [], "constant": math.inf}},
+    ], ids=["phi_tol", "power_tol", "pair_distance", "eps", "eps_phi",
+            "cone_k", "p1", "amplitude", "constant"])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be finite"):
+            ExperimentConfig.from_json({**ExperimentConfig().to_json(), **bad})
+
+    def test_overflowing_literal_rejected(self, tmp_path):
+        # json reads 1e999 as inf
+        path = tmp_path / "cfg.json"
+        path.write_text('{"phi_tol": 1e999}')
+        with pytest.raises(ConfigError, match="phi_tol must be finite"):
+            ExperimentConfig.load(path)
+
     def test_serializes_family_and_potential(self):
         cfg = ExperimentConfig(family=MpFamily(p0=0.7, p1=0.2),
                                potential=TrigPotential(terms=((0, 1, 0.003),)))
@@ -269,6 +289,18 @@ class TestCli:
         assert code == 3
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "numerical"
+
+    @pytest.mark.parametrize("command, bad", [
+        ("compute-phi", {"phi_tol": math.nan}), ("cones", {"cone_k": math.nan}),
+    ], ids=["compute-phi", "cones"])
+    def test_non_finite_config_exits_2(self, tmp_path, command, bad):
+        cfg = write_config(tmp_path / "cfg.json", n_fiber=16, n_theta=16,
+                           n_x=16, n_y=16, n_x_base=16, **bad)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config"
+        assert next(iter(bad)) in err["message"]
 
     @pytest.mark.parametrize("command", ["cones", "verify"])
     def test_cone_k_below_bound_exits_2(self, tmp_path, command):

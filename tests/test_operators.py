@@ -35,7 +35,7 @@ from skewtherm import (
 from skewtherm import operators
 from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import _grid_preimage_tables
-from skewtherm.gridfn import anchor_nodes, interp_nodes
+from skewtherm.gridfn import interp_nodes
 from skewtherm.operators import (
     _base_stencil_geometry,
     _check_positive,
@@ -49,6 +49,7 @@ from skewtherm.operators import (
     fiber_weights,
     full_operator_column,
 )
+from skewtherm.phi import anchor_weights
 
 
 def total_values(g):
@@ -92,22 +93,21 @@ class TestGridFn:
             assert np.array_equal(w0, 1.0 - (s - cell))
 
     def test_pair_delta_reads_the_interpolant(self, rng):
-        # two reads at the anchor's precomputed nodes give the log of the
-        # interpolated value, bit for bit
+        # the log pairing with the delta anchor's weights gives the log of
+        # the interpolated value, bit for bit
         g = GridFn(rng.uniform(0.2, 2.0, 512), log_offset=0.7)
         ys = np.concatenate([rng.uniform(-2.0, 2.0, 200),
                              [0.0, 0.5, 1.0 - 2.0 ** -53, -1e-17]])
         for y in ys:
             want = g.log_offset + math.log(g.interp(y))
-            assert g.pair_anchor(anchor_nodes(y, 512)) == want
-            assert g.pair_delta(y) == want
+            assert g.pair_log(anchor_weights("delta", y, 512)) == want
 
     def test_pair_delta_needs_a_positive_value(self):
         g = GridFn(np.linspace(-1.0, 1.0, 16))
-        with pytest.raises(ValueError, match="positive value at the anchor"):
-            g.pair_delta(0.0)
-        with pytest.raises(ValueError, match="positive value at the anchor"):
-            g.pair_anchor(anchor_nodes(0.25, 16))
+        for y in (0.0, 0.25):
+            with pytest.raises(NonpositiveFunctionError,
+                               match="positive value at the anchor"):
+                g.pair_log(anchor_weights("delta", y, 16))
 
     def test_interp_nodes_needs_a_power_of_two(self):
         with pytest.raises(ValueError):

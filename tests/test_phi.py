@@ -109,6 +109,28 @@ class TestPhiN:
         assert gaps[-1] < gaps[0] * 1e-6
 
 
+class TestAnchorDuality:
+    """<L^(n+1) 1, w> = <1, (L*)^(n+1) w> for the anchor's weights w: Phi_n
+    from the two forward cascades is the log-mass of the anchor pulled back
+    n + 1 steps over x."""
+
+    @pytest.mark.parametrize("n_nodes", [16, 512])
+    @pytest.mark.parametrize("anchor", ["delta", "uniform"])
+    def test_cascades_match_the_pulled_anchor(self, family, rng, anchor,
+                                              n_nodes):
+        pot = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015)), constant=0.1)
+        points = [*(BasePoint.random(rng, 64) for _ in range(4)),
+                  BasePoint.from_fraction(3, 128, 64),
+                  BasePoint.from_fraction(0, 1, 64)]
+        start = phi.anchor_weights(anchor, 0.5, n_nodes), 0.0
+        for x in points:
+            seq = PhiSequence(pot, family, x, n_nodes=n_nodes, anchor=anchor)
+            store = phi._MeasureStore(pot, family, n_nodes, start)
+            for n in (0, 1, 5, 12, 25, 40):
+                ((_, log_mass),) = store.pull([x], n + 1)
+                assert abs(seq.value(n) - log_mass) <= 1e-13
+
+
 class TestComputePhi:
     def test_zero_potential(self, family, zero_potential, rng):
         x = BasePoint.random(rng, 20)
@@ -342,6 +364,24 @@ class TestPhiTable:
     def test_missing_file(self, tmp_path):
         loaded = PhiTable.load(tmp_path / "nope.json", "abc")
         assert len(loaded) == 0
+
+    @pytest.mark.parametrize("entry", [[123.0, -4, -1.0], [123.0, 4, -1.0],
+                                       [123.0, -4, 1e-12]],
+                             ids=["both", "bound", "n_used"])
+    def test_negative_bound_or_depth_discards(self, family, tmp_path, entry):
+        # a negative bound is below every tolerance; served, it would pass
+        # as certified
+        pot = TrigPotential(terms=((0, 1, 0.01),))
+        x = BasePoint.from_fraction(3, 8, 40)
+        path = tmp_path / "cache.json"
+        key = PhiTable.key(x, 512, "delta", 0.5)
+        path.write_text(json.dumps({"config_hash": "abc",
+                                    "entries": {key: entry}}))
+        loaded = PhiTable.load(path, "abc")
+        assert len(loaded) == 0
+        assert "negative" in loaded.discarded
+        assert compute_phi(pot, family, x, tol=1e-9, table=loaded) == \
+            compute_phi(pot, family, x, tol=1e-9)
 
 
 class TestConvergenceFit:
