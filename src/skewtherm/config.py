@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .cones import ConeParams
@@ -19,6 +20,19 @@ _POWER_OF_TWO_FIELDS = ("n_fiber", "n_x", "n_y", "n_x_base", "n_theta")
 # the accepted types of each annotated scalar field: a float field takes an
 # int too, and bool, a subclass of int, is accepted only as a bool field
 _TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def _finite(v) -> bool:
+    """Whether every number in v, a JSON value, is a finite double: NaN,
+    inf and an int no double can hold are not."""
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, (list, tuple)):
+        return all(map(_finite, v))
+    try:
+        return not isinstance(v, (int, float)) or math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -54,12 +68,12 @@ class ExperimentConfig:
             if f.type in _TYPES and (not isinstance(v, _TYPES[f.type])
                                      or isinstance(v, bool) != (f.type == "bool")):
                 raise ConfigError(f"{f.name} must be {f.type}, not {v!r}")
-        # NaN and inf pass every range check below, so none gets that far
+        # NaN, inf and integers no double can hold pass every range check
+        # below, so none gets that far
+        types = {f.name: f.type for f in fields(self)}
         for name, v in self.to_json().items():
-            try:
-                json.dumps(v, allow_nan=False)
-            except ValueError:
-                raise ConfigError(f"{name} must be finite, not {v!r}") from None
+            if types.get(name) not in ("int", "bool") and not _finite(v):
+                raise ConfigError(f"{name} must be finite, not {v!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must be in (0, 1]")
         # the cone of every cone check, built here so that its bound on
@@ -115,6 +129,10 @@ class ExperimentConfig:
         known = {f.name for f in fields(cls)}
         try:
             for key, value in raw.items():
+                # checked before the family's own checks, which a NaN
+                # exponent would send into a solve that cannot converge
+                if key in ("fiber_family", "potential") and not _finite(value):
+                    raise ConfigError(f"{key} must be finite, not {value!r}")
                 if key == "fiber_family":
                     kwargs["family"] = MpFamily.from_json(value)
                 elif key == "potential":
@@ -136,7 +154,7 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the parser's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_json(raw)
 

@@ -10,8 +10,13 @@ iteration.  The grid-node preimage tables are cached per exponent, up to a
 fixed number of bytes.  A block of base points (``operators.fiber_weights``
 decides its size) looks its exponents up together, and the misses are
 solved as one stacked Newton iteration in which each exponent's rows stop
-where a solve of that exponent alone would: a table does not depend on the
-block that computed it.
+where a solve of that exponent alone would.  An exponent on the lattice
+k/64, or too close to 0 to have two positive lattice exponents below it,
+starts on the branch chords.  Any other starts on the cubic through the
+tables of its four nearest lattice exponents, which are cached like any
+table, and takes its split point from the same solve.  So a table is a
+function of its exponent and grid alone: not of the block that computed
+it, nor of the cache state.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ _STEP_ULPS = 4.0
 _SCALAR_POWERS = (0.5, 2.0)
 # bytes of preimage tables kept: 512 tables at 512 fiber nodes
 _TABLE_CACHE_BYTES = 4 << 20
+# preimage tables of the exponents k / _LATTICE start Newton on the branch
+# chords, and the tables of every other exponent start from theirs
+_LATTICE = 64
 
 
 @dataclass(frozen=True)
@@ -82,8 +90,9 @@ def fiber_forward(family: MpFamily, x, y):
 
 
 def _solve_increasing(p, target, y):
-    """Vectorized roots of y + y^(p+1) = target by Newton iteration from y >= 0,
-    one solve per row (the leading axis of y and p).
+    """Vectorized roots of y + y^(p+1) = target by Newton iteration from the
+    start y >= 0, one solve per row (the leading axis of y and p).  The
+    roots are written over y, which is returned.
 
     f(y) = y + y^(p+1) - target is increasing and convex on y >= 0.  A Newton
     step from any y >= 0 therefore lands right of the root (or on it), and
@@ -98,9 +107,9 @@ def _solve_increasing(p, target, y):
     fp = np.finfo(float)
     tol = _STEP_ULPS * fp.eps * np.maximum(target, fp.tiny)
     axes = tuple(range(1, y.ndim))
-    out = np.empty_like(y)
+    out = y
     rows = np.arange(len(y))
-    y, p1 = y.copy(), p + 1.0
+    p1 = p + 1.0
     y_p, step = np.empty_like(y), np.empty_like(y)
     for _ in range(_NEWTON_CAP):
         # step = (y + y * y^p - target) / (1 + (p + 1) * y^p), in place
@@ -114,7 +123,9 @@ def _solve_increasing(p, target, y):
         y -= step
         done = (np.abs(step, out=step) <= tol).all(axis=axes)
         if done.any():
-            out[rows[done]] = y[done]
+            # until the first row stops, y is out itself
+            if y is not out:
+                out[rows[done]] = y[done]
             if done.all():
                 return out
             keep = ~done
@@ -125,18 +136,23 @@ def _solve_increasing(p, target, y):
 
 
 def _split_points(p):
-    """Split points c + c^(p+1) = 1 for the rows of exponents p, shape (m, k).
+    """Split points c + c^(p+1) = 1 for the rows of exponents p, shape (m, k),
+    by Newton from y = 1, right of the root, then ``_round_up_short``."""
+    return _round_up_short(_solve_increasing(p, 1.0, np.ones_like(p)), p)
 
-    Newton from y = 1, right of the root.  The result is then taken one ulp
-    right where rounding left it short, so that c + c^(p+1) >= 1 in the
-    arithmetic of the check.  A row of one exponent is checked in scalar
-    arithmetic (the C library's pow), longer rows in numpy's array
-    arithmetic; the two pows can round differently.  So ``fiber_forward``,
-    which uses numpy's pow, sends c to 0, to just above 0 or, for a few
-    exponents, to 1 - 2^-53 (22 of 2000 uniform random base points of the
-    default family): the same circle point in every case.
+
+def _round_up_short(c, p):
+    """The split points c of the exponents p, both shape (m, k), each taken
+    one ulp right where rounding left it short, so that c + c^(p+1) >= 1 in
+    the arithmetic of the check.
+
+    A row of one exponent is checked in scalar arithmetic (the C library's
+    pow), longer rows in numpy's array arithmetic; the two pows can round
+    differently.  So ``fiber_forward``, which uses numpy's pow, sends c to
+    0, to just above 0 or, for a few exponents, to 1 - 2^-53 (22 of 2000
+    uniform random base points of the default family): the same circle
+    point in every case.
     """
-    c = _solve_increasing(p, 1.0, np.ones_like(p))
     if p.shape[1] == 1:
         short = [[ci + ci ** (pi + 1.0) < 1.0] for ci, pi in
                  zip(c[:, 0].tolist(), p[:, 0].tolist())]
@@ -157,24 +173,50 @@ def branch_boundary(family: MpFamily, x) -> float:
     return branch_boundary_for_exponent(family.exponent(x))
 
 
-def _branch_rows(p, t):
+def _branch_rows(p, t, start=None):
     """Both g-preimages of the targets t, for each row of exponents p.
 
     p has shape (m, 1), one exponent per row, or (1, len(t)), one per
     target.  Returns an (m, 2, len(t)) array: y1 solves y + y^(p+1) = t on
     [0, c), y2 solves y + y^(p+1) = t + 1 on [c, 1).  Each row is one
-    stacked (2, len(t)) Newton solve started on the chords of the two convex
-    branches, c*t and c + (1-c)*t, which lie left of the roots.
+    stacked (2, len(t)) Newton solve.  Without a ``start`` it starts on the
+    chords of the two convex branches, c*t and c + (1-c)*t, which lie left
+    of the roots, and c comes from its own solve (``_split_points``).  A
+    grid table's rows, with t[0] = 0, may start from ``start`` instead, an
+    (m, 2, len(t)) array that the solve overwrites and returns: c is then
+    the branch-2 root at t = 0, whose target is 1, read off the same solve.
     """
-    c = _split_points(p)
-    ys = _solve_increasing(p[:, None], np.stack((t, t + 1.0)),
-                           np.stack((c * t, c + (1.0 - c) * t), axis=1))
+    targets = np.stack((t, t + 1.0))
+    if start is None:
+        c = _split_points(p)
+        ys = _solve_increasing(p[:, None], targets,
+                               np.stack((c * t, c + (1.0 - c) * t), axis=1))
+    else:
+        ys = _solve_increasing(p[:, None], targets, start)
+        c = _round_up_short(ys[:, 1, :1], p)
     # rounding can leave the expanding root an ulp left of c; the branch ends
     # at y=1, which is the same circle point as 0
     y2 = ys[:, 1]
     np.maximum(y2, c, out=y2)
     y2[y2 >= 1.0] = 0.0
     return ys
+
+
+def _lattice_start(p: float):
+    """The four lattice exponents nearest p, two on each side, and the
+    weights of the cubic through them at p; None for an exponent on the
+    lattice and for one whose lattice neighbours are not all positive:
+    those start on the chords."""
+    s = p * _LATTICE
+    if not math.isfinite(s) or s == math.floor(s) or s < 2.0:
+        return None
+    k = math.floor(s)
+    u = s - k  # exact, in (0, 1)
+    return (tuple((k + j) / _LATTICE for j in (-1, 0, 1, 2)),
+            (-u * (u - 1.0) * (u - 2.0) / 6.0,
+             (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0,
+             -(u + 1.0) * u * (u - 2.0) / 2.0,
+             (u + 1.0) * u * (u - 1.0) / 6.0))
 
 
 def inverse_branches_for_exponent(p, t):
@@ -207,9 +249,14 @@ class _PreimageTables:
     exponent p and n, the least recently used dropped beyond ``max_bytes``.
 
     A table is a read-only (2, n) array (y1, y2) that owns its 2n doubles.
-    ``rows`` looks up the exponents of a block of base points; its misses
-    are solved as one stack.  The hit and miss counts are those of looking
-    the exponents up one at a time: a repeat within a block is a hit.
+    ``rows`` looks up the exponents of a block of base points.  Its misses
+    off the lattice start from the tables of their lattice neighbours
+    (``_lattice_start``), which are looked up, solved where missing and
+    kept like any table.  The missing lattice tables are solved as one
+    stack from the chords, then the other misses as one stack from their
+    starts.  The hit and miss counts are those of looking the asked-for
+    exponents up one at a time: a repeat within a block is a hit, and the
+    lookups of lattice neighbours for starts are not counted.
     """
 
     def __init__(self, max_bytes: int):
@@ -228,33 +275,50 @@ class _PreimageTables:
     def rows(self, ps, n_nodes: int) -> list[np.ndarray]:
         """The table for each exponent in ps."""
         keys = [(float(p), n_nodes) for p in ps]
-        found = {}
-        for key in keys:
-            if key in found:
-                self.hits += 1
-            elif key in self._tables:
-                self.hits += 1
-                self._tables.move_to_end(key)
-                found[key] = self._tables[key]
-            else:
-                self.misses += 1
-                found[key] = None
+        found = {key: self._get(key) for key in dict.fromkeys(keys)}
         missing = [p for (p, _), table in found.items() if table is None]
-        stacks = [[p] for p in missing if p in _SCALAR_POWERS]
-        stacks.append([p for p in missing if p not in _SCALAR_POWERS])
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
+        starts = {p: start for p in missing
+                  if (start := _lattice_start(p)) is not None}
+        for nodes, _ in starts.values():
+            for q in nodes:
+                found.setdefault((q, n_nodes), self._get((q, n_nodes)))
+        chords = [p for (p, _), table in found.items()
+                  if table is None and p not in starts]
+        stacks = [[p] for p in chords if p in _SCALAR_POWERS]
+        stacks.append([p for p in chords if p not in _SCALAR_POWERS])
         t = np.arange(n_nodes, dtype=float) / n_nodes
         for chunk in filter(None, stacks):
-            for p, ys in zip(chunk, _branch_rows(np.array(chunk)[:, None], t)):
-                table = found[p, n_nodes] = ys.copy()
-                table.setflags(write=False)
-                self._store((p, n_nodes), table)
+            self._keep(found, chunk, n_nodes,
+                       _branch_rows(np.array(chunk)[:, None], t))
+        if starts:
+            start = np.empty((len(starts), 2, n_nodes))
+            for row, (nodes, weights) in zip(start, starts.values()):
+                np.multiply(found[nodes[0], n_nodes], weights[0], out=row)
+                for q, w in zip(nodes[1:], weights[1:]):
+                    row += w * found[q, n_nodes]
+            np.maximum(start, 0.0, out=start)
+            self._keep(found, list(starts), n_nodes,
+                       _branch_rows(np.array(list(starts))[:, None], t, start))
         return [found[key] for key in keys]
 
-    def _store(self, key, table: np.ndarray) -> None:
-        self._tables[key] = table
-        self.bytes += table.nbytes
-        while self.bytes > self.max_bytes:
-            self.bytes -= self._tables.popitem(last=False)[1].nbytes
+    def _get(self, key):
+        """The stored table of key, marked most recently used, or None."""
+        table = self._tables.get(key)
+        if table is not None:
+            self._tables.move_to_end(key)
+        return table
+
+    def _keep(self, found: dict, ps: list, n_nodes: int, ys: np.ndarray):
+        """Store each row of ys as the table of its exponent in ps."""
+        for p, rows in zip(ps, ys):
+            table = found[p, n_nodes] = rows.copy()
+            table.setflags(write=False)
+            self._tables[p, n_nodes] = table
+            self.bytes += table.nbytes
+            while self.bytes > self.max_bytes:
+                self.bytes -= self._tables.popitem(last=False)[1].nbytes
 
 
 _grid_preimage_tables = _PreimageTables(_TABLE_CACHE_BYTES)

@@ -67,14 +67,6 @@ class GridFn:
         self.log_offset += math.log(m)
         return self
 
-    def pair_log(self, weights: np.ndarray) -> float:
-        """log <f, w> for node weights w, such as an anchor's."""
-        v = float(np.dot(weights, self.values))
-        if v <= 0.0:
-            raise NonpositiveFunctionError(
-                "log pairing needs a positive value at the anchor")
-        return self.log_offset + math.log(v)
-
 
 @dataclass
 class GridFn2D:
@@ -124,6 +116,17 @@ class GridFn2D:
                 + w1[..., None] * self.values[j1])
 
     renormalize = GridFn.renormalize
+
+
+def pair_log(weights: np.ndarray, values: np.ndarray,
+             log_offset: float = 0.0) -> float:
+    """log <f, w> of f = e^log_offset * values on the nodes and node weights
+    w, such as an anchor's: one dot product."""
+    v = float(np.dot(weights, values))
+    if v <= 0.0:
+        raise NonpositiveFunctionError(
+            "log pairing needs a positive value at the anchor")
+    return log_offset + math.log(v)
 
 
 def interp_nodes(t, n: int):

@@ -28,7 +28,7 @@ import numpy as np
 from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
 from .fibers import MpFamily
-from .gridfn import GridFn, interp_nodes
+from .gridfn import GridFn, interp_nodes, pair_log
 from .operators import _Stencil, _power_iterate, fiber_stencils
 from .potential import TrigPotential
 
@@ -98,14 +98,15 @@ class _MeasureStore:
     def stencils(self, xs: list[BasePoint]) -> list[_Stencil]:
         """The stencils over xs: the kept one over 0, built on first use,
         and a fresh one over every other point, all of those built by one
-        ``fiber_stencils`` call."""
+        ``fiber_stencils`` call, made only when there is one to build."""
         if self._zero is None:
             zeros = [x for x in xs if not x.num]
             if zeros:
                 self._zero = fiber_stencils(self.pot, self.family, zeros[:1],
                                             self.n_nodes)[0]
-        fresh = iter(fiber_stencils(self.pot, self.family,
-                                    [x for x in xs if x.num], self.n_nodes))
+        off_zero = [x for x in xs if x.num]
+        fresh = iter(fiber_stencils(self.pot, self.family, off_zero,
+                                    self.n_nodes) if off_zero else ())
         return [next(fresh) if x.num else self._zero for x in xs]
 
     @staticmethod
@@ -192,16 +193,20 @@ class PhiSequence:
     The cascade started over x is one step ahead of the one started over
     f(x): after its first step over x, both apply L_{f(x)}, L_{f^2(x)}, ...
     in lockstep, so each orbit point's stencil is built once and applied to
-    both.  Phi_n is the log-ratio of their pairings with the anchor's
-    weights (``anchor_weights``), the vector whose pull-back through the
-    adjoint steps gives the same number as a log-mass: <L^(n+1) 1, w> =
-    <1, (L*)^(n+1) w>.  The stencils come from a store (a
-    ``_MeasureStore``): the caller's ``store``, whose potential, family and
-    grid then replace pot, family and n_nodes, or a fresh one.  A dyadic
-    orbit lands on the fixed point x = 0 and stays there; from then on
-    every step applies the one L_0 stencil the store keeps.  ``value(n)``
-    takes the missing steps, with their stencils built in one request to
-    the store, and ``values`` holds Phi_0, Phi_1, ... as far as taken.
+    both.  Each cascade is a pair (node values, log offset): after every
+    step its values are divided by their maximum, which is their sup norm
+    since they are never negative, and the log of it goes to the offset.
+    Phi_n is the log-ratio of their pairings with the anchor's weights
+    (``anchor_weights``), one dot product each (``gridfn.pair_log``).  The
+    weights are the vector whose pull-back through the adjoint steps gives
+    the same number as a log-mass: <L^(n+1) 1, w> = <1, (L*)^(n+1) w>.  The
+    stencils come from a store (a ``_MeasureStore``): the caller's
+    ``store``, whose potential, family and grid then replace pot, family
+    and n_nodes, or a fresh one.  A dyadic orbit lands on the fixed point
+    x = 0 and stays there; from then on every step applies the one L_0
+    stencil the store keeps.  ``value(n)`` takes the missing steps, with
+    their stencils built in one request to the store, and ``values`` holds
+    Phi_0, Phi_1, ... as far as taken.
     """
 
     def __init__(self, pot: TrigPotential, family: MpFamily, x: BasePoint,
@@ -212,8 +217,8 @@ class PhiSequence:
         self._store = store or _MeasureStore(pot, family, n_nodes)
         n_nodes = self._store.n_nodes
         self._weights = anchor_weights(anchor, anchor_y, n_nodes)
-        # the cascades started over x and over f(x)
-        self._top = self._bot = GridFn.ones(n_nodes)
+        # the cascades started over x and over f(x); GridFn checks the grid
+        self._top = self._bot = (GridFn.ones(n_nodes).values, 0.0)
         self.values: list[float] = []
 
     def value(self, n: int) -> float:
@@ -225,12 +230,23 @@ class PhiSequence:
         if n >= first:
             for j, stencil in enumerate(self._store.stencils(
                     [self.x.forward(j) for j in range(first, n + 1)]), first):
-                self._top = stencil.step(self._top)
+                self._top = _cascade_step(stencil, *self._top)
                 if j:
-                    self._bot = stencil.step(self._bot)
-                self.values.append(self._top.pair_log(self._weights)
-                                   - self._bot.pair_log(self._weights))
+                    self._bot = _cascade_step(stencil, *self._bot)
+                self.values.append(pair_log(self._weights, *self._top)
+                                   - pair_log(self._weights, *self._bot))
         return self.values[n]
+
+
+def _cascade_step(stencil: _Stencil, values: np.ndarray, log_offset: float):
+    """One transfer step of a cascade (values >= 0, log offset): apply, then
+    divide by the maximum unless it is 0, folding its log into the offset."""
+    values = stencil.apply(values)
+    m = float(values.max())
+    if m == 0.0:
+        return values, log_offset
+    values /= m
+    return values, log_offset + math.log(m)
 
 
 @dataclass

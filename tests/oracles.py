@@ -7,7 +7,7 @@ formulations that the library's active-triple cone metric, shared
 transfer-weight builder, integer base points, Newton preimage solve,
 lockstep Phi cascades, adjoint fiber measures, their shared orbit chains,
 the exact Phi of dyadic orbits, the factored torus operator, the stacked
-preimage solve, the multi-function eigen-equation residual, the
+preimage solve, its chord starts, the multi-function eigen-equation residual, the
 column-major stencil layout, the all-node disintegration pairing, the
 extrapolated power iteration, the blocked transfer-weight build, the
 copy-free adjoint scatter, the in-place torus build, the row-blocked
@@ -27,7 +27,7 @@ from skewtherm.errors import (
     NonpositiveDenominatorError,
     NonpositiveFunctionError,
 )
-from skewtherm.fibers import grid_preimages
+from skewtherm.fibers import _SCALAR_POWERS, _branch_rows, grid_preimages
 from skewtherm.gridfn import GridFn, interp_nodes
 from skewtherm.measures import fiber_integrate
 from skewtherm.operators import (
@@ -166,6 +166,20 @@ def inverse_branches_scalar(p, t):
     np.maximum(y2, c, out=y2)
     y2[y2 >= 1.0] = 0.0
     return y1, y2
+
+
+def chord_tables(ps, n_nodes):
+    """Grid preimage tables of the exponents ps as the cache solved every
+    miss before lattice starts: each exponent started on the branch chords,
+    the sqrt and square exponents alone and the others as one stack."""
+    t = np.arange(n_nodes, dtype=float) / n_nodes
+    ps = [float(p) for p in ps]
+    stacks = [[p] for p in ps if p in _SCALAR_POWERS]
+    stacks.append([p for p in ps if p not in _SCALAR_POWERS])
+    tables = {}
+    for chunk in filter(None, stacks):
+        tables.update(zip(chunk, _branch_rows(np.array(chunk)[:, None], t)))
+    return [tables[p] for p in ps]
 
 
 def triple_scan_distance(f, g, cone):
@@ -497,7 +511,9 @@ def phi_two_cascades(pot, family, x, n, n_nodes, anchor, anchor_y):
     """Phi_n at x from two independent cascades: n + 1 steps started over x
     against n steps started over f(x), each paired with the anchor."""
     def pair(fn):
-        v = fn.interp(anchor_y) if anchor == "delta" else np.mean(fn.values)
+        # the node average summed as a dot product, in the library's order
+        v = (fn.interp(anchor_y) if anchor == "delta" else
+             np.dot(np.full(n_nodes, 1.0 / n_nodes), fn.values))
         if v <= 0.0:
             raise NonpositiveFunctionError("log pairing needs a positive value")
         return fn.log_offset + math.log(v)

@@ -87,8 +87,9 @@ class TestConfig:
         {"fiber_family": {**MpFamily().to_json(), "p1": math.nan}},
         {"potential": {"terms": [[0, 1, math.nan]], "constant": 0.0}},
         {"potential": {"terms": [], "constant": math.inf}},
+        {"fiber_family": {**MpFamily().to_json(), "p0": math.nan}},
     ], ids=["phi_tol", "power_tol", "pair_distance", "eps", "eps_phi",
-            "cone_k", "p1", "amplitude", "constant"])
+            "cone_k", "p1", "amplitude", "constant", "p0"])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be finite"):
             ExperimentConfig.from_json({**ExperimentConfig().to_json(), **bad})
@@ -301,6 +302,32 @@ class TestCli:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "config"
         assert next(iter(bad)) in err["message"]
+
+    @pytest.mark.parametrize("bad", [
+        {"phi_tol": 10 ** 400},
+        {"fiber_family": {**MpFamily().to_json(), "p0": 10 ** 400}},
+        {"potential": {"terms": [[0, 1, 10 ** 400]], "constant": 0.0}},
+    ], ids=["phi_tol", "fiber_family", "potential"])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, bad):
+        # a JSON integer that no double can hold, written out in full
+        cfg = write_config(tmp_path / "cfg.json", n_fiber=16, n_theta=16,
+                           n_x=16, n_y=16, n_x_base=16, **bad)
+        assert "0" * 400 in cfg.read_text()
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "compute-phi"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config"
+        assert f"{next(iter(bad))} must be finite" in err["message"]
+
+    def test_integer_past_the_parser_digit_limit_exits_2(self, tmp_path):
+        # json refuses integers of more than 4300 digits with a ValueError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"phi_tol": 1' + "0" * 5000 + "}")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "compute-phi"]) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "config"
 
     @pytest.mark.parametrize("command", ["cones", "verify"])
     def test_cone_k_below_bound_exits_2(self, tmp_path, command):

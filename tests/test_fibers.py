@@ -19,6 +19,7 @@ from skewtherm.fibers import (
     _SCALAR_POWERS,
     _TABLE_CACHE_BYTES,
     _grid_preimage_tables,
+    _lattice_start,
     _PreimageTables,
     _split_points,
     branch_boundary_for_exponent,
@@ -29,6 +30,7 @@ from skewtherm.fibers import (
 from oracles import (
     branch_boundary_bisect,
     branch_boundary_scalar,
+    chord_tables,
     exponent_scalar,
     inverse_branches_bisect,
     inverse_branches_scalar,
@@ -248,15 +250,19 @@ class TestStackedPreimageSolve:
             assert branch_boundary_for_exponent(p) == branch_boundary_scalar(p)
 
     def test_stacked_rows_equal_single_exponent_solves(self, family):
-        # exponents numpy raises to by sqrt or square sit among the others
+        # exponents numpy raises to by sqrt or square sit among the others;
+        # each table of the stack equals the one its exponent gets alone,
+        # and a chord-started (lattice) one the one-exponent chord solve
         rng = np.random.default_rng(77)
         ps = [*rng.uniform(family.p0, family.p0 + family.p1, size=150), 0.5,
               1.0, 2.0, 0.75]
         t = np.arange(512) / 512
         tables = _PreimageTables(1 << 30).rows(ps, 512)
         for p, table in zip(ps, tables):
-            want = inverse_branches_scalar(p, t)
-            assert np.array_equal(table, np.stack(want))
+            (alone,) = _PreimageTables(1 << 30).rows([p], 512)
+            assert np.array_equal(table, alone)
+        for p, table in zip(ps[150:], tables[150:]):
+            assert np.array_equal(table, np.stack(inverse_branches_scalar(p, t)))
             assert np.array_equal(table,
                                   np.stack(inverse_branches_for_exponent(p, t)))
 
@@ -266,23 +272,27 @@ class TestStackedPreimageSolve:
         assert tables[0] is tables[2] is tables[3]
         info = cache.cache_info()
         assert (info.hits, info.misses) == (2, 2)
-        assert info.bytes == 2 * 2 * 16 * 8
+        # the two tables and the eight lattice tables their starts come
+        # from, k / 64 for k = 37 ... 40 and 43 ... 46
+        assert info.bytes == (2 + 8) * 2 * 16 * 8
         cache.rows([0.7], 16)
         assert cache.cache_info().hits == 3
 
     def test_least_recently_used_dropped_at_byte_bound(self):
-        # room for three 16-node tables: looking 0.5 up again keeps it
+        # room for three 16-node tables: looking 32/64 up again keeps it.
+        # The exponents are on the lattice, so no start tables take room
+        a, b, c, d, e = (k / 64 for k in (32, 40, 44, 52, 58))
         cache = _PreimageTables(3 * 2 * 16 * 8)
-        cache.rows([0.5, 0.6, 0.7], 16)
-        cache.rows([0.5], 16)
-        tables = cache.rows([0.8, 0.9], 16)
+        cache.rows([a, b, c], 16)
+        cache.rows([a], 16)
+        tables = cache.rows([d, e], 16)
         info = cache.cache_info()
         assert info.bytes == info.max_bytes
-        want = inverse_branches_scalar(0.9, np.arange(16) / 16)
+        want = inverse_branches_scalar(e, np.arange(16) / 16)
         assert np.array_equal(tables[1], np.stack(want))
-        cache.rows([0.5], 16)
+        cache.rows([a], 16)
         assert cache.cache_info().misses == 5
-        cache.rows([0.6], 16)
+        cache.rows([b], 16)
         assert cache.cache_info().misses == 6
 
     def test_module_cache_stays_within_its_byte_bound(self, family):
@@ -295,6 +305,100 @@ class TestStackedPreimageSolve:
         assert info.bytes == _TABLE_CACHE_BYTES // (2 * 512 * 8) * 2 * 512 * 8
         _grid_preimage_tables.cache_clear()
         assert _grid_preimage_tables.cache_info().bytes == 0
+
+
+# lattice exponents k / 64 from 2 / 64 (the first with positive neighbours)
+# past the default family's range, and the sweep's steep ones
+LATTICE_P = [k / 64 for k in range(2, 70)] + [8.0, 50.0]
+
+
+class TestLatticeStarts:
+    """Tables started from the cubic through their lattice neighbours'
+    tables, against the chord-started solve they replaced (the oracle
+    ``chord_tables``) and against bisection."""
+
+    @pytest.mark.parametrize("p", SWEEP_P)
+    def test_tables_match_bisection_and_chord_solve(self, p):
+        for n in (16, 512, 1024):
+            (table,) = _PreimageTables(1 << 30).rows([p], n)
+            np.testing.assert_allclose(
+                table, np.stack(inverse_branches_bisect(p, np.arange(n) / n)),
+                rtol=0, atol=1e-15)
+            (chord,) = chord_tables([p], n)
+            assert np.all(np.abs(table - chord) <= 2 * np.spacing(chord))
+
+    def test_lattice_exponents_equal_chord_solve(self):
+        for n in (16, 512):
+            tables = _PreimageTables(1 << 30).rows(LATTICE_P, n)
+            for table, chord in zip(tables, chord_tables(LATTICE_P, n)):
+                assert np.array_equal(table, chord)
+
+    def test_start_needs_positive_lattice_neighbours(self):
+        assert _lattice_start(1e-6) is None
+        assert _lattice_start(1.4 / 64) is None  # neighbour 0 / 64
+        assert all(_lattice_start(p) is None for p in LATTICE_P)
+        nodes, weights = _lattice_start(0.6)
+        assert nodes == (37 / 64, 38 / 64, 39 / 64, 40 / 64)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+
+    def test_table_independent_of_cache_stack_and_order(self, family):
+        rng = np.random.default_rng(2024)
+        ps = [*rng.uniform(family.p0, family.p0 + family.p1, size=40),
+              0.5, 2.0, 0.75, 1e-6, 0.05, 37.3]
+        alone = [_PreimageTables(1 << 30).rows([p], 512)[0] for p in ps]
+        warm = _PreimageTables(1 << 30)
+        warm.rows(LATTICE_P, 512)
+        tiny = _PreimageTables(2 * 2 * 512 * 8)  # evicts as it solves
+        order = rng.permutation(len(ps))
+        for cache, block in ((_PreimageTables(1 << 30), ps), (warm, ps),
+                             (warm, ps), (tiny, ps),
+                             (_PreimageTables(1 << 30), [ps[i] for i in order])):
+            for p, table in zip(block, cache.rows(block, 512)):
+                assert np.array_equal(table, alone[ps.index(p)])
+
+    def test_lattice_tables_are_ordinary_entries(self):
+        # room for four 16-node tables: 0.6 needs its four lattice tables,
+        # so the least recently used of them, 37/64, is dropped for it
+        cache = _PreimageTables(4 * 2 * 16 * 8)
+        (table,) = cache.rows([0.6], 16)
+        assert np.array_equal(table, _PreimageTables(1 << 30).rows([0.6], 16)[0])
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.bytes) == (0, 1, info.max_bytes)
+        cache.rows([38 / 64, 39 / 64, 40 / 64], 16)
+        assert cache.cache_info()[:2] == (3, 1)
+        cache.rows([37 / 64], 16)
+        assert cache.cache_info()[:2] == (3, 2)
+        cache.cache_clear()
+        assert cache.cache_info() == (0, 0, 0, cache.max_bytes)
+
+    def test_lattice_starts_converge_in_three_steps(self, family, monkeypatch):
+        cache = _PreimageTables(1 << 30)
+        cache.rows(LATTICE_P, 512)
+        monkeypatch.setattr("skewtherm.fibers._NEWTON_CAP", 3)
+        ps = np.random.default_rng(3).uniform(family.p0, family.p0 + family.p1,
+                                              size=2000)
+        assert len(cache.rows(ps, 512)) == 2000
+        assert cache.cache_info().misses == len(LATTICE_P) + 2000
+
+    @pytest.mark.parametrize("p", SWEEP_P)
+    def test_expanding_branch_stays_right_of_split_point(self, p):
+        # off the wrap point 0, branch 2 starts at the split point the solve
+        # reads off at t = 0: it keeps c + c^(p+1) >= 1 and is within an ulp
+        # of branch_boundary_for_exponent's, and every other node lies
+        # right of both
+        c = branch_boundary_for_exponent(p)
+        for n in (16, 512, 1024):
+            (table,) = _PreimageTables(1 << 30).rows([p], n)
+            y2 = table[1]
+            assert y2[0] + y2[0] ** (p + 1.0) >= 1.0
+            assert abs(y2[0] - c) <= np.spacing(c)
+            assert np.all((y2 >= y2[0]) | (y2 == 0.0))
+            assert np.all((y2[1:] >= c) | (y2[1:] == 0.0))
+
+    def test_no_float_fault(self):
+        with np.errstate(all="raise"):
+            for n in (16, 512, 1024):
+                _PreimageTables(1 << 30).rows(SWEEP_P + LATTICE_P, n)
 
 
 class TestPreimageTrees:

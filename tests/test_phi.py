@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from oracles import phi_tolerance_loop, phi_two_cascades
@@ -11,6 +12,7 @@ from skewtherm.errors import (
     CapacityExhaustedError,
     DegenerateFitError,
     NoConvergenceError,
+    NonpositiveFunctionError,
 )
 from skewtherm.phi import (
     PhiEntry,
@@ -62,6 +64,26 @@ class TestPhiN:
         for n in range(31):
             want = phi_two_cascades(pot, family, x, n, 512, anchor, 0.5)
             assert abs(seq.value(n) - want) <= 1e-14
+
+    @pytest.mark.parametrize("anchor", ["delta", "uniform"])
+    def test_array_cascades_keep_every_bit(self, family, anchor):
+        # the cascades stepped as (values, log offset) arrays against fresh
+        # GridFn cascades, on a random and a dyadic orbit
+        pot = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015)), constant=0.1)
+        points = [BasePoint.random(np.random.default_rng(41), 40),
+                  BasePoint.from_fraction(5, 64, 40)]
+        for x in points:
+            seq = PhiSequence(pot, family, x, anchor=anchor)
+            seq.value(25)
+            assert seq.values == [phi_two_cascades(pot, family, x, n, 512,
+                                                   anchor, 0.5)
+                                  for n in range(26)]
+
+    def test_vanishing_cascade_raises(self, family, rng):
+        # e^phi underflows to 0, so the first step leaves nothing to pair
+        pot = TrigPotential.constant_potential(-800.0)
+        with pytest.raises(NonpositiveFunctionError):
+            PhiSequence(pot, family, BasePoint.random(rng, 12)).value(0)
 
     def test_dyadic_orbit_keeps_one_zero_stencil(self, family, stencil_builds):
         # 1/128 reaches the fixed point 0 after 7 steps: 7 stencils off
@@ -272,6 +294,22 @@ class TestExactDyadicPhi:
         ev = phi_evaluator(self.POT, family, tol=1e-12)
         rpf_base_solve(ev, 64, capacity=96)
         assert len(stencil_builds) == 128
+
+    def test_base_solve_asks_for_no_empty_block(self, family, monkeypatch):
+        # a request holding only 0, or a pull with no missing entry, builds
+        # nothing: the store does not call fiber_stencils for it
+        blocks = []
+        original = phi.fiber_stencils
+
+        def recording(pot, family, xs, n_nodes):
+            blocks.append(len(xs))
+            return original(pot, family, xs, n_nodes)
+
+        monkeypatch.setattr(phi, "fiber_stencils", recording)
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        rpf_base_solve(ev, 64, capacity=96)
+        assert sum(blocks) == 128
+        assert 0 not in blocks
 
     def test_exact_value_wins_over_an_early_increment(self, family):
         # under a constant potential the increments vanish from n = 1, but
