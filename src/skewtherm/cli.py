@@ -1,5 +1,14 @@
 """Command-line harness: runs the experiments and emits JSON/CSV artifacts.
 
+Each solve and each check is one ``Runner`` step, and the subcommands are
+built from these steps: ``hypotheses`` (check-hypotheses),
+``convergence_fit`` (compute-phi), ``cone_report`` (cones),
+``eigen_residuals`` (fiber-measures), ``base_solve`` (rpf-base) and
+``full_solve`` (rpf-full).  ``pressure`` runs the two solves and ``verify``
+the four checks, so either reports what the single-check subcommands would.
+``eigen_residuals`` holds the eigen-equation check's one Phi tolerance,
+``min(phi_tol, 1e-12)``.
+
 Every output file carries the config hash and seed.  CSV floats are printed
 at 15 significant digits, JSON floats as Python's shortest repr; either way
 a rerun with the same config reproduces the files byte for byte.  Exit
@@ -30,7 +39,7 @@ from .errors import (
     SkewthermError,
 )
 from .fibers import estimate_constants
-from .gridfn import GridFn2D
+from .gridfn import GridFn, GridFn2D
 from .measures import (
     eigen_equation_residual,
     intertwine_residual,
@@ -73,7 +82,10 @@ class Runner:
                  phi_cache: Path | None):
         self.cfg = cfg
         self.out = out_dir
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out {out_dir}: {exc}") from exc
         self.hash = cfg.config_hash()
         self.phi_cache_path = phi_cache
         self.phi_table = (PhiTable.load(phi_cache, self.hash)
@@ -87,14 +99,12 @@ class Runner:
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.cfg.seed)
 
-    def stamp(self, payload: dict) -> dict:
-        return {"config_hash": self.hash, "seed": self.cfg.seed, **payload}
-
     def write_json(self, name: str, payload: dict) -> None:
         """Write one artifact; a non-finite float raises FloatingPointError
         before the file is opened, so no partial artifact is left behind."""
         try:
-            text = json.dumps(self.stamp(payload), indent=2, default=_fmt,
+            text = json.dumps({"config_hash": self.hash, "seed": self.cfg.seed,
+                               **payload}, indent=2, default=_fmt,
                               allow_nan=False)
         except ValueError as exc:
             raise FloatingPointError(f"{name}: non-finite value ({exc})") from exc
@@ -137,11 +147,73 @@ class Runner:
         rng = rng or self.rng()
         return [BasePoint.random(rng, self.cfg.capacity) for _ in range(count)]
 
+    def fiber_fn(self, amps) -> GridFn:
+        """1 + sum_k amps[k] cos(2 pi (k + 1) y) on the n_fiber grid."""
+        ys = np.arange(self.cfg.n_fiber) / self.cfg.n_fiber
+        return GridFn(1.0 + sum(a * np.cos(2 * np.pi * (k + 1) * ys)
+                                for k, a in enumerate(amps)))
+
+    # -- steps: one per solve and per check, shared by the subcommands ---
+
+    def hypotheses(self):
+        """(regime constants, condition-(P) report); the constants are
+        sampled in exploratory mode, so a failed inequality is reported."""
+        consts = self.constants(exploratory=True)
+        return consts, check_condition_P(self.cfg.potential, consts)
+
+    def convergence_fit(self, x: BasePoint, n_max: int):
+        """Phi's geometric-convergence fit at x up to depth n_max (at most
+        capacity - 1), or None for a potential that converges at once."""
+        try:
+            return fit_convergence_rate(
+                self.cfg.potential, self.cfg.family, x,
+                n_max=min(n_max, self.cfg.capacity - 1),
+                n_nodes=self.cfg.n_fiber, anchor_y=self.cfg.anchor_y)
+        except DegenerateFitError:
+            return None
+
+    def cone_report(self, x: BasePoint, rng, zeta: float):
+        return image_diameter(self.cfg.potential, self.cfg.family, x,
+                              self.cfg.cone, rng=rng, zeta=zeta,
+                              n_nodes=self.cfg.n_fiber, n_theta=self.cfg.n_theta)
+
+    def eigen_residuals(self, x: BasePoint, psis: list[GridFn],
+                        depth: int) -> list[float]:
+        """The fiber eigen-equation residuals at x, one per psi, with Phi(x)
+        at the check's one tolerance, min(phi_tol, 1e-12)."""
+        return eigen_equation_residual(
+            self.cfg.potential, self.cfg.family, x, psis, depth,
+            self.evaluator(tol=min(self.cfg.phi_tol, 1e-12)),
+            anchor_y=self.cfg.anchor_y)
+
+    def base_solve(self):
+        sol = rpf_base_solve(self.evaluator(), self.cfg.n_x_base,
+                             tol=self.cfg.power_tol,
+                             max_iter=self.cfg.max_power_iter,
+                             capacity=self.cfg.capacity)
+        self.save_phi_cache()
+        return sol
+
+    def full_solve(self):
+        return rpf_full_solve(self.cfg.potential, self.cfg.family, self.cfg.n_x,
+                              self.cfg.n_y, tol=self.cfg.power_tol,
+                              max_iter=self.cfg.max_power_iter)
+
+    def write_rpf(self, kind: str, sol, coords: dict) -> None:
+        """rpf_<kind>.json, rpf_<kind>_eigendata.csv (a row per grid node:
+        its coordinates, h and the nu weight) and the pressure line."""
+        self.write_json(f"rpf_{kind}.json", sol.to_json())
+        rows = list(zip(*coords.values(), sol.eigenfunction.values.ravel(),
+                        sol.weights.ravel()))
+        self.write_csv(f"rpf_{kind}_eigendata.csv",
+                       [*coords, "h", "nu_weight"], rows)
+        print(f"{kind} pressure {sol.log_eigenvalue:.12g} "
+              f"(residual {sol.residual:.2e}, {sol.iterations} iterations)")
+
     # -- subcommands -----------------------------------------------------
 
     def cmd_check_hypotheses(self, args) -> int:
-        consts = self.constants(exploratory=True)
-        cond_p = check_condition_P(self.cfg.potential, consts)
+        consts, cond_p = self.hypotheses()
         ok = consts.all_pass() and cond_p.all_ok
         self.write_json("hypotheses.json", {
             "constants": consts.to_json(),
@@ -149,11 +221,10 @@ class Runner:
             "all_ok": ok,
             "exploratory": self.cfg.exploratory,
         })
-        for name, passed in consts.checks():
-            print(f"{'PASS' if passed else 'FAIL'} {name}")
-        for name, passed in (("condition (P) range", cond_p.range_ok),
+        for name, passed in [*consts.checks(),
+                             ("condition (P) range", cond_p.range_ok),
                              ("condition (P) seminorm", cond_p.seminorm_ok),
-                             ("eps_phi below branch-count gap", cond_p.eps_phi_ok)):
+                             ("eps_phi below branch-count gap", cond_p.eps_phi_ok)]:
             print(f"{'PASS' if passed else 'FAIL'} {name}")
         if not ok and not self.cfg.exploratory:
             return EXIT_CHECK_FAILED
@@ -163,22 +234,16 @@ class Runner:
 
     def cmd_compute_phi(self, args) -> int:
         points = self.sample_points(args.points)
-        rows = []
-        for x in points:
-            v, n, b = compute_phi(self.cfg.potential, self.cfg.family, x,
-                                  tol=self.cfg.phi_tol, table=self.phi_table,
-                                  anchor_y=self.cfg.anchor_y,
-                                  n_nodes=self.cfg.n_fiber)
-            rows.append((x.bit_string(), v, n, b))
+        rows = [(x.bit_string(),
+                 *compute_phi(self.cfg.potential, self.cfg.family, x,
+                              tol=self.cfg.phi_tol, table=self.phi_table,
+                              anchor_y=self.cfg.anchor_y,
+                              n_nodes=self.cfg.n_fiber))
+                for x in points]
         self.write_csv("phi_values.csv", ["bits", "value", "n_used", "bound"], rows)
-        try:
-            fit = fit_convergence_rate(self.cfg.potential, self.cfg.family,
-                                       points[0], n_max=min(35, self.cfg.capacity - 1),
-                                       n_nodes=self.cfg.n_fiber,
-                                       anchor_y=self.cfg.anchor_y)
-            self.write_json("phi_fit.json", fit.to_json())
-        except DegenerateFitError:
-            self.write_json("phi_fit.json", {"degenerate": True})
+        fit = self.convergence_fit(points[0], 35)
+        self.write_json("phi_fit.json",
+                        {"degenerate": True} if fit is None else fit.to_json())
         self.save_phi_cache()
         print(f"computed {len(points)} potential values")
         return EXIT_OK
@@ -198,13 +263,9 @@ class Runner:
     def cmd_cones(self, args) -> int:
         consts = self.constants()
         rng = self.rng()
-        reports = []
-        for x in self.sample_points(args.points, rng):
-            rep = image_diameter(self.cfg.potential, self.cfg.family, x,
-                                 self.cfg.cone, rng=rng, zeta=consts.zeta,
-                                 n_nodes=self.cfg.n_fiber,
-                                 n_theta=self.cfg.n_theta)
-            reports.append({"bits": x.bit_string(), **rep.to_json()})
+        reports = [{"bits": x.bit_string(),
+                    **self.cone_report(x, rng, consts.zeta).to_json()}
+                   for x in self.sample_points(args.points, rng)]
         self.write_json("cones.json", {"reports": reports,
                                        "zeta_analytic": consts.zeta})
         worst = max(r["zeta_emp"] for r in reports)
@@ -212,23 +273,13 @@ class Runner:
         return EXIT_OK if worst < 1.0 else EXIT_CHECK_FAILED
 
     def cmd_fiber_measures(self, args) -> int:
-        from .gridfn import GridFn
         rng = self.rng()
         points = self.sample_points(args.points, rng)
-        ys = np.arange(self.cfg.n_fiber) / self.cfg.n_fiber
-        test_fns = []
-        for trial in range(args.functions):
-            amps = rng.uniform(-0.3, 0.3, size=3)
-            vals = 1.0 + sum(a * np.cos(2 * np.pi * (k + 1) * ys)
-                             for k, a in enumerate(amps))
-            test_fns.append(GridFn(vals))
-
-        phi_eval = self.evaluator(tol=min(self.cfg.phi_tol, 1e-12))
+        test_fns = [self.fiber_fn(rng.uniform(-0.3, 0.3, size=3))
+                    for _ in range(args.functions)]
         rows = []
         for x in points:
-            resids = eigen_equation_residual(
-                self.cfg.potential, self.cfg.family, x, test_fns, args.depth,
-                phi_eval, anchor_y=self.cfg.anchor_y)
+            resids = self.eigen_residuals(x, test_fns, args.depth)
             rows += [(x.bit_string(), trial, args.depth, r)
                      for trial, r in enumerate(resids)]
         self.write_csv("eigen_residuals.csv",
@@ -238,44 +289,19 @@ class Runner:
         return EXIT_OK
 
     def cmd_rpf_base(self, args) -> int:
-        sol = rpf_base_solve(self.evaluator(), self.cfg.n_x_base,
-                             tol=self.cfg.power_tol,
-                             max_iter=self.cfg.max_power_iter,
-                             capacity=self.cfg.capacity)
-        self.save_phi_cache()
-        self.write_json("rpf_base.json", sol.to_json())
-        rows = list(zip(sol.eigenfunction.nodes, sol.eigenfunction.values,
-                        sol.weights))
-        self.write_csv("rpf_base_eigendata.csv", ["node", "h", "nu_weight"], rows)
-        print(f"base pressure {sol.log_eigenvalue:.12g} "
-              f"(residual {sol.residual:.2e}, {sol.iterations} iterations)")
+        sol = self.base_solve()
+        self.write_rpf("base", sol, {"node": sol.eigenfunction.nodes})
         return EXIT_OK
 
     def cmd_rpf_full(self, args) -> int:
-        sol = rpf_full_solve(self.cfg.potential, self.cfg.family, self.cfg.n_x,
-                             self.cfg.n_y, tol=self.cfg.power_tol,
-                             max_iter=self.cfg.max_power_iter)
-        self.write_json("rpf_full.json", sol.to_json())
-        n_x, n_y = sol.eigenfunction.shape
-        rows = []
-        for i in range(n_x):
-            for j in range(n_y):
-                rows.append((i / n_x, j / n_y, sol.eigenfunction.values[i, j],
-                             sol.weights[i, j]))
-        self.write_csv("rpf_full_eigendata.csv", ["x", "y", "h", "nu_weight"], rows)
-        print(f"full pressure {sol.log_eigenvalue:.12g} "
-              f"(residual {sol.residual:.2e}, {sol.iterations} iterations)")
+        sol = self.full_solve()
+        x, y = np.meshgrid(*(np.arange(n) / n for n in sol.eigenfunction.shape),
+                           indexing="ij")
+        self.write_rpf("full", sol, {"x": x.ravel(), "y": y.ravel()})
         return EXIT_OK
 
     def cmd_pressure(self, args) -> int:
-        base = rpf_base_solve(self.evaluator(), self.cfg.n_x_base,
-                              tol=self.cfg.power_tol,
-                              max_iter=self.cfg.max_power_iter,
-                              capacity=self.cfg.capacity)
-        full = rpf_full_solve(self.cfg.potential, self.cfg.family, self.cfg.n_x,
-                              self.cfg.n_y, tol=self.cfg.power_tol,
-                              max_iter=self.cfg.max_power_iter)
-        self.save_phi_cache()
+        base, full = self.base_solve(), self.full_solve()
         gap = abs(base.log_eigenvalue - full.log_eigenvalue)
         self.write_json("pressure.json", {
             "P_phi": full.log_eigenvalue,
@@ -307,6 +333,9 @@ class Runner:
         return EXIT_OK
 
     def cmd_words(self, args) -> int:
+        if args.m_min > args.m_max:
+            raise ConfigError(f"empty word range: --m-min {args.m_min} "
+                              f"exceeds --m-max {args.m_max}")
         rng = self.rng()
         consts = self.constants()
         x = BasePoint.random(rng, self.cfg.capacity)
@@ -327,42 +356,31 @@ class Runner:
         return EXIT_OK
 
     def cmd_verify(self, args) -> int:
-        checks: list[tuple[str, bool, str]] = []
-
-        consts = self.constants(exploratory=True)
-        checks.append(("expansion constants", consts.all_pass(),
-                       consts.first_failure() or "all inequalities hold"))
-        cond_p = check_condition_P(self.cfg.potential, consts)
-        checks.append(("condition (P)", cond_p.all_ok,
-                       f"range {cond_p.sup_phi - cond_p.inf_phi:.3g}, "
-                       f"seminorm {cond_p.exp_seminorm:.3g}"))
+        """The steps of check-hypotheses, then those of compute-phi's fit
+        (to depth 30), cones and fiber-measures at one random base point,
+        and a word partition."""
+        consts, cond_p = self.hypotheses()
+        checks = [("expansion constants", consts.all_pass(),
+                   consts.first_failure() or "all inequalities hold"),
+                  ("condition (P)", cond_p.all_ok,
+                   f"range {cond_p.sup_phi - cond_p.inf_phi:.3g}, "
+                   f"seminorm {cond_p.exp_seminorm:.3g}")]
 
         rng = self.rng()
         x = BasePoint.random(rng, self.cfg.capacity)
-        try:
-            fit = fit_convergence_rate(self.cfg.potential, self.cfg.family, x,
-                                       n_max=min(30, self.cfg.capacity - 1),
-                                       n_nodes=self.cfg.n_fiber,
-                                       anchor_y=self.cfg.anchor_y)
-            checks.append(("geometric convergence", 0 < fit.tau_emp < 1,
-                           f"tau_emp {fit.tau_emp:.4g}, r^2 {fit.r_squared:.4f}"))
-        except DegenerateFitError:
+        fit = self.convergence_fit(x, 30)
+        if fit is None:
             checks.append(("geometric convergence", True,
                            "constant potential: converged immediately"))
+        else:
+            checks.append(("geometric convergence", 0 < fit.tau_emp < 1,
+                           f"tau_emp {fit.tau_emp:.4g}, r^2 {fit.r_squared:.4f}"))
 
-        rep = image_diameter(self.cfg.potential, self.cfg.family, x,
-                             self.cfg.cone, rng=rng, zeta=consts.zeta,
-                             n_nodes=self.cfg.n_fiber, n_theta=self.cfg.n_theta)
+        rep = self.cone_report(x, rng, consts.zeta)
         checks.append(("cone contraction", rep.zeta_emp < 1.0 and rep.tau < 1.0,
                        f"M_emp {rep.m_emp:.4g}, zeta_emp {rep.zeta_emp:.4g}"))
 
-        from .gridfn import GridFn
-        ys = np.arange(self.cfg.n_fiber) / self.cfg.n_fiber
-        psi = GridFn(1.0 + 0.25 * np.cos(2 * np.pi * ys))
-        (resid,) = eigen_equation_residual(self.cfg.potential, self.cfg.family,
-                                           x, [psi], 20,
-                                           self.evaluator(tol=1e-12),
-                                           anchor_y=self.cfg.anchor_y)
+        (resid,) = self.eigen_residuals(x, [self.fiber_fn([0.25])], 20)
         checks.append(("fiber eigen-equation", resid <= 1e-6,
                        f"residual {resid:.3e}"))
 

@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("max_power_iter must be >= 1")
         if self.constants_samples < 1000:
             raise ConfigError("constants_samples must be >= 1000")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def to_json(self) -> dict:
         out = {}

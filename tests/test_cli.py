@@ -66,6 +66,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=1.5)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(seed=-3)
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig().with_seed(-1)
+        assert ExperimentConfig(seed=0).seed == 0
+
     def test_cone_k_below_diameter_bound_rejected(self):
         # the cone needs K >= diam(Y)^-alpha, which is 2 at alpha = 1
         with pytest.raises(ConfigError, match="cone_k"):
@@ -398,6 +405,36 @@ class TestCli:
         payload = json.loads((out / "hypotheses.json").read_text())
         assert payload["all_ok"] is True
 
+    @pytest.mark.parametrize("config, argv", [
+        ({"seed": -3}, []),
+        ({}, ["--seed", "-1"]),
+    ], ids=["config", "option"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, config, argv):
+        cfg = write_config(tmp_path / "cfg.json", **config)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), *argv,
+                     "check-hypotheses"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config" and "seed" in err["message"]
+        assert "config error:" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_2(self, zero_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert main(["--config", str(zero_config), "--out", str(out),
+                     "check-hypotheses"]) == 2
+        assert f"config error: cannot create --out {out}" in \
+            capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
+    def test_empty_word_range_exits_2(self, zero_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(zero_config), "--out", str(out),
+                     "words", "--m-min", "5", "--m-max", "2"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config" and "--m-min" in err["message"]
+        assert not (out / "words.csv").exists()
+
     def test_seed_override_changes_hash(self, zero_config, tmp_path):
         out = tmp_path / "out"
         assert main(["--config", str(zero_config), "--out", str(out),
@@ -482,3 +519,60 @@ class TestCli:
                      "holder", "--pairs", "2"]) == 0
         payload = json.loads((out / "holder.json").read_text())
         assert payload["degenerate"] is True  # constant potential
+
+
+class TestSharedSteps:
+    """verify and the single-check subcommands run the same Runner steps,
+    so at one config and seed they report the same numbers."""
+
+    @pytest.fixture
+    def small_config(self, tmp_path):
+        return write_config(tmp_path / "cfg.json", n_fiber=16, n_x=16,
+                            n_y=16, n_x_base=16, n_theta=16)
+
+    @staticmethod
+    def verify_details(cfg, out):
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 0
+        report = json.loads((out / "verify.json").read_text())
+        return {c["name"]: c["detail"] for c in report["checks"]}
+
+    def test_cone_contraction_matches_cones(self, small_config, tmp_path):
+        details = self.verify_details(small_config, tmp_path / "verify")
+        out = tmp_path / "cones"
+        assert main(["--config", str(small_config), "--out", str(out),
+                     "cones", "--points", "1"]) == 0
+        (rep,) = json.loads((out / "cones.json").read_text())["reports"]
+        assert details["cone contraction"] == (
+            f"M_emp {rep['m_emp']:.4g}, zeta_emp {rep['zeta_emp']:.4g}")
+
+    def test_condition_p_matches_check_hypotheses(self, small_config,
+                                                  tmp_path):
+        details = self.verify_details(small_config, tmp_path / "verify")
+        out = tmp_path / "hyp"
+        assert main(["--config", str(small_config), "--out", str(out),
+                     "check-hypotheses"]) == 0
+        cond = json.loads((out / "hypotheses.json").read_text())["condition_p"]
+        assert details["condition (P)"] == (
+            f"range {cond['sup_phi'] - cond['inf_phi']:.3g}, "
+            f"seminorm {cond['exp_seminorm']:.3g}")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"],
+        ["fiber-measures", "--points", "1", "--functions", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_eigen_check_evaluates_phi_at_one_tolerance(self, tmp_path,
+                                                        monkeypatch, argv):
+        # a config phi_tol below 1e-12 is the tolerance of the check
+        cfg = write_config(tmp_path / "cfg.json", n_fiber=16, n_x=16, n_y=16,
+                           n_x_base=16, n_theta=16, phi_tol=1e-13)
+        evaluator = Runner.evaluator
+        tols = []
+
+        def recording(self, tol=None, n_nodes=None):
+            tols.append(tol)
+            return evaluator(self, tol, n_nodes)
+
+        monkeypatch.setattr(Runner, "evaluator", recording)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     *argv]) == 0
+        assert tols == [1e-13]
