@@ -48,7 +48,7 @@ from .measures import (
 )
 from .phi import PhiTable, compute_phi, estimate_holder, fit_convergence_rate, phi_evaluator
 from .potential import check_condition_P
-from .words import bad_mass_ratio, good_mask
+from .words import bad_mass_ratio, good_mask, is_good, word_from_index
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -384,8 +384,11 @@ class Runner:
         checks.append(("fiber eigen-equation", resid <= 1e-6,
                        f"residual {resid:.3e}"))
 
+        # the vectorized mask against the scalar test of every word
         mask = good_mask(12, 3, consts.iota, consts.q)
-        checks.append(("word partition", mask.size == 1 << 12,
+        good = sum(is_good(word_from_index(i, 12), 3, consts.iota, consts.q)
+                   for i in range(mask.size))
+        checks.append(("word partition", int(mask.sum()) == good,
                        f"good {int(mask.sum())} of {mask.size}"))
 
         all_ok = all(ok for _, ok, _ in checks)

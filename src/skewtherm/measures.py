@@ -158,8 +158,11 @@ def rpf_base_solve(phi_eval, n_x: int, tol: float = 1e-10,
                    max_iter: int = 10000, capacity: int = 64) -> RpfSolution:
     """Eigendata of the base operator discretized on n_x nodes.
 
-    ``phi_eval`` maps a BasePoint to the transverse potential; it is called
-    once per exact dyadic preimage node and the resulting stencil is power
+    ``phi_eval`` gives the transverse potential at the list of the 2 n_x
+    exact dyadic preimage nodes, in one call (see ``operators.base_stencil``):
+    a ``phi_evaluator`` tabulates them in order and pulls the exact values
+    back 64 points at a time, so a 64-node solve makes 3 ``fiber_stencils``
+    requests (L_0 and two blocks).  The resulting stencil is power
     iterated forward (eigenfunction) and transposed (eigenmeasure weights).
     """
     stencil = base_stencil(phi_eval, n_x, capacity)

@@ -405,18 +405,25 @@ def base_preimage_points(n_x: int, capacity: int) -> list[list[BasePoint]]:
 def apply_base_operator(phi_eval, xi: GridFn, capacity: int = 64) -> GridFn:
     """Base transfer step: sum e^Phi at both doubling preimages of each node.
 
-    ``phi_eval`` maps a BasePoint to the transverse potential value; it is
-    called at the 2N exact dyadic preimage points of the grid.
+    ``phi_eval`` gives the transverse potential at the 2N exact dyadic
+    preimage points of the grid, asked for as one list (see
+    ``base_stencil``).
     """
     return base_stencil(phi_eval, xi.n_nodes, capacity).step(xi)
 
 
 def base_stencil(phi_eval, n_x: int, capacity: int) -> _Stencil:
-    """The base operator on n_x nodes: ``phi_eval`` is tabulated at the
-    ``base_preimage_points`` (lower branch first), entries weighted by
-    e^Phi."""
-    phis = np.array([[phi_eval(p) for p in fam]
-                     for fam in base_preimage_points(n_x, capacity)])
+    """The base operator on n_x nodes, entries weighted by e^Phi.
+
+    ``phi_eval`` is called once, with the list of the 2 n_x
+    ``base_preimage_points`` (lower branch first), and returns their
+    values: a ``phi_evaluator`` evaluates them in order, filling its store
+    64 points at a time.  One number stands for every point, so a
+    constant such as ``lambda p: 0.0`` serves as a flat potential.
+    """
+    points = [p for fam in base_preimage_points(n_x, capacity) for p in fam]
+    phis = np.empty(2 * n_x)
+    phis[:] = phi_eval(points)
     idx, w = _base_stencil_geometry(n_x)
-    wgt = np.repeat(np.exp(phis), 2, axis=0) * w
+    wgt = np.repeat(np.exp(phis.reshape(2, n_x)), 2, axis=0) * w
     return _Stencil(idx, wgt, n_x)

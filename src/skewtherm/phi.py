@@ -9,7 +9,9 @@ the fixed point x = 0, whose fiber measure is the left Perron vector of
 L_0, and the eigen-equation L_x* nu_f(x) = e^Phi(x) nu_x pulls it back.
 One store of pulled-back fiber measures (``_MeasureStore``) serves those
 exact values, the depth-n fiber measures of ``measures`` and the stencils
-of the cascades.
+of the cascades.  An exact value's pull is registered in the store when its
+hit is decided and filled later: a ``phi_evaluator`` tabulating a base grid
+fills 64 points' pulls at a time, with one stencil request per fill.
 
 The anchor has one representation, a read-only vector of node weights
 (``anchor_weights``), used on both sides of the duality <L^(n+1) 1, w> =
@@ -29,7 +31,7 @@ from .base import BasePoint
 from .errors import CapacityExhaustedError, DegenerateFitError, NoConvergenceError
 from .fibers import MpFamily
 from .gridfn import GridFn, interp_nodes, pair_log
-from .operators import _Stencil, _power_iterate, fiber_stencils
+from .operators import _BLOCK_POINTS, _Stencil, _power_iterate, fiber_stencils
 from .potential import TrigPotential
 
 DEFAULT_FIBER_NODES = 512
@@ -65,11 +67,19 @@ class _MeasureStore:
     an entry depends neither on the order of lookups nor on the capacity of
     the point it was first reached from.  Stored weights are read-only.
 
-    ``pull`` serves a list of points in one pass.  A value off zero gets
-    one stencil per pass, shared by every entry of the pass over that
-    value (a chain can meet one value at several depths), and dropped when
-    the pass ends.  The fixed point x = 0 is different: ``forward`` masks
-    digits, so an orbit that reaches it never leaves it, and its one
+    A request is two steps.  ``register`` walks each chain forward to its
+    first stored or registered entry and records the missing keys; a
+    registered key counts as known (``knows``) before it is filled.
+    ``fill`` fills every registered key: one ``stencils`` request builds a
+    stencil per distinct value off zero on the walks, shared by every key of
+    that value (a chain can meet one value at several depths), and the
+    entries follow in increasing order of steps left.  One fill holds those
+    stencils, 4 * n_nodes (index, weight) pairs per value, until it ends:
+    the stencils of every chain registered since the last fill, so a caller
+    bounds them by how many requests it registers before filling (the
+    chains of at most 64 points in ``phi_evaluator``).  ``pull`` is a
+    register and a fill.  The fixed point x = 0 is different: ``forward``
+    masks digits, so an orbit that reaches it never leaves it, and its one
     stencil is kept.
 
     Without a ``start`` the store holds exact measures, built on the first
@@ -94,6 +104,7 @@ class _MeasureStore:
         self.bound = math.inf  # residual of nu_0, once built
         self._zero: _Stencil | None = None
         self._entries: dict = {}
+        self._missing: dict = {}  # key -> (point, key it is pulled from)
 
     def stencils(self, xs: list[BasePoint]) -> list[_Stencil]:
         """The stencils over xs: the kept one over 0, built on first use,
@@ -117,37 +128,47 @@ class _MeasureStore:
         w.setflags(write=False)
         return w, math.log(mass)
 
-    def pull(self, xs: list[BasePoint], k: int, stencils: bool = False):
-        """The entries over xs with k steps left, in one pass.
-
-        Every chain is walked forward to its first stored entry, collecting
-        the missing keys.  One stencil per distinct exact value on the walks
-        is built (see ``stencils``) and is shared by every key of that
-        value; the pass holds 4 * n_nodes (index, weight) pairs per value
-        until it ends.  The missing entries are then filled in
-        increasing order of steps left, so the entry over f(x) with one
-        step fewer, which each is pulled back from, is there first.
-
-        With ``stencils``, returns (entries, the stencils over xs): a
-        stencil the pass builds anyway is handed back, and the others are
-        built in the same block, so every x needs capacity >= 1.
-        """
-        missing = {}  # key -> (point, key of the entry it is pulled from)
+    def register(self, xs: list[BasePoint], k: int) -> None:
+        """Record the keys missing under the entries over xs with k steps
+        left: every chain is walked forward to its first stored or
+        registered entry."""
         for x in xs:
             key = _exact(x), k
-            while key[1] and key not in self._entries and key not in missing:
+            while (key[1] and key not in self._entries
+                   and key not in self._missing):
                 y = x.forward(1)
-                missing[key] = x, (_exact(y), key[1] - 1)
-                x, key = y, missing[key][1]
-        points = {value: x for (value, _), (x, _) in missing.items()}
-        if stencils:
-            for x in xs:
-                points.setdefault(_exact(x), x)
+                self._missing[key] = x, (_exact(y), key[1] - 1)
+                x, key = y, self._missing[key][1]
+
+    def fill(self, xs=()) -> dict:
+        """Fill every registered key, in increasing order of steps left, so
+        the entry over f(x) with one step fewer, which each is pulled back
+        from, is there first.  Returns the stencils the fill built, by
+        exact value: one per value on the registered walks and one per
+        point of xs, in one ``stencils`` request."""
+        if not (self._missing or xs):
+            return {}
+        points = {value: x for (value, _), (x, _) in self._missing.items()}
+        for x in xs:
+            points.setdefault(_exact(x), x)
         built = dict(zip(points, self.stencils(list(points.values()))))
-        for key in sorted(missing, key=lambda key: key[1]):
-            prev = missing[key][1]
+        for key in sorted(self._missing, key=lambda key: key[1]):
+            prev = self._missing[key][1]
             entry = self._entries[prev] if prev[1] else self.start
             self._entries[key] = self._step(built[key[0]], entry[0])
+        self._missing.clear()
+        return built
+
+    def pull(self, xs: list[BasePoint], k: int, stencils: bool = False):
+        """The entries over xs with k steps left: a ``register`` and a
+        ``fill``.
+
+        With ``stencils``, returns (entries, the stencils over xs): a
+        stencil the fill builds anyway is handed back, and the others are
+        built in the same block, so every x needs capacity >= 1.
+        """
+        self.register(xs, k)
+        built = self.fill(xs if stencils else ())
         entries = [self._entries[_exact(x), k] if k else self.start
                    for x in xs]
         if stencils:
@@ -155,14 +176,16 @@ class _MeasureStore:
         return entries
 
     def knows(self, z: BasePoint) -> bool:
-        """Whether the exact measure over z is stored; the first lookup of
-        0 builds the start.  A point with no digits left is where an orbit
-        runs out of capacity, not the fixed point, so it has none."""
+        """Whether the exact measure over z is stored or registered; the
+        first lookup of 0 builds the start.  A point with no digits left is
+        where an orbit runs out of capacity, not the fixed point, so it has
+        none."""
         if not z.capacity:
             return False
         if z.num:
-            key = _exact(z)
-            return (key, key[1]) in self._entries
+            value = _exact(z)
+            key = value, value[1]
+            return key in self._entries or key in self._missing
         if self.start is None:
             (zero,) = self.stencils([z])
             _, _, nu0, self.bound, _ = _power_iterate(zero, _NU0_TOL,
@@ -342,8 +365,7 @@ def _entry_from_json(key: str, entry) -> PhiEntry:
 def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
                 tol: float = 1e-9, table: PhiTable | None = None,
                 anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
-                n_nodes: int = DEFAULT_FIBER_NODES,
-                known: _MeasureStore | None = None) -> tuple[float, int, float]:
+                n_nodes: int = DEFAULT_FIBER_NODES) -> tuple[float, int, float]:
     """Iterate Phi_n until the increment certifies the requested tolerance,
     or until the orbit is seen to reach a point whose fiber measure is
     known exactly.
@@ -352,18 +374,20 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     CONSERVATIVE_TAU, so a value depends on its arguments alone.  The
     steps are taken a block at a time, each block one request to the
     ``PhiSequence`` (see ``_block_steps``), and before a block is taken its
-    orbit points f^(m+1)(x) are looked up in ``known``, a store of exact
-    fiber measures (a fresh one when None), whose stencils the cascades of
-    the loop share.  Every stored measure descends from nu_0, so a hit
-    counts when the residual of nu_0 (7e-15 at 512 nodes, 9e-15 at 1024)
-    is within the threshold.  On the first hit, at step m, no further cascade step is
+    orbit points f^(m+1)(x) are looked up in a store of exact fiber
+    measures (``_MeasureStore``), whose stencils the cascades of the loop
+    share.  Every stored measure descends from nu_0, so a hit counts when
+    the residual of nu_0 (7e-15 at 512 nodes, 9e-15 at 1024) is within the
+    threshold.  On the first hit, at step m, no further cascade step is
     taken: Phi(x) is the log-mass of x's entry, pulled back from f^(m+1)(x)
-    through the adjoint stencils over x, ..., f^m(x), each entry
-    stored on the way.  That is the eigen-equation with no truncation,
-    n_used = m and the residual of nu_0 as the bound.  An x pulled back
-    before hits at m = 0 and returns its stored log-mass without a stencil.
-    A dyadic orbit hits within log2 of its denominator steps; a random
-    point's never does, and it takes the tolerance loop alone.
+    through the adjoint stencils over x, ..., f^m(x), each entry stored on
+    the way.  That is the eigen-equation with no truncation, n_used = m and
+    the residual of nu_0 as the bound.  The pull is registered in the store
+    when the hit is decided and filled before the value is read, so a later
+    look-ahead counts its entries as known.  An x pulled back before hits
+    at m = 0 and returns its stored log-mass without a stencil.  A dyadic
+    orbit hits within log2 of its denominator steps; a random point's never
+    does, and it takes the tolerance loop alone.
 
     Otherwise the block's steps are taken, and the loop stops at the first
     n of the block with |Phi_n - Phi_{n-1}| within the threshold, with
@@ -372,40 +396,89 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     if an increment before step m would have certified.  Blocks change no
     other value.  Returns (value, n_used, bound) and caches the entry when
     a table is given.  Consumers that evaluate Phi at many points take a
-    ``phi_evaluator``.
+    ``phi_evaluator``, whose store is shared by its points and filled 64
+    points at a time; this is its evaluation of one point with a fresh
+    store.
     """
+    (entry,) = _phi_entries([x], tol, table, anchor, anchor_y,
+                            _MeasureStore(pot, family, n_nodes))
+    return entry.value, entry.n_used, entry.bound
+
+
+def _phi_entries(xs: list[BasePoint], tol: float, table: PhiTable | None,
+                 anchor: str, anchor_y: float,
+                 known: _MeasureStore) -> list[PhiEntry]:
+    """The entries of Phi at xs, in order, sharing the store ``known`` (see
+    ``compute_phi``).  An exact value is pending from its hit until the
+    store's next fill, which comes when _BLOCK_POINTS points are pending
+    and once at the end; its entry, already in the table, gets its value
+    then.  If a point raises, the pending entries leave the table."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    key = PhiTable.key(x, n_nodes, anchor, anchor_y)
+    entries: list[PhiEntry] = []
+    pending: list[tuple[BasePoint, PhiEntry]] = []
+    try:
+        for x in xs:
+            entries.append(_phi_entry(x, tol, table, anchor, anchor_y, known,
+                                      pending))
+            if len(pending) == _BLOCK_POINTS:
+                _fill(known, pending)
+        _fill(known, pending)
+    except BaseException:
+        if table is not None:
+            for x, _ in pending:
+                table.entries.pop(PhiTable.key(x, known.n_nodes, anchor,
+                                               anchor_y), None)
+        raise
+    return entries
+
+
+def _fill(known: _MeasureStore, pending: list) -> None:
+    """Fill the store, then give each pending entry its log-mass."""
+    if pending:
+        known.fill()
+        for x, entry in pending:
+            ((_, entry.value),) = known.pull([x], _exact(x)[1])
+        pending.clear()
+
+
+def _phi_entry(x: BasePoint, tol: float, table: PhiTable | None, anchor: str,
+               anchor_y: float, known: _MeasureStore,
+               pending: list) -> PhiEntry:
+    """``compute_phi``'s loop at x.  On an exact hit, x's pull is
+    registered in ``known`` and its entry, whose value the next fill
+    writes, is appended to ``pending``."""
+    key = PhiTable.key(x, known.n_nodes, anchor, anchor_y)
     if table is not None:
         hit = table.entries.get(key)
         if hit is not None and hit.bound <= tol:
-            return hit.value, hit.n_used, hit.bound
+            return hit
     if x.capacity < 1:
         raise CapacityExhaustedError("Phi_0 needs capacity >= 1, have 0")
-    if known is None:
-        known = _MeasureStore(pot, family, n_nodes)
 
-    seq = PhiSequence(pot, family, x, anchor=anchor, anchor_y=anchor_y,
-                      store=known)
     n_cap = min(MAX_PHI_DEPTH, x.capacity - 1)
     certified = tol * (1.0 - CONSERVATIVE_TAU)
 
     def exact(n: int) -> bool:
         return known.knows(x.forward(n + 1)) and known.bound <= certified
 
+    seq = None  # the cascades, started by the first block taken
     incs = []  # |Phi_n - Phi_(n-1)| for n = 1, 2, ...
-    while len(seq.values) <= n_cap:
-        n = len(seq.values)
+    n = 0
+    while n <= n_cap:
         last = min(n_cap, n - 1 + _block_steps(incs, certified))
         hit = next((m for m in range(n, last + 1) if exact(m)), None)
         if hit is not None:
-            ((_, log_mass),) = known.pull([x], _exact(x)[1])
-            entry = PhiEntry(log_mass, hit, known.bound)
+            known.register([x], _exact(x)[1])
+            entry = PhiEntry(math.nan, hit, known.bound)
+            pending.append((x, entry))
             break
+        seq = seq or PhiSequence(known.pot, known.family, x, anchor=anchor,
+                                 anchor_y=anchor_y, store=known)
         seq.value(last)
         block = range(max(n, 1), last + 1)
         incs += [abs(seq.values[m] - seq.values[m - 1]) for m in block]
+        n = last + 1
         done = next((m for m in block if incs[m - 1] <= certified), None)
         if done is not None:
             entry = PhiEntry(seq.values[done], done,
@@ -417,7 +490,7 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
             f"{x.capacity}); raise capacity or loosen tol")
     if table is not None:
         table.entries[key] = entry
-    return entry.value, entry.n_used, entry.bound
+    return entry
 
 
 def _block_steps(incs: list[float], certified: float) -> int:
@@ -435,23 +508,31 @@ def phi_evaluator(pot: TrigPotential, family: MpFamily, tol: float = 1e-9,
                   table: PhiTable | None = None,
                   anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
                   n_nodes: int = DEFAULT_FIBER_NODES):
-    """A BasePoint -> Phi(x) callable: how Phi reaches the base transfer
-    operator, the Hölder estimate and the eigen-equation and intertwining
-    checks.
+    """A callable giving Phi at one BasePoint, or a list of the values at
+    each point of a list: how Phi reaches the base transfer operator, the
+    Hölder estimate and the eigen-equation and intertwining checks.
 
     Its calls share one store of known fiber measures, so the merging orbits
     of a dyadic base grid's preimage nodes resolve each orbit point once.
-    The store holds one n_nodes vector per resolved point and lives as long
-    as the evaluator: 2N vectors for an N-node base grid, e.g. 0.5 MB at 64
-    base nodes and 512 fiber nodes, 16 MB at 1024 and 1024.
+    A list is evaluated in order, as ``compute_phi`` would one point after
+    the other with that store, and gives the same entries; a single point
+    is a list of one.  The exact values' pulls are filled _BLOCK_POINTS
+    (64) points at a time, so a fill builds the stencils of one block's
+    chains in one request and holds them until it ends, 32 KB each at 512
+    fiber nodes: at most 191 stencils (6.1 MB) in a fill of a 512-node
+    base grid, 223 (7.1 MB) of a 1024-node one.  The store
+    holds one n_nodes vector per resolved point and lives as long as the
+    evaluator: 2N vectors for an N-node base grid, e.g. 0.5 MB at 64 base
+    nodes and 512 fiber nodes, 16 MB at 1024 and 1024.
     """
     table = table if table is not None else PhiTable()
     known = _MeasureStore(pot, family, n_nodes)
 
-    def evaluate(x: BasePoint) -> float:
-        return compute_phi(pot, family, x, tol=tol, table=table,
-                           anchor=anchor, anchor_y=anchor_y, n_nodes=n_nodes,
-                           known=known)[0]
+    def evaluate(x):
+        xs = [x] if isinstance(x, BasePoint) else x
+        values = [entry.value for entry in
+                  _phi_entries(xs, tol, table, anchor, anchor_y, known)]
+        return values[0] if isinstance(x, BasePoint) else values
 
     evaluate.table = table
     return evaluate

@@ -343,6 +343,12 @@ def full_stencil_transposed(pot, family, n_x, n_y):
                                  n_x, n_y)
 
 
+def pointwise(f):
+    """f, a function of one BasePoint, called as a Phi evaluator is: at one
+    point, or at each point of a list, giving a list."""
+    return lambda p: [f(q) for q in p] if isinstance(p, list) else f(p)
+
+
 def base_stencil_reference(phi_eval, n_x, capacity):
     """The base operator on n_x nodes, row-major: row i lists the
     interpolation nodes of both doubling preimages (i/n_x + b)/2, ordered

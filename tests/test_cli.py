@@ -545,6 +545,27 @@ class TestSharedSteps:
         assert details["cone contraction"] == (
             f"M_emp {rep['m_emp']:.4g}, zeta_emp {rep['zeta_emp']:.4g}")
 
+    def test_corrupted_word_mask_fails_the_partition(self, small_config,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        # one good word flipped to bad: the mask's count no longer matches
+        # the scalar count of every word (3584 of 4096 at this config)
+        from skewtherm import cli
+        good_mask = cli.good_mask
+
+        def corrupted(*args):
+            mask = good_mask(*args)
+            mask[mask.argmax()] = False
+            return mask
+
+        monkeypatch.setattr(cli, "good_mask", corrupted)
+        out = tmp_path / "out"
+        assert main(["--config", str(small_config), "--out", str(out),
+                     "verify"]) == 1
+        assert "FAIL word partition: good 3583 of 4096" in capsys.readouterr().out
+        report = json.loads((out / "verify.json").read_text())
+        assert report["all_ok"] is False
+
     def test_condition_p_matches_check_hypotheses(self, small_config,
                                                   tmp_path):
         details = self.verify_details(small_config, tmp_path / "verify")

@@ -16,6 +16,7 @@ from oracles import (
     fiber_measure_chain,
     full_stencil_reference,
     intertwine_residual_chains,
+    pointwise,
 )
 import skewtherm
 from skewtherm import (
@@ -363,7 +364,7 @@ class TestRpfBase:
         assert sol.log_eigenvalue == pytest.approx(LOG2, abs=1e-12)
 
     def test_weights_normalized(self):
-        phi = lambda p: 0.1 * math.cos(2 * math.pi * float(p))
+        phi = pointwise(lambda p: 0.1 * math.cos(2 * math.pi * float(p)))
         sol = rpf_base_solve(phi, 128)
         assert np.all(sol.weights >= 0)
         assert np.sum(sol.weights) == pytest.approx(1.0, abs=1e-12)

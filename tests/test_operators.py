@@ -16,6 +16,7 @@ from oracles import (
     full_stencil_reference,
     full_stencil_transposed,
     iterate_cascade,
+    pointwise,
     power_iterate_reference,
     power_residual_reference,
     torus_fiber_reference,
@@ -425,9 +426,8 @@ class TestColumnMajorStencils:
     POT = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
                         constant=0.1)
 
-    @staticmethod
-    def phi(p):
-        return 0.1 * math.cos(2 * math.pi * float(p)) + 0.05
+    phi = staticmethod(pointwise(
+        lambda p: 0.1 * math.cos(2 * math.pi * float(p)) + 0.05))
 
     @staticmethod
     def assert_matches(stencil, ref, rng, exact_forward=False):
@@ -503,9 +503,8 @@ class TestCopyFreeStencils:
     POT = TrigPotential(terms=((0, 1, 0.02), (1, 1, 0.015), (3, -2, 0.01)),
                         constant=0.1)
 
-    @staticmethod
-    def phi(p):
-        return 0.1 * math.cos(2 * math.pi * float(p)) + 0.05
+    phi = staticmethod(pointwise(
+        lambda p: 0.1 * math.cos(2 * math.pi * float(p)) + 0.05))
 
     @pytest.mark.parametrize("n_x, n_y",
                              [(16, 16), (32, 128), (128, 32), (256, 256)])
@@ -633,7 +632,7 @@ class TestBaseOperator:
         assert np.exp(out.log_offset) * out.values == pytest.approx(np.full(64, 2.0))
 
     def test_nonconstant_matches_direct_sum(self, rng):
-        phi = lambda p: 0.1 * math.cos(2 * math.pi * float(p))
+        phi = pointwise(lambda p: 0.1 * math.cos(2 * math.pi * float(p)))
         xi = GridFn(rng.uniform(0.5, 1.5, 32))
         out = apply_base_operator(phi, xi)
         i = 7

@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import phi_tolerance_loop, phi_two_cascades
+from oracles import base_stencil_reference, phi_tolerance_loop, phi_two_cascades
 from skewtherm import BasePoint, TrigPotential, phi
 from skewtherm.measures import rpf_base_solve
-from skewtherm.operators import base_preimage_points
+from skewtherm.operators import base_preimage_points, base_stencil
 from skewtherm.errors import (
     CapacityExhaustedError,
     DegenerateFitError,
@@ -297,7 +298,8 @@ class TestExactDyadicPhi:
 
     def test_base_solve_asks_for_no_empty_block(self, family, monkeypatch):
         # a request holding only 0, or a pull with no missing entry, builds
-        # nothing: the store does not call fiber_stencils for it
+        # nothing: the store does not call fiber_stencils for it, and the
+        # 128 rows come in few requests
         blocks = []
         original = phi.fiber_stencils
 
@@ -310,6 +312,9 @@ class TestExactDyadicPhi:
         rpf_base_solve(ev, 64, capacity=96)
         assert sum(blocks) == 128
         assert 0 not in blocks
+        # L_0, then one request per fill of 64 points; one per point
+        # before the fills were blocked, 65 in all
+        assert len(blocks) <= 3
 
     def test_exact_value_wins_over_an_early_increment(self, family):
         # under a constant potential the increments vanish from n = 1, but
@@ -351,6 +356,128 @@ class TestExactDyadicPhi:
         reverse = [ev(x) for x in reversed(points)][::-1]
         fresh = [phi_evaluator(self.POT, family, tol=1e-12)(x) for x in points]
         assert natural == reverse == fresh
+
+
+class TestBlockedTabulation:
+    """A list of points evaluated in order, with the exact values' pulls
+    registered and filled 64 points at a time, against the point-by-point
+    tabulation (``base_stencil_reference`` calls the evaluator at one point
+    after the other): the same table entries, in the same order, and the
+    same stencil bits."""
+
+    POT = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+
+    def tabulate_both(self, family, n_x, tol, table=lambda: None):
+        ref = phi_evaluator(self.POT, family, tol=tol, table=table())
+        ref_stencil = base_stencil_reference(ref, n_x, 96)
+        ev = phi_evaluator(self.POT, family, tol=tol, table=table())
+        stencil = base_stencil(ev, n_x, 96)
+        assert list(ev.table.entries.items()) == list(ref.table.entries.items())
+        assert np.array_equal(stencil.idx, ref_stencil.idx.T)
+        assert np.array_equal(stencil.wgt, ref_stencil.wgt.T)
+        return ev.table
+
+    @pytest.mark.parametrize("n_x", [16, 64, 512])
+    def test_empty_table(self, family, n_x):
+        table = self.tabulate_both(family, n_x, 1e-12)
+        assert len(table) == 2 * n_x
+        assert max(e.bound for e in table.entries.values()) <= 1e-14
+
+    @pytest.mark.parametrize("n_x", [16, 64, 512])
+    def test_table_with_every_third_point(self, family, n_x, tmp_path):
+        # the loaded entries are hits, so the orbits of the other points
+        # meet the store later than on an empty table
+        full = phi_evaluator(self.POT, family, tol=1e-12, table=PhiTable("h"))
+        full([x for fam in base_preimage_points(n_x, 96) for x in fam])
+        kept = PhiTable("h")
+        kept.entries = dict(list(full.table.entries.items())[::3])
+        path = tmp_path / "cache.json"
+        kept.save(path)
+        table = self.tabulate_both(family, n_x, 1e-12,
+                                   lambda: PhiTable.load(path, "h"))
+        assert len(table) == 2 * n_x
+
+    def test_tolerance_below_the_nu0_bound(self, family):
+        # certified 1e-15 is below nu_0's residual (about 7e-15): no exact
+        # hit, every point takes the tolerance loop
+        table = self.tabulate_both(family, 16, 1e-14)
+        assert all(e.bound <= 1e-14 for e in table.entries.values())
+        assert all(e.n_used > 4 for e in table.entries.values())
+
+    def test_one_point_is_a_list_of_one(self, family):
+        points = [x for fam in base_preimage_points(16, 96) for x in fam]
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        one = phi_evaluator(self.POT, family, tol=1e-12)
+        assert ev(points) == [one(x) for x in points]
+        assert ev(points[5]) == ev(points[5:6])[0] == one(points[5])
+
+    def test_a_failing_point_leaves_no_pending_entry(self, family):
+        # Phi(0) is pending when the spent 10-digit point raises (its orbit
+        # meets no registered key: every dyadic chain ends in 1/2, 0 has
+        # none); the entry leaves the table
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        x = BasePoint.from_fraction(0, 1, 96)
+        with pytest.raises(NoConvergenceError):
+            ev([x, BasePoint.from_bits("1011001101")])
+        assert len(ev.table) == 0
+        assert ev(x) == phi_evaluator(self.POT, family, tol=1e-12)(x)
+
+    def test_base_solve_memory(self, family):
+        # a fill holds the stencils of one 64-point block: 12.4 MB at 512
+        # base nodes, where one pull of every point read 41 MB
+        ev = phi_evaluator(self.POT, family, tol=1e-12)
+        tracemalloc.start()
+        try:
+            rpf_base_solve(ev, 512, capacity=96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+
+class TestRegisterAndFill:
+    """``_MeasureStore.pull`` is a register and a fill: registering several
+    requests, then filling once, stores what pulling each gives."""
+
+    POT = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+
+    def test_registered_requests_fill_as_pulls(self, family):
+        # 3/128 and 67/128 merge after one step, 5/128 and 69/128 too, and
+        # every chain meets 1/4 or 1/2; (67/128, 9) overlaps (67/128, 7)
+        # at no key, (3/64, 6) is the chain of 3/128 one step on
+        frac = BasePoint.from_fraction
+        requests = [([frac(3, 128, 96), frac(67, 128, 96)], 7),
+                    ([frac(5, 128, 96), frac(1, 4, 96)], 7),
+                    ([frac(69, 128, 96), frac(67, 128, 96)], 9),
+                    ([frac(3, 64, 96)], 6), ([frac(1, 2, 96)], 3)]
+        start = phi.anchor_weights("delta", 0.5, 64), 0.0
+        pulled = phi._MeasureStore(self.POT, family, 64, start)
+        wants = [pulled.pull(xs, k) for xs, k in requests]
+        store = phi._MeasureStore(self.POT, family, 64, start)
+        for xs, k in requests:
+            store.register(xs, k)
+        store.fill()
+        assert store._entries.keys() == pulled._entries.keys()
+        for key, (w, log_mass) in pulled._entries.items():
+            got_w, got_log_mass = store._entries[key]
+            assert np.array_equal(got_w, w) and got_log_mass == log_mass
+        for (xs, k), want in zip(requests, wants):
+            for (w, log_mass), (got_w, got_log_mass) in zip(want,
+                                                           store.pull(xs, k)):
+                assert np.array_equal(got_w, w) and got_log_mass == log_mass
+
+    def test_a_registered_key_counts_as_known(self, family, stencil_builds):
+        store = phi._MeasureStore(self.POT, family, 64)
+        assert store.knows(BasePoint.from_fraction(0, 1, 8))
+        x = BasePoint.from_fraction(3, 128, 96)
+        assert not store.knows(x)
+        del stencil_builds[:]
+        store.register([x], 7)
+        assert all(store.knows(x.forward(j)) for j in range(8))
+        assert stencil_builds == []
+        store.fill()
+        assert len(stencil_builds) == 7  # x, ..., f^6(x)
+        assert all(store.knows(x.forward(j)) for j in range(8))
 
 
 class TestPhiTable:

@@ -4,10 +4,12 @@
 
 OLD_SRC and NEW_SRC are directories holding the ``skewtherm`` package (a
 checkout's ``src``).  Each of the eleven subcommands runs at its defaults,
-and ``verify`` once more with ``--seed 777``, under both trees, writing to
-OUT/old/<run> and OUT/new/<run>.  Every artifact, the stdout and the exit
-code of each run are compared byte for byte; each difference is printed.
-Exits 1 if there is one, 0 if the two trees give the same bytes.
+``verify`` once more with ``--seed 777``, and ``rpf-base`` and ``pressure``
+once more with a ``--phi-cache`` file in their run directory, under both
+trees, writing to OUT/old/<run> and OUT/new/<run>.  Every artifact (a
+cache file's values, n_used and bounds among them), the stdout and the
+exit code of each run are compared byte for byte; each difference is
+printed.  Exits 1 if there is one, 0 if the two trees give the same bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ RUNS = [(command, [command]) for command in (
     "check-hypotheses", "compute-phi", "holder", "cones", "fiber-measures",
     "rpf-base", "rpf-full", "pressure", "intertwine", "words", "verify")]
 RUNS.append(("verify-seed-777", ["--seed", "777", "verify"]))
+# "{out}" stands for the run's directory
+RUNS += [(f"{command}-phi-cache",
+          ["--phi-cache", "{out}/phi_cache.json", command])
+         for command in ("rpf-base", "pressure")]
 
 
 def run(src: Path, out: Path, args: list[str],
@@ -31,6 +37,7 @@ def run(src: Path, out: Path, args: list[str],
     env = {**os.environ, "PYTHONPATH": str(src.resolve()),
            "PYTHONHASHSEED": "0"}
     options = ["--config", str(config.resolve())] if config else []
+    args = [arg.replace("{out}", str(out.resolve())) for arg in args]
     proc = subprocess.run(
         [sys.executable, "-m", "skewtherm.cli", *options,
          "--out", str(out.resolve()), *args],
