@@ -13,7 +13,10 @@ kept one over the fixed point x = 0.
 Eigendata come from power iteration on the cached operator stencils; the
 adjoint iteration uses the exact transpose of the same incidence
 structure.  Each iteration extrapolates along its settled convergence rate
-and reads its residual off its last step (``operators._power_loop``).
+and reads its residual off its last step (``operators._power_loop``).  A
+torus of 256 rows or more starts both iterations from the eigenvectors of
+the torus with 16 times fewer rows, interpolated in x, instead of ones and
+the uniform measure (``rpf_full_solve``).
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import numpy as np
 from .base import BasePoint
 from .errors import CapacityExhaustedError
 from .fibers import MpFamily
-from .gridfn import GridFn, GridFn2D
-from .operators import _full_stencil, _power_iterate, base_stencil
+from .gridfn import MIN_NODES, GridFn, GridFn2D
+from .operators import (_full_stencil, _power_iterate, _torus_stencil,
+                        base_stencil)
 from .phi import (DEFAULT_ANCHOR_Y, _dyadic_exponent, _MeasureStore,
                   anchor_weights)
 from .potential import TrigPotential
@@ -131,8 +135,10 @@ class RpfSolution:
     nonnegative and sum to 1 (a quadrature rule for the eigenmeasure, not a
     pointwise object).  ``residual`` is the larger relative residual of
     the two returned vectors, read off the last step of each power
-    iteration; ``iterations`` counts the operator applications of both
-    iterations, which are all the applications the solve makes.
+    iteration; ``iterations`` counts the applications of the operator on
+    the solve's own grid in both iterations.  A torus solve started from a
+    coarser grid's (``rpf_full_solve``) makes that solve's applications
+    besides, each 1/16 of the work, and does not count them.
     """
 
     log_eigenvalue: float
@@ -171,13 +177,59 @@ def rpf_base_solve(phi_eval, n_x: int, tol: float = 1e-10,
                        weights=u, residual=residual, iterations=iterations)
 
 
+# a torus solve on n_x >= _COARSE_RATIO * MIN_NODES rows starts from the
+# solve on n_x / _COARSE_RATIO rows
+_COARSE_RATIO = 16
+
+
+def _coarse_starts(pot: TrigPotential, family: MpFamily, n_x: int, n_y: int,
+                   tol: float, max_iter: int):
+    """Start vectors of the n_x x n_y torus solve, for ``_power_iterate``,
+    from the solve on the (n_x / _COARSE_RATIO) x n_y torus at the same tol
+    and max_iter.
+
+    Its operator is built past ``_full_stencil``'s cache and dropped on
+    return, before the fine build.  Each start function, called once,
+    interpolates one coarse eigenvector linearly in x onto the n_x rows
+    (``GridFn2D.rows_at``) and normalizes it in place: the eigenfunction by
+    its max, the eigenmeasure weights by their sum.
+    """
+    stencil = _torus_stencil(pot, family, n_x // _COARSE_RATIO, n_y)
+    _, h, m, _, _ = _power_iterate(stencil, tol, max_iter)
+    # each coarse vector is dropped once its start is built, so neither is
+    # held through the fine loops (0.26 MB of tracemalloc peak at 512²)
+    coarse = {np.max: h, np.sum: m}
+    rows = np.arange(n_x) / n_x
+
+    def start(norm):
+        v = GridFn2D(coarse.pop(norm).reshape(-1, n_y)).rows_at(rows)
+        v /= norm(v)
+        return v.reshape(-1)
+
+    return lambda: start(np.max), lambda: start(np.sum)
+
+
 def rpf_full_solve(pot: TrigPotential, family: MpFamily, n_x: int, n_y: int,
                    tol: float = 1e-10, max_iter: int = 10000) -> RpfSolution:
-    """Eigendata of the full operator on the n_x x n_y torus grid."""
+    """Eigendata of the full operator on the n_x x n_y torus grid.
+
+    From n_x = _COARSE_RATIO * MIN_NODES (256) rows on, both power
+    iterations start from the solve on a base grid _COARSE_RATIO times
+    coarser (``_coarse_starts``) instead of ones and the uniform measure.
+    The eigenfunction and the fiber measures of the eigenmeasure's
+    disintegration are Hölder in x, so the coarse eigenvectors give the
+    fine ones up to interpolation error: at 256 x 256 and tol 1e-12 the
+    solve makes 31 applications of the fine operator instead of 45, and
+    the coarse one 1/16 of the work per application.
+    """
     if n_x * n_y > 1 << 20:
         raise ValueError("torus grid capped at 2^20 nodes")
+    starts = None
+    if n_x // _COARSE_RATIO >= MIN_NODES:
+        starts = _coarse_starts(pot, family, n_x, n_y, tol, max_iter)
     stencil = _full_stencil(pot, family, n_x, n_y)
-    lam, v, u, residual, iterations = _power_iterate(stencil, tol, max_iter)
+    lam, v, u, residual, iterations = _power_iterate(stencil, tol, max_iter,
+                                                     starts)
     return RpfSolution(log_eigenvalue=math.log(lam),
                        eigenfunction=GridFn2D(v.reshape(n_x, n_y)),
                        weights=u.reshape(n_x, n_y), residual=residual,

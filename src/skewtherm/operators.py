@@ -36,6 +36,11 @@ tracemalloc peak is 2.9 MB at 256 x 256 and 10.9 MB at 512 x 512.
 Every application renormalizes its output and accumulates the scale factor in
 log_offset, so n-fold cascades never overflow even though the raw iterates
 grow like e^(n * pressure).
+
+Eigenvectors come from power iteration (``_power_iterate``), forward from
+ones and adjoint from the uniform measure unless the caller passes start
+vectors: ``measures.rpf_full_solve`` passes those of a torus with 16 times
+fewer rows from 256 rows on.
 """
 
 from __future__ import annotations
@@ -187,21 +192,30 @@ def _power_loop(apply, v: np.ndarray, norm, tol: float, max_iter: int,
         f"{side} power iteration did not settle in {max_iter} steps")
 
 
-def _power_iterate(stencil: _Stencil, tol: float, max_iter: int):
+def _power_iterate(stencil: _Stencil, tol: float, max_iter: int,
+                   starts=None):
     """Forward and adjoint power iteration sharing one incidence structure:
     the forward iterate is normalized by its sup, the adjoint one by its
     total mass.  The residual is the larger of max |L v - lambda v| /
     (lambda max v) and sum |L* u - lambda u| / lambda, with lambda the
     forward eigenvalue, for the returned v and u; both images come from the
     last step of each loop, so it takes no extra application.  iterations
-    counts the applications of both loops."""
+    counts the applications of both loops.
+
+    The loops start from ones and the uniform measure, or from ``starts``:
+    a pair of functions that return the forward start, with max 1, and the
+    adjoint start, with sum 1.  Each is called right before its loop, so
+    the adjoint start is not held while the forward loop runs."""
+    size = stencil.size
+    forward_start, adjoint_start = starts or (
+        lambda: np.ones(size), lambda: np.full(size, 1.0 / size))
     lam, v, image, iterations = _power_loop(
-        stencil.apply, np.ones(stencil.size), np.max, tol, max_iter, "forward")
+        stencil.apply, forward_start(), np.max, tol, max_iter, "forward")
     res_fwd = float(np.max(np.abs(image - v))) / float(np.max(v))
     del image  # held during the adjoint loop, it raised peak RSS by 3 MB at 256²
     lam_adj, u, image, adj_iterations = _power_loop(
-        stencil.apply_adjoint, np.full(stencil.size, 1.0 / stencil.size),
-        np.sum, tol, max_iter, "adjoint")
+        stencil.apply_adjoint, adjoint_start(), np.sum, tol, max_iter,
+        "adjoint")
     res_adj = float(np.sum(np.abs(lam_adj * image - lam * u))) / lam
     # joint normalization: weights sum to 1 already; scale v so <v, u> = 1.
     # np.sum adds pairwise in a fixed order; np.dot splits a long product
@@ -326,10 +340,10 @@ class _TorusStencil:
     step = _Stencil.step
 
 
-@functools.lru_cache(maxsize=8)  # a 512x512 stencil holds 33.5 MB
-def _full_stencil(pot: TrigPotential, family: MpFamily,
-                  n_x: int, n_y: int) -> _TorusStencil:
-    """The full operator on the n_x x n_y torus grid (see _TorusStencil).
+def _torus_stencil(pot: TrigPotential, family: MpFamily,
+                   n_x: int, n_y: int) -> _TorusStencil:
+    """The full operator on the n_x x n_y torus grid (see _TorusStencil),
+    built anew; ``_full_stencil`` is its cached form.
 
     Column (i, j) of F holds, for each base preimage (i + b n_x) / (2 n_x) of
     i / n_x, the fiber weights of j / n_y over it: the interpolation nodes of
@@ -348,6 +362,10 @@ def _full_stencil(pot: TrigPotential, family: MpFamily,
         fiber_weights(pot, family, rows / (2 * n_x), n_y, out=view)
         view[0] += (rows * n_y)[:, None, None]
     return _TorusStencil(_Stencil(idx, wgt, 2 * n_x * n_y), n_x, n_y)
+
+
+# a 512x512 stencil holds 33.5 MB
+_full_stencil = functools.lru_cache(maxsize=8)(_torus_stencil)
 
 
 def apply_full_operator(pot: TrigPotential, family: MpFamily,

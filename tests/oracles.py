@@ -11,8 +11,8 @@ preimage solve, its chord starts, the multi-function eigen-equation residual, th
 column-major stencil layout, the all-node disintegration pairing, the
 extrapolated power iteration, the blocked transfer-weight build, the
 copy-free adjoint scatter, the in-place torus build, the row-blocked
-torus apply and the one-point exponent profile replaced; tests compare the
-two.
+torus apply, the one-point exponent profile and the uniform-start torus
+solve replaced; tests compare the two.
 """
 
 import itertools
@@ -28,9 +28,11 @@ from skewtherm.errors import (
     NonpositiveFunctionError,
 )
 from skewtherm.fibers import _SCALAR_POWERS, _branch_rows, grid_preimages
-from skewtherm.gridfn import GridFn, interp_nodes
-from skewtherm.measures import fiber_integrate
+from skewtherm.gridfn import GridFn, GridFn2D, interp_nodes
+from skewtherm.measures import RpfSolution, fiber_integrate
 from skewtherm.operators import (
+    _full_stencil,
+    _power_iterate,
     _Stencil,
     apply_fiber_operator,
     base_preimage_points,
@@ -425,6 +427,19 @@ def power_iterate_reference(stencil, tol, max_iter):
     v = v / float(np.dot(u, v))
     return (lam, v, u, power_residual_reference(stencil, lam, v, u),
             iterations + adj_iterations)
+
+
+def rpf_full_solve_uniform_start(pot, family, n_x, n_y, tol=1e-10,
+                                 max_iter=10000):
+    """The full solve as it was before coarse starts: both power iterations
+    on the cached torus operator, from ones and the uniform measure, at
+    every grid size."""
+    lam, v, u, residual, iterations = _power_iterate(
+        _full_stencil(pot, family, n_x, n_y), tol, max_iter)
+    return RpfSolution(log_eigenvalue=math.log(lam),
+                       eigenfunction=GridFn2D(v.reshape(n_x, n_y)),
+                       weights=u.reshape(n_x, n_y), residual=residual,
+                       iterations=iterations)
 
 
 class DigitPoint:

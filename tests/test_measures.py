@@ -17,6 +17,7 @@ from oracles import (
     full_stencil_reference,
     intertwine_residual_chains,
     pointwise,
+    rpf_full_solve_uniform_start,
 )
 import skewtherm
 from skewtherm import (
@@ -25,10 +26,12 @@ from skewtherm import (
     GridFn,
     GridFn2D,
     MpFamily,
+    NoConvergenceError,
     TrigPotential,
 )
 from skewtherm.fibers import fiber_inverse_branches
 from skewtherm.measures import (
+    _coarse_starts,
     conditional_integrate,
     direct_integral,
     disintegrate_integral,
@@ -41,7 +44,7 @@ from skewtherm.measures import (
     rpf_base_solve,
     rpf_full_solve,
 )
-from skewtherm.operators import _power_iterate
+from skewtherm.operators import _full_stencil, _power_iterate
 from skewtherm.phi import phi_evaluator
 
 LOG2 = math.log(2.0)
@@ -379,6 +382,8 @@ class TestRpfBase:
 
 
 class TestRpfFull:
+    POT = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
+
     def test_zero_potential(self, family, zero_potential):
         sol = rpf_full_solve(zero_potential, family, 32, 32)
         assert sol.log_eigenvalue == pytest.approx(math.log(4.0), abs=1e-10)
@@ -403,11 +408,64 @@ class TestRpfFull:
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_pressure_matches_reference_stencil(self, family, n):
-        pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
-        full = rpf_full_solve(pot, family, n, n)
-        lam = _power_iterate(full_stencil_reference(pot, family, n, n),
-                             1e-10, 10000)[0]
+        # the reference operator iterated from the starts the solve uses:
+        # ones and uniform at 64 rows, the coarse solve's at 256
+        full = rpf_full_solve(self.POT, family, n, n)
+        starts = (_coarse_starts(self.POT, family, n, n, 1e-10, 10000)
+                  if n == 256 else None)
+        lam = _power_iterate(full_stencil_reference(self.POT, family, n, n),
+                             1e-10, 10000, starts)[0]
         assert abs(full.log_eigenvalue - math.log(lam)) <= 1e-13
+
+    @pytest.mark.parametrize("n_x, n_y", [(16, 16), (64, 64), (128, 128),
+                                          (128, 32), (16, 512)])
+    def test_below_256_rows_is_the_uniform_start(self, family, n_x, n_y):
+        got = rpf_full_solve(self.POT, family, n_x, n_y, tol=1e-12)
+        want = rpf_full_solve_uniform_start(self.POT, family, n_x, n_y,
+                                            tol=1e-12)
+        assert got.log_eigenvalue == want.log_eigenvalue
+        assert (got.residual, got.iterations) == (want.residual,
+                                                  want.iterations)
+        assert np.array_equal(got.eigenfunction.values,
+                              want.eigenfunction.values)
+        assert np.array_equal(got.weights, want.weights)
+
+    # Measured gaps to the uniform start, default potential, in units of
+    # tol (tol 1e-10; 1e-12): |Delta log lambda| 0.13, 1.14 (256; 512) and
+    # 1.36, 0.97; the weights' L1 gap 22, 14 and 20, 16; the eigenfunction's
+    # relative sup gap 1.6, 5.6 and 11, 12.  Fine applications at tol
+    # 1e-12: 45 -> 31 at 256, 47 -> 31 at 512.
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_coarse_start_ladder(self, family, n, tol):
+        got = rpf_full_solve(self.POT, family, n, n, tol=tol)
+        want = rpf_full_solve_uniform_start(self.POT, family, n, n, tol=tol)
+        assert abs(got.log_eigenvalue - want.log_eigenvalue) <= 3.0 * tol
+        assert np.sum(np.abs(got.weights - want.weights)) <= 40.0 * tol
+        h, h_ref = got.eigenfunction.values, want.eigenfunction.values
+        assert np.max(np.abs(h - h_ref)) <= 25.0 * tol * np.max(h_ref)
+        assert got.residual <= 10.0 * tol
+        assert np.all(h > 0.0) and np.all(got.weights > 0.0)
+        assert got.iterations < want.iterations
+        if tol == 1e-12:
+            assert got.iterations <= 34
+
+    def test_coarse_start_adds_no_peak(self, family):
+        # 256 x 256, the fine operator cached: from ones and uniform the
+        # solve peaked at 2.89 MB by tracemalloc, and it still does; the
+        # coarse phase peaks at 0.95 MB
+        _full_stencil(self.POT, family, 256, 256)
+        tracemalloc.start()
+        try:
+            rpf_full_solve(self.POT, family, 256, 256, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
+
+    def test_coarse_start_still_stops_at_max_iter(self, family):
+        with pytest.raises(NoConvergenceError):
+            rpf_full_solve(self.POT, family, 256, 256, max_iter=5)
 
     def test_solve_is_independent_of_blas_threads(self):
         # np.dot splits a product of 65536 entries over OpenBLAS threads, so
