@@ -6,23 +6,23 @@ at the point c_x solving c + c^(p+1) = 1; branch 1 (the one containing the
 neutral fixed point y=0) is the only branch whose inverse can fail to contract.
 Both inverse branches, and c_x itself, are roots of the increasing convex
 function y + y^(p+1) - target, found by unbracketed vectorized Newton
-iteration.  The grid-node preimage tables are cached per exponent, up to a
-fixed number of bytes.  A block of base points (``operators.fiber_weights``
-decides its size) looks its exponents up together, and the misses are
-solved as one stacked Newton iteration in which each exponent's rows stop
-where a solve of that exponent alone would.  An exponent on the lattice
-k/64, or too close to 0 to have two positive lattice exponents below it,
-starts on the branch chords.  Any other starts on the cubic through the
-tables of its four nearest lattice exponents, which are cached like any
-table, and takes its split point from the same solve.  So a table is a
-function of its exponent and grid alone: not of the block that computed
-it, nor of the cache state.
+iteration.  The grid-node preimage tables of the lattice exponents k/64
+are kept until cleared; no other table is.  A block of base points
+(``operators.fiber_weights`` decides its size) asks for its exponents
+together, and the tables not kept are solved as one stacked Newton
+iteration in which each exponent's rows stop where a solve of that
+exponent alone would.  An exponent on the lattice, or too close to 0 to
+have two positive lattice exponents below it, starts on the branch
+chords.  Any other starts on the cubic through the kept tables of its
+four nearest lattice exponents, and takes its split point from the same
+solve.  So a table is a function of its exponent and grid alone: not of
+the block that computed it, nor of which tables are kept.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +41,6 @@ _STEP_ULPS = 4.0
 # to several by pow, which rounds differently: these exponents are solved
 # alone, so that no table depends on the exponents stacked with it
 _SCALAR_POWERS = (0.5, 2.0)
-# bytes of preimage tables kept: 512 tables at 512 fiber nodes
-_TABLE_CACHE_BYTES = 4 << 20
 # preimage tables of the exponents k / _LATTICE start Newton on the branch
 # chords, and the tables of every other exponent start from theirs
 _LATTICE = 64
@@ -240,88 +238,80 @@ def fiber_inverse_branches(family: MpFamily, x, t):
     return inverse_branches_for_exponent(family.exponent(x), t)
 
 
-PreimageCacheInfo = namedtuple("PreimageCacheInfo",
-                               "hits misses bytes max_bytes")
+PreimageCacheInfo = namedtuple("PreimageCacheInfo", "hits misses")
 
 
 class _PreimageTables:
-    """Preimage tables of the fiber grid nodes j/n under g, keyed on the
-    exponent p and n, the least recently used dropped beyond ``max_bytes``.
+    """Preimage tables of the fiber grid nodes j/n under g, for any exponent
+    p.  The tables of the lattice exponents k/64 are kept, keyed on p and n,
+    until ``cache_clear``; no other table is kept, and none is evicted.
 
-    A table is a read-only (2, n) array (y1, y2) that owns its 2n doubles.
-    ``rows`` looks up the exponents of a block of base points.  Its misses
-    off the lattice start from the tables of their lattice neighbours
-    (``_lattice_start``), which are looked up, solved where missing and
-    kept like any table.  The missing lattice tables are solved as one
-    stack from the chords, then the other misses as one stack from their
-    starts.  The hit and miss counts are those of looking the asked-for
-    exponents up one at a time: a repeat within a block is a hit, and the
-    lookups of lattice neighbours for starts are not counted.
+    A table is a read-only (2, n) array (y1, y2); a kept one owns its 2n
+    doubles.  ``rows`` asks for the exponents of a block of base points.
+    An exponent off the lattice starts from the tables of its lattice
+    neighbours (``_lattice_start``), which are looked up, solved where
+    missing and kept, and is solved on every request that asks for it.
+    The missing lattice tables are solved as one stack from the chords,
+    then the other exponents as one stack from their starts.  A hit is an
+    asked-for exponent whose table is kept, or a repeat within the
+    request; every other asked-for exponent is a miss, and the lookups of
+    lattice neighbours are not counted.  So the tables kept for a family
+    whose exponents span [p0, p0 + p1] number at most 64*p1 + 5 per grid.
     """
 
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self._tables: OrderedDict = OrderedDict()
+    def __init__(self):
+        self._tables = {}
         self.cache_clear()
 
     def cache_clear(self) -> None:
         self._tables.clear()
-        self.bytes = self.hits = self.misses = 0
+        self.hits = self.misses = 0
 
     def cache_info(self) -> PreimageCacheInfo:
-        return PreimageCacheInfo(self.hits, self.misses, self.bytes,
-                                 self.max_bytes)
+        return PreimageCacheInfo(self.hits, self.misses)
 
     def rows(self, ps, n_nodes: int) -> list[np.ndarray]:
         """The table for each exponent in ps."""
-        keys = [(float(p), n_nodes) for p in ps]
-        found = {key: self._get(key) for key in dict.fromkeys(keys)}
-        missing = [p for (p, _), table in found.items() if table is None]
+        ps = [float(p) for p in ps]
+        found = {p: self._tables.get((p, n_nodes)) for p in dict.fromkeys(ps)}
+        missing = [p for p, table in found.items() if table is None]
         self.misses += len(missing)
-        self.hits += len(keys) - len(missing)
+        self.hits += len(ps) - len(missing)
         starts = {p: start for p in missing
                   if (start := _lattice_start(p)) is not None}
         for nodes, _ in starts.values():
             for q in nodes:
-                found.setdefault((q, n_nodes), self._get((q, n_nodes)))
-        chords = [p for (p, _), table in found.items()
+                found.setdefault(q, self._tables.get((q, n_nodes)))
+        chords = [p for p, table in found.items()
                   if table is None and p not in starts]
         stacks = [[p] for p in chords if p in _SCALAR_POWERS]
         stacks.append([p for p in chords if p not in _SCALAR_POWERS])
         t = np.arange(n_nodes, dtype=float) / n_nodes
         for chunk in filter(None, stacks):
-            self._keep(found, chunk, n_nodes,
-                       _branch_rows(np.array(chunk)[:, None], t))
+            ys = _branch_rows(np.array(chunk)[:, None], t)
+            for p, table in zip(chunk, ys):
+                if (p * _LATTICE).is_integer():
+                    table = self._tables[p, n_nodes] = table.copy()
+                found[p] = table
+                table.setflags(write=False)
         if starts:
-            start = np.empty((len(starts), 2, n_nodes))
-            for row, (nodes, weights) in zip(start, starts.values()):
-                np.multiply(found[nodes[0], n_nodes], weights[0], out=row)
-                for q, w in zip(nodes[1:], weights[1:]):
-                    row += w * found[q, n_nodes]
+            # per element, the operations of a start built on its own, in
+            # the same order, so no start depends on the others in the
+            # stack; one (m, 2, n) gather per neighbour, since one (m, 4,
+            # 2, n) gather falls out of cache
+            nodes, weights = zip(*starts.values())
+            w = np.array(weights)[:, :, None, None]
+            start = np.array([found[near[0]] for near in nodes]) * w[:, 0]
+            for j in (1, 2, 3):
+                start += w[:, j] * np.array([found[near[j]] for near in nodes])
             np.maximum(start, 0.0, out=start)
-            self._keep(found, list(starts), n_nodes,
-                       _branch_rows(np.array(list(starts))[:, None], t, start))
-        return [found[key] for key in keys]
-
-    def _get(self, key):
-        """The stored table of key, marked most recently used, or None."""
-        table = self._tables.get(key)
-        if table is not None:
-            self._tables.move_to_end(key)
-        return table
-
-    def _keep(self, found: dict, ps: list, n_nodes: int, ys: np.ndarray):
-        """Store each row of ys as the table of its exponent in ps."""
-        for p, rows in zip(ps, ys):
-            table = found[p, n_nodes] = rows.copy()
-            table.setflags(write=False)
-            self._tables[p, n_nodes] = table
-            self.bytes += table.nbytes
-            while self.bytes > self.max_bytes:
-                self.bytes -= self._tables.popitem(last=False)[1].nbytes
+            ys = _branch_rows(np.array(list(starts))[:, None], t, start)
+            ys.setflags(write=False)
+            found.update(zip(starts, ys))
+        return [found[p] for p in ps]
 
 
-_grid_preimage_tables = _PreimageTables(_TABLE_CACHE_BYTES)
+_grid_preimage_tables = _PreimageTables()
 
 
 def grid_preimages(family: MpFamily, xs, n_nodes: int):
@@ -329,10 +319,11 @@ def grid_preimages(family: MpFamily, xs, n_nodes: int):
     point x in xs: the pair (y1, y2) of (len(xs), n_nodes) arrays, neutral
     branch first.
 
-    xs may be BasePoints, floats or a float array.  The tables come from a
-    cache keyed on the exponent p(x); the exponents it misses are solved in
-    one stacked Newton iteration, so a block of orbit points costs one
-    solve instead of one per point.
+    xs may be BasePoints, floats or a float array.  The tables of lattice
+    exponents p(x) come from a store keyed on p(x); every other exponent
+    is solved, from the stored tables of its lattice neighbours, in one
+    stacked Newton iteration, so a block of orbit points costs one solve
+    instead of one per point.
     """
     ps = family.exponent(np.array([float(x) for x in xs]))
     ys = np.array(_grid_preimage_tables.rows(ps, n_nodes)).reshape(

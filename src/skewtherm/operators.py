@@ -73,7 +73,7 @@ def fiber_weights(pot: TrigPotential, family: MpFamily, xs, n_nodes: int,
     node of the g_x-preimage of j / n_nodes on that branch, x = xs[i], and
     its interpolation weight times e^phi(x, preimage).  They are new
     C-contiguous arrays, or the pair ``out`` of intp and float arrays of
-    that shape and any strides, filled in place: ``_full_stencil`` passes
+    that shape and any strides, filled in place: ``_torus_stencil`` passes
     strided views of its stored arrays, so that F is never copied.
     """
     xv = np.array([float(x) for x in xs])

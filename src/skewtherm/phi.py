@@ -340,7 +340,7 @@ class PhiTable:
                 raise TypeError("entries is not a JSON object")
             for key, entry in entries.items():
                 table.entries[key] = _entry_from_json(key, entry)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             return cls._discard(config_hash, f"malformed: {exc}")
         return table
 
@@ -352,9 +352,15 @@ class PhiTable:
 
 
 def _entry_from_json(key: str, entry) -> PhiEntry:
+    """The entry ``to_json`` writes: value and bound are JSON numbers and
+    n_used a JSON int, none of them a bool, as in ``config._TYPES``."""
     if not (isinstance(entry, list) and len(entry) == 3):
         raise TypeError(f"entry {key!r} is not [value, n_used, bound]")
-    value, n_used, bound = float(entry[0]), int(entry[1]), float(entry[2])
+    if any(isinstance(v, bool) or not isinstance(v, kind) for v, kind in
+           zip(entry, ((int, float), int, (int, float)))):
+        raise TypeError(f"entry {key!r} is not [number, int, number]")
+    # a JSON int no double can hold raises OverflowError here
+    value, n_used, bound = float(entry[0]), entry[1], float(entry[2])
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ValueError(f"entry {key!r} is not finite")
     if n_used < 0 or bound < 0.0:

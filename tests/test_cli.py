@@ -366,8 +366,14 @@ class TestCli:
         ('{"config_hash": "HASH", "entries": {"k": 5}}', "not [value, n_used, bound]"),
         ("[1, 2]", "not a JSON object"),
         ('{"config_hash": "HASH", "entries": {"k": [NaN, 3, 0.0]}}', "not finite"),
+        ('{"config_hash": "HASH", "entries": {"k": ["0.25", "3", "1e-12"]}}',
+         "not [number, int, number]"),
+        ('{"config_hash": "HASH", "entries": {"k": [true, 2.7, 0.0]}}',
+         "not [number, int, number]"),
+        ('{"config_hash": "HASH", "entries": {"k": [0.25, 1e300, 1e-12]}}',
+         "not [number, int, number]"),
     ], ids=["not-json", "hash-mismatch", "entry-shape", "top-level-list",
-            "non-finite"])
+            "non-finite", "strings", "bool-value", "float-n_used"])
     def test_bad_phi_cache_warns_and_starts_empty(self, zero_config, tmp_path,
                                                   capsys, content, reason):
         config_hash = ExperimentConfig.load(zero_config).config_hash()

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -36,13 +37,20 @@ def changed_tree(tmp_path, old, new):
     return changed
 
 
-def test_same_tree_matches_and_a_changed_constant_differs(tmp_path):
+def test_same_tree_matches_and_a_changed_constant_differs(tmp_path, capsys):
     tool = load()
     config = small_config(tmp_path)
     runs = [run for run in tool.RUNS if run[0] in ("compute-phi", "rpf-base")]
     assert len(runs) == 2
     assert tool.compare(SRC, SRC, tmp_path / "same", config, runs) == []
     assert (tmp_path / "same" / "new" / "compute-phi" / "phi_values.csv").is_file()
+    # one peak RSS line per run, under both trees, and none is a difference
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["compute-phi", "rpf-base"]
+    for line in lines:
+        match = re.fullmatch(r"[\w-]+: peak RSS ([\d.]+) MB old, ([\d.]+) MB new",
+                             line)
+        assert match and all(float(mb) > 1.0 for mb in match.groups())
 
     changed = changed_tree(tmp_path, "CONSERVATIVE_TAU = 0.9\n",
                            "CONSERVATIVE_TAU = 0.8\n")

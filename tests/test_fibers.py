@@ -16,8 +16,8 @@ from skewtherm import (
 )
 from skewtherm.errors import CapacityExhaustedError, NoConvergenceError
 from skewtherm.fibers import (
+    _LATTICE,
     _SCALAR_POWERS,
-    _TABLE_CACHE_BYTES,
     _grid_preimage_tables,
     _lattice_start,
     _PreimageTables,
@@ -92,12 +92,15 @@ class TestExponent:
         points += [BasePoint.from_fraction(0, 1, 16), points[3]]
         floats = [float(x) for x in points]
         want = grid_preimages(family, points, 32)
-        misses = _grid_preimage_tables.cache_info().misses
+        before = _grid_preimage_tables.cache_info()
         for xs in (floats, np.array(floats)):
             for got, ys in zip(grid_preimages(family, xs, 32), want):
                 assert np.array_equal(got, ys)
-        # the same exponents: every table of the later calls is a hit
-        assert _grid_preimage_tables.cache_info().misses == misses
+        # the same exponents: x = 0's lattice exponent p0 and the repeat of
+        # points[3] are hits, each of the other 70 points a miss again
+        info = _grid_preimage_tables.cache_info()
+        assert info.hits - before.hits == 2 * 2
+        assert info.misses - before.misses == 2 * 70
 
 
 class TestBranchBoundary:
@@ -222,11 +225,11 @@ class TestNewtonAgainstBisection:
             inverse_branches_for_exponent(0.7, np.arange(16) / 16)
 
     def test_cached_table_holds_two_rows(self):
-        # a cache entry keeps exactly 2n doubles alive, counted at the
-        # arrays that own the memory of y1 and y2
+        # a kept (lattice) table keeps exactly 2n doubles alive, counted at
+        # the arrays that own the memory of y1 and y2
         n = 512
         owners = {}
-        for y in _grid_preimage_tables.rows([0.6180339], n)[0]:
+        for y in _grid_preimage_tables.rows([40 / 64], n)[0]:
             while y.base is not None:
                 y = y.base
             owners[id(y)] = y.nbytes
@@ -257,9 +260,9 @@ class TestStackedPreimageSolve:
         ps = [*rng.uniform(family.p0, family.p0 + family.p1, size=150), 0.5,
               1.0, 2.0, 0.75]
         t = np.arange(512) / 512
-        tables = _PreimageTables(1 << 30).rows(ps, 512)
+        tables = _PreimageTables().rows(ps, 512)
         for p, table in zip(ps, tables):
-            (alone,) = _PreimageTables(1 << 30).rows([p], 512)
+            (alone,) = _PreimageTables().rows([p], 512)
             assert np.array_equal(table, alone)
         for p, table in zip(ps[150:], tables[150:]):
             assert np.array_equal(table, np.stack(inverse_branches_scalar(p, t)))
@@ -267,44 +270,14 @@ class TestStackedPreimageSolve:
                                   np.stack(inverse_branches_for_exponent(p, t)))
 
     def test_repeats_in_a_block_count_as_hits(self):
-        cache = _PreimageTables(1 << 20)
+        cache = _PreimageTables()
         tables = cache.rows([0.6, 0.7, 0.6, 0.6], 16)
         assert tables[0] is tables[2] is tables[3]
         info = cache.cache_info()
         assert (info.hits, info.misses) == (2, 2)
-        # the two tables and the eight lattice tables their starts come
-        # from, k / 64 for k = 37 ... 40 and 43 ... 46
-        assert info.bytes == (2 + 8) * 2 * 16 * 8
+        # off the lattice, an exponent is solved again on the next request
         cache.rows([0.7], 16)
-        assert cache.cache_info().hits == 3
-
-    def test_least_recently_used_dropped_at_byte_bound(self):
-        # room for three 16-node tables: looking 32/64 up again keeps it.
-        # The exponents are on the lattice, so no start tables take room
-        a, b, c, d, e = (k / 64 for k in (32, 40, 44, 52, 58))
-        cache = _PreimageTables(3 * 2 * 16 * 8)
-        cache.rows([a, b, c], 16)
-        cache.rows([a], 16)
-        tables = cache.rows([d, e], 16)
-        info = cache.cache_info()
-        assert info.bytes == info.max_bytes
-        want = inverse_branches_scalar(e, np.arange(16) / 16)
-        assert np.array_equal(tables[1], np.stack(want))
-        cache.rows([a], 16)
-        assert cache.cache_info().misses == 5
-        cache.rows([b], 16)
-        assert cache.cache_info().misses == 6
-
-    def test_module_cache_stays_within_its_byte_bound(self, family):
-        _grid_preimage_tables.cache_clear()
-        ps = np.linspace(family.p0, family.p0 + family.p1, 600)
-        _grid_preimage_tables.rows(ps, 512)
-        info = _grid_preimage_tables.cache_info()
-        assert info.misses == 600
-        assert info.bytes <= _TABLE_CACHE_BYTES == info.max_bytes
-        assert info.bytes == _TABLE_CACHE_BYTES // (2 * 512 * 8) * 2 * 512 * 8
-        _grid_preimage_tables.cache_clear()
-        assert _grid_preimage_tables.cache_info().bytes == 0
+        assert cache.cache_info() == (2, 3)
 
 
 # lattice exponents k / 64 from 2 / 64 (the first with positive neighbours)
@@ -320,7 +293,7 @@ class TestLatticeStarts:
     @pytest.mark.parametrize("p", SWEEP_P)
     def test_tables_match_bisection_and_chord_solve(self, p):
         for n in (16, 512, 1024):
-            (table,) = _PreimageTables(1 << 30).rows([p], n)
+            (table,) = _PreimageTables().rows([p], n)
             np.testing.assert_allclose(
                 table, np.stack(inverse_branches_bisect(p, np.arange(n) / n)),
                 rtol=0, atol=1e-15)
@@ -329,7 +302,7 @@ class TestLatticeStarts:
 
     def test_lattice_exponents_equal_chord_solve(self):
         for n in (16, 512):
-            tables = _PreimageTables(1 << 30).rows(LATTICE_P, n)
+            tables = _PreimageTables().rows(LATTICE_P, n)
             for table, chord in zip(tables, chord_tables(LATTICE_P, n)):
                 assert np.array_equal(table, chord)
 
@@ -345,34 +318,64 @@ class TestLatticeStarts:
         rng = np.random.default_rng(2024)
         ps = [*rng.uniform(family.p0, family.p0 + family.p1, size=40),
               0.5, 2.0, 0.75, 1e-6, 0.05, 37.3]
-        alone = [_PreimageTables(1 << 30).rows([p], 512)[0] for p in ps]
-        warm = _PreimageTables(1 << 30)
+        alone = [_PreimageTables().rows([p], 512)[0] for p in ps]
+        warm = _PreimageTables()
         warm.rows(LATTICE_P, 512)
-        tiny = _PreimageTables(2 * 2 * 512 * 8)  # evicts as it solves
         order = rng.permutation(len(ps))
-        for cache, block in ((_PreimageTables(1 << 30), ps), (warm, ps),
-                             (warm, ps), (tiny, ps),
-                             (_PreimageTables(1 << 30), [ps[i] for i in order])):
+        for cache, block in ((_PreimageTables(), ps), (warm, ps),
+                             (warm, ps),
+                             (_PreimageTables(), [ps[i] for i in order])):
             for p, table in zip(block, cache.rows(block, 512)):
                 assert np.array_equal(table, alone[ps.index(p)])
 
-    def test_lattice_tables_are_ordinary_entries(self):
-        # room for four 16-node tables: 0.6 needs its four lattice tables,
-        # so the least recently used of them, 37/64, is dropped for it
-        cache = _PreimageTables(4 * 2 * 16 * 8)
-        (table,) = cache.rows([0.6], 16)
-        assert np.array_equal(table, _PreimageTables(1 << 30).rows([0.6], 16)[0])
-        info = cache.cache_info()
-        assert (info.hits, info.misses, info.bytes) == (0, 1, info.max_bytes)
-        cache.rows([38 / 64, 39 / 64, 40 / 64], 16)
-        assert cache.cache_info()[:2] == (3, 1)
-        cache.rows([37 / 64], 16)
-        assert cache.cache_info()[:2] == (3, 2)
+    def test_store_holds_the_lattice_tables_of_the_starts(self, family):
+        # 600 exponents off the lattice at 512 nodes: only the lattice
+        # tables their starts came from stay, each owning its 2n doubles
+        n = 512
+        ps = np.random.default_rng(600).uniform(
+            family.p0, family.p0 + family.p1, size=600)
+        assert not any((p * _LATTICE).is_integer() for p in ps)
+        used = {q for p in ps for q in _lattice_start(p)[0]}
+        assert len(used) == 35
+        cache = _PreimageTables()
+        cache.rows(ps, n)
+        assert set(cache._tables) == {(q, n) for q in used}
+        tables = list(cache._tables.values())
+        assert sum(table.nbytes for table in tables) == 35 * 2 * n * 8
+        for table in tables:
+            assert table.flags.owndata and not table.flags.writeable
+            assert table.shape == (2, n)
+        assert cache.cache_info() == (0, 600)
         cache.cache_clear()
-        assert cache.cache_info() == (0, 0, 0, cache.max_bytes)
+        assert cache._tables == {} and cache.cache_info() == (0, 0)
+
+    def test_lattice_exponent_is_a_hit_after_off_lattice_requests(self, family):
+        cache = _PreimageTables()
+        rng = np.random.default_rng(9)
+        (first,) = cache.rows([40 / 64], 16)
+        assert cache.cache_info() == (0, 1)
+        for size in (1, 7, 64):
+            cache.rows(rng.uniform(family.p0, family.p0 + family.p1, size), 16)
+            (table,) = cache.rows([40 / 64], 16)
+            assert table is first
+        assert cache.cache_info() == (3, 1 + 1 + 7 + 64)
+        # a lattice neighbour solved for a start is a hit when asked for
+        cache.rows([0.6], 16)
+        hits = cache.cache_info().hits
+        cache.rows([37 / 64], 16)
+        assert cache.cache_info().hits == hits + 1
+
+    def test_off_lattice_exponent_is_a_miss_on_every_request(self):
+        cache = _PreimageTables()
+        want = cache.rows([0.6], 16)[0]
+        for k in range(1, 4):
+            (table,) = cache.rows([0.6], 16)
+            assert np.array_equal(table, want) and not table.flags.writeable
+            assert cache.cache_info() == (0, 1 + k)
+        assert (0.6, 16) not in cache._tables
 
     def test_lattice_starts_converge_in_three_steps(self, family, monkeypatch):
-        cache = _PreimageTables(1 << 30)
+        cache = _PreimageTables()
         cache.rows(LATTICE_P, 512)
         monkeypatch.setattr("skewtherm.fibers._NEWTON_CAP", 3)
         ps = np.random.default_rng(3).uniform(family.p0, family.p0 + family.p1,
@@ -388,7 +391,7 @@ class TestLatticeStarts:
         # right of both
         c = branch_boundary_for_exponent(p)
         for n in (16, 512, 1024):
-            (table,) = _PreimageTables(1 << 30).rows([p], n)
+            (table,) = _PreimageTables().rows([p], n)
             y2 = table[1]
             assert y2[0] + y2[0] ** (p + 1.0) >= 1.0
             assert abs(y2[0] - c) <= np.spacing(c)
@@ -398,7 +401,7 @@ class TestLatticeStarts:
     def test_no_float_fault(self):
         with np.errstate(all="raise"):
             for n in (16, 512, 1024):
-                _PreimageTables(1 << 30).rows(SWEEP_P + LATTICE_P, n)
+                _PreimageTables().rows(SWEEP_P + LATTICE_P, n)
 
 
 class TestPreimageTrees:

@@ -549,6 +549,34 @@ class TestPhiTable:
             compute_phi(pot, family, x, tol=1e-9)
 
 
+    @pytest.mark.parametrize("entry", [
+        ["0.25", "3", "1e-12"], [True, 2.7, 0.0], [0.25, 1e300, 1e-12],
+        [0.25, 3.0, 1e-12], [0.25, False, 1e-12], [10 ** 400, 3, 1e-12]],
+        ids=["strings", "bool-value", "float-n_used", "integral-float-n_used",
+             "bool-n_used", "int-too-large"])
+    def test_entry_of_another_type_discards(self, family, tmp_path, entry):
+        # value and bound are JSON numbers, n_used a JSON int, as to_json
+        # writes them; nothing is coerced
+        pot = TrigPotential(terms=((0, 1, 0.01),))
+        x = BasePoint.from_fraction(3, 8, 40)
+        path = tmp_path / "cache.json"
+        key = PhiTable.key(x, 512, "delta", 0.5)
+        path.write_text(json.dumps({"config_hash": "abc",
+                                    "entries": {key: entry}}))
+        loaded = PhiTable.load(path, "abc")
+        assert len(loaded) == 0
+        assert loaded.discarded.startswith("malformed")
+        assert compute_phi(pot, family, x, tol=1e-9, table=loaded) == \
+            compute_phi(pot, family, x, tol=1e-9)
+
+    def test_integer_value_and_bound_load_as_floats(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"config_hash": "abc",
+                                    "entries": {"0101": [1, 12, 0]}}))
+        entry = PhiTable.load(path, "abc").entries["0101"]
+        assert (entry.value, entry.n_used, entry.bound) == (1.0, 12, 0.0)
+        assert isinstance(entry.value, float) and isinstance(entry.bound, float)
+
 class TestConvergenceFit:
     def test_zero_potential_degenerate(self, family, zero_potential, rng):
         x = BasePoint.random(rng, 30)

@@ -9,7 +9,9 @@ once more with a ``--phi-cache`` file in their run directory, under both
 trees, writing to OUT/old/<run> and OUT/new/<run>.  Every artifact (a
 cache file's values, n_used and bounds among them), the stdout and the
 exit code of each run are compared byte for byte; each difference is
-printed.  Exits 1 if there is one, 0 if the two trees give the same bytes.
+printed.  Each run's peak RSS under both trees (``ru_maxrss`` of the child
+process) is printed too, as a line that is not a difference.  Exits 1 if
+there is a difference, 0 if the two trees give the same bytes.
 """
 
 from __future__ import annotations
@@ -32,20 +34,25 @@ RUNS += [(f"{command}-phi-cache",
 
 
 def run(src: Path, out: Path, args: list[str],
-        config: Path | None) -> tuple[int, bytes]:
-    """Run the CLI from src with --out out; returns (exit code, stdout)."""
+        config: Path | None) -> tuple[int, bytes, float]:
+    """Run the CLI from src with --out out; returns (exit code, stdout,
+    peak RSS in MB)."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve()),
            "PYTHONHASHSEED": "0"}
     options = ["--config", str(config.resolve())] if config else []
     args = [arg.replace("{out}", str(out.resolve())) for arg in args]
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewtherm.cli", *options,
-         "--out", str(out.resolve()), *args],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return proc.returncode, proc.stdout
+    with subprocess.Popen(
+            [sys.executable, "-m", "skewtherm.cli", *options,
+             "--out", str(out.resolve()), *args],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        stdout = proc.stdout.read()
+        # wait4 reaps the child with its own resource usage; ru_maxrss is in KB
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stdout, usage.ru_maxrss / 1024
 
 
-def differences(name: str, old: tuple[int, bytes], new: tuple[int, bytes],
+def differences(name: str, old: tuple, new: tuple,
                 old_dir: Path, new_dir: Path) -> list[str]:
     """Every way the new run of ``name`` differs from the old one."""
     found = []
@@ -66,12 +73,15 @@ def differences(name: str, old: tuple[int, bytes], new: tuple[int, bytes],
 
 def compare(old_src: Path, new_src: Path, out: Path,
             config: Path | None = None, runs=RUNS) -> list[str]:
-    """Run every run under both trees; returns the differences found."""
+    """Run every run under both trees, printing each run's peak RSS;
+    returns the differences found."""
     found = []
     for name, args in runs:
         dirs = out / "old" / name, out / "new" / name
         results = [run(src, d, args, config)
                    for src, d in zip((old_src, new_src), dirs)]
+        print(f"{name}: peak RSS {results[0][2]:.1f} MB old, "
+              f"{results[1][2]:.1f} MB new", flush=True)
         found += differences(name, *results, *dirs)
     return found
 
