@@ -46,7 +46,7 @@ from .measures import (
     rpf_base_solve,
     rpf_full_solve,
 )
-from .phi import PhiTable, compute_phi, estimate_holder, fit_convergence_rate, phi_evaluator
+from .phi import compute_phi, estimate_holder, fit_convergence_rate, phi_evaluator
 from .potential import check_condition_P
 from .words import bad_mass_ratio, good_mask, is_good, word_from_index
 
@@ -78,8 +78,7 @@ def _fmt(v) -> str:
 
 
 class Runner:
-    def __init__(self, cfg: ExperimentConfig, out_dir: Path,
-                 phi_cache: Path | None):
+    def __init__(self, cfg: ExperimentConfig, out_dir: Path):
         self.cfg = cfg
         self.out = out_dir
         try:
@@ -87,12 +86,6 @@ class Runner:
         except OSError as exc:
             raise ConfigError(f"cannot create --out {out_dir}: {exc}") from exc
         self.hash = cfg.config_hash()
-        self.phi_cache_path = phi_cache
-        self.phi_table = (PhiTable.load(phi_cache, self.hash)
-                          if phi_cache is not None else PhiTable(self.hash))
-        if self.phi_table.discarded is not None:
-            print(f"warning: --phi-cache {phi_cache} discarded, starting an "
-                  f"empty table: {self.phi_table.discarded}", file=sys.stderr)
 
     # -- helpers ---------------------------------------------------------
 
@@ -118,14 +111,6 @@ class Runner:
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
-    def save_phi_cache(self) -> None:
-        try:
-            if self.phi_cache_path is not None:
-                self.phi_table.save(self.phi_cache_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --phi-cache {self.phi_cache_path}: "
-                              f"{exc}") from exc
-
     def constants(self, exploratory: bool | None = None):
         return estimate_constants(
             self.cfg.family, self.cfg.alpha, self.cfg.eps_phi, self.cfg.iota,
@@ -134,12 +119,11 @@ class Runner:
             exploratory=self.cfg.exploratory if exploratory is None else exploratory)
 
     def evaluator(self, tol: float | None = None, n_nodes: int | None = None):
-        """The run's Phi evaluator on n_nodes fiber nodes (default n_fiber),
-        caching into the --phi-cache table; one at a tighter ``tol`` keeps a
-        table of its own."""
+        """A fresh Phi evaluator at ``tol`` (default phi_tol) on n_nodes
+        fiber nodes (default n_fiber): every value a step reports is
+        computed in the step's own evaluator."""
         return phi_evaluator(self.cfg.potential, self.cfg.family,
                              tol=self.cfg.phi_tol if tol is None else tol,
-                             table=self.phi_table if tol is None else None,
                              anchor_y=self.cfg.anchor_y,
                              n_nodes=n_nodes or self.cfg.n_fiber)
 
@@ -187,12 +171,10 @@ class Runner:
             anchor_y=self.cfg.anchor_y)
 
     def base_solve(self):
-        sol = rpf_base_solve(self.evaluator(), self.cfg.n_x_base,
-                             tol=self.cfg.power_tol,
-                             max_iter=self.cfg.max_power_iter,
-                             capacity=self.cfg.capacity)
-        self.save_phi_cache()
-        return sol
+        return rpf_base_solve(self.evaluator(), self.cfg.n_x_base,
+                              tol=self.cfg.power_tol,
+                              max_iter=self.cfg.max_power_iter,
+                              capacity=self.cfg.capacity)
 
     def full_solve(self):
         return rpf_full_solve(self.cfg.potential, self.cfg.family, self.cfg.n_x,
@@ -236,15 +218,13 @@ class Runner:
         points = self.sample_points(args.points)
         rows = [(x.bit_string(),
                  *compute_phi(self.cfg.potential, self.cfg.family, x,
-                              tol=self.cfg.phi_tol, table=self.phi_table,
-                              anchor_y=self.cfg.anchor_y,
+                              tol=self.cfg.phi_tol, anchor_y=self.cfg.anchor_y,
                               n_nodes=self.cfg.n_fiber))
                 for x in points]
         self.write_csv("phi_values.csv", ["bits", "value", "n_used", "bound"], rows)
         fit = self.convergence_fit(points[0], 35)
         self.write_json("phi_fit.json",
                         {"degenerate": True} if fit is None else fit.to_json())
-        self.save_phi_cache()
         print(f"computed {len(points)} potential values")
         return EXIT_OK
 
@@ -255,7 +235,6 @@ class Runner:
         self.write_json("holder.json", est.to_json())
         rows = list(zip(est.scales, est.medians))
         self.write_csv("holder_scales.csv", ["scale", "median_gap"], rows)
-        self.save_phi_cache()
         print(f"holder exponent {est.exponent_emp:.6g} (r^2 {est.r_squared:.4f})"
               + (" [degenerate]" if est.degenerate else ""))
         return EXIT_OK
@@ -326,7 +305,6 @@ class Runner:
                                     xs, args.depth,
                                     self.evaluator(n_nodes=self.cfg.n_y),
                                     anchor_y=self.cfg.anchor_y)
-        self.save_phi_cache()
         self.write_json("intertwine.json", {"max_residual": worst,
                                             "depth": args.depth})
         print(f"max intertwining residual {worst:.3e}")
@@ -421,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--phi-cache", type=Path, default=None,
-                        help="path of the transverse-potential cache file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("check-hypotheses")
@@ -463,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
                else ExperimentConfig())
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
-        runner = Runner(cfg, args.out, args.phi_cache)
+        runner = Runner(cfg, args.out)
         handler = getattr(runner, "cmd_" + args.command.replace("-", "_"))
         # a NaN or overflow anywhere aborts the run instead of reaching an
         # artifact; underflow to zero is routine in cascades and stays quiet

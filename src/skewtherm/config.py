@@ -1,7 +1,7 @@
 """Experiment configuration: one JSON file drives every subcommand.
 
-The config hash (over the canonical JSON) is stamped into every output file
-and invalidates the transverse-potential cache when any knob changes.
+The config hash (over the canonical JSON) is stamped into every output file,
+so an artifact names the config that produced it.
 """
 
 from __future__ import annotations

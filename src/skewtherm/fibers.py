@@ -161,7 +161,13 @@ def _round_up_short(c, p):
 
 def branch_boundary_for_exponent(p):
     """The split point c with c + c^(p+1) = 1, for a scalar p or an array
-    (solved together)."""
+    (solved together).
+
+    An array is one Newton row, which stops when its slowest exponent
+    converges, and is checked in numpy's pow (``_round_up_short``), so an
+    exponent's c depends on the array it comes in: 91 of 5000 random p in
+    [0.5, 1) (numpy rng seed 0) give a c one ulp from a scalar call's.
+    """
     p = np.asarray(p, dtype=float)
     c = _split_points(p.reshape(1, -1)).reshape(p.shape)
     return float(c) if c.ndim == 0 else c
@@ -223,6 +229,15 @@ def inverse_branches_for_exponent(p, t):
     Fully vectorized over t (and p, if given as a matching array), as one
     Newton solve (see ``_branch_rows``); y1 and y2 are the two rows of one
     (2, n) array.
+
+    So a target's preimages depend on the batch it comes in: the row of
+    all targets stops when its slowest target converges, and a row of more
+    than one exponent takes its split points from numpy's pow
+    (``_round_up_short``).  Against one call per target, over 5000 random
+    (p in [0.5, 1), t in [0, 1)), numpy rng seed 0, 103 y1 and 225 y2
+    values differ, by at most 2 ulps.  Grid tables (``grid_preimages``)
+    solve one exponent per row, each stopping where it would alone, and
+    are not affected.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0

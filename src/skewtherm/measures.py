@@ -31,7 +31,7 @@ from .errors import CapacityExhaustedError
 from .fibers import MpFamily
 from .gridfn import MIN_NODES, GridFn, GridFn2D
 from .operators import (_full_stencil, _power_iterate, _torus_stencil,
-                        base_stencil)
+                        base_stencil, dyadic_points)
 from .phi import (DEFAULT_ANCHOR_Y, _dyadic_exponent, _MeasureStore,
                   anchor_weights)
 from .potential import TrigPotential
@@ -329,7 +329,7 @@ def disintegrate_integral(pot: TrigPotential, family: MpFamily,
     n_x = base_sol.eigenfunction.n_nodes
     mu_hat = base_sol.mu_weights
     nodes = [i for i in range(n_x) if mu_hat[i] != 0.0]
-    xs = [BasePoint.from_fraction(i, n_x, capacity) for i in nodes]
+    xs = dyadic_points(nodes, n_x, capacity)
     ws = fiber_measures(pot, family, xs, n, n_y, anchor_y)
     total = 0.0
     for i, value in zip(nodes, _conditional_pairings(ws, xs, big_psi,

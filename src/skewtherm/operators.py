@@ -402,22 +402,31 @@ def _base_stencil_geometry(n_x: int):
     return out
 
 
+def dyadic_points(nums, den: int, capacity: int) -> list[BasePoint]:
+    """The exact BasePoints num/den on a grid of den points, a power of two.
+
+    Each takes log2(den) digits.  With fewer, ``BasePoint.from_fraction``
+    would truncate and merge grid points, so a grid finer than 2^capacity
+    raises CapacityExhaustedError.
+    """
+    if den > 1 << capacity:
+        raise CapacityExhaustedError(
+            f"a grid of {den} points needs capacity >= "
+            f"{den.bit_length() - 1}, have {capacity}")
+    return [BasePoint.from_fraction(num, den, capacity) for num in nums]
+
+
 def base_preimage_points(n_x: int, capacity: int) -> list[list[BasePoint]]:
     """Exact BasePoints for both preimage families of the base grid nodes.
 
     Grid nodes are i/n_x (n_x a power of two), so every preimage
-    (i/n_x + b)/2 is a dyadic rational with an exact digit expansion.
+    (i/n_x + b)/2 = (i + b n_x)/(2 n_x) is a dyadic rational with an exact
+    digit expansion of log2(2 n_x) digits.
     """
     if n_x & (n_x - 1):
         raise ValueError("base grid size must be a power of two")
-    out = []
-    for b in (0, 1):
-        fam = []
-        for i in range(n_x):
-            num = i + b * n_x  # (i/n_x + b)/2 = num / (2 n_x)
-            fam.append(BasePoint.from_fraction(num, 2 * n_x, capacity))
-        out.append(fam)
-    return out
+    return [dyadic_points(range(b * n_x, (b + 1) * n_x), 2 * n_x, capacity)
+            for b in (0, 1)]
 
 
 def apply_base_operator(phi_eval, xi: GridFn, capacity: int = 64) -> GridFn:

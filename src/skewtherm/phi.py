@@ -21,7 +21,6 @@ and the store of the fiber measures starts its pull-back from it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -280,18 +279,17 @@ class PhiEntry:
 
 
 class PhiTable:
-    """Cache of converged transverse-potential values, and nothing else: a
-    hit returns the value a fresh computation would give.
+    """The entries one ``phi_evaluator`` has computed, so that a repeated
+    point costs nothing: a hit returns the entry a fresh computation would
+    give.  It lives as long as the evaluator and is never written out.
 
-    An entry is keyed on everything besides the config that changes the
-    value: the digits of x, the fiber grid size and the anchor.
+    An entry is keyed on everything besides the evaluator's potential,
+    family and tolerance that changes the value: the digits of x, the fiber
+    grid size and the anchor.
     """
 
-    def __init__(self, config_hash: str = ""):
-        self.config_hash = config_hash
+    def __init__(self):
         self.entries: dict[str, PhiEntry] = {}
-        # why load() threw away the file it read, if it did
-        self.discarded: str | None = None
 
     @staticmethod
     def key(x: BasePoint, n_nodes: int, anchor: str, anchor_y: float) -> str:
@@ -300,77 +298,10 @@ class PhiTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_json(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "entries": {key: [e.value, e.n_used, e.bound]
-                        for key, e in self.entries.items()},
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path, config_hash: str) -> "PhiTable":
-        """Load a cache; a missing file gives an empty table.
-
-        A file that is not JSON, was written under another config hash or
-        does not have the shape ``to_json`` writes is discarded wholesale:
-        the result is an empty table whose ``discarded`` names the reason.
-        Other top-level keys, such as the ``tau_emp`` and ``c1_emp`` that
-        older files carry, are ignored.
-        """
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            return cls(config_hash)
-        except (OSError, ValueError) as exc:
-            return cls._discard(config_hash, f"unreadable or not JSON ({exc})")
-        if not isinstance(raw, dict):
-            return cls._discard(config_hash, "top level is not a JSON object")
-        if raw.get("config_hash") != config_hash:
-            return cls._discard(config_hash, f"config hash {raw.get('config_hash')!r} "
-                                f"is not this config's {config_hash!r}")
-        try:
-            table = cls(config_hash)
-            entries = raw.get("entries", {})
-            if not isinstance(entries, dict):
-                raise TypeError("entries is not a JSON object")
-            for key, entry in entries.items():
-                table.entries[key] = _entry_from_json(key, entry)
-        except (TypeError, ValueError, OverflowError) as exc:
-            return cls._discard(config_hash, f"malformed: {exc}")
-        return table
-
-    @classmethod
-    def _discard(cls, config_hash: str, reason: str) -> "PhiTable":
-        table = cls(config_hash)
-        table.discarded = reason
-        return table
-
-
-def _entry_from_json(key: str, entry) -> PhiEntry:
-    """The entry ``to_json`` writes: value and bound are JSON numbers and
-    n_used a JSON int, none of them a bool, as in ``config._TYPES``."""
-    if not (isinstance(entry, list) and len(entry) == 3):
-        raise TypeError(f"entry {key!r} is not [value, n_used, bound]")
-    if any(isinstance(v, bool) or not isinstance(v, kind) for v, kind in
-           zip(entry, ((int, float), int, (int, float)))):
-        raise TypeError(f"entry {key!r} is not [number, int, number]")
-    # a JSON int no double can hold raises OverflowError here
-    value, n_used, bound = float(entry[0]), entry[1], float(entry[2])
-    if not (math.isfinite(value) and math.isfinite(bound)):
-        raise ValueError(f"entry {key!r} is not finite")
-    if n_used < 0 or bound < 0.0:
-        raise ValueError(f"entry {key!r} has a negative n_used or bound")
-    return PhiEntry(value, n_used, bound)
-
 
 def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
-                tol: float = 1e-9, table: PhiTable | None = None,
-                anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
+                tol: float = 1e-9, anchor: str = "delta",
+                anchor_y: float = DEFAULT_ANCHOR_Y,
                 n_nodes: int = DEFAULT_FIBER_NODES) -> tuple[float, int, float]:
     """Iterate Phi_n until the increment certifies the requested tolerance,
     or until the orbit is seen to reach a point whose fiber measure is
@@ -400,18 +331,17 @@ def compute_phi(pot: TrigPotential, family: MpFamily, x: BasePoint,
     bound increment / (1 - tau).  The exact value wins over an increment:
     when a block's look-ahead hits at m, Phi is the pulled-back value even
     if an increment before step m would have certified.  Blocks change no
-    other value.  Returns (value, n_used, bound) and caches the entry when
-    a table is given.  Consumers that evaluate Phi at many points take a
-    ``phi_evaluator``, whose store is shared by its points and filled 64
-    points at a time; this is its evaluation of one point with a fresh
-    store.
+    other value.  Returns (value, n_used, bound).  Consumers that evaluate
+    Phi at many points take a ``phi_evaluator``, whose store and table are
+    shared by its points and whose store is filled 64 points at a time;
+    this is its evaluation of one point with a fresh store and table.
     """
-    (entry,) = _phi_entries([x], tol, table, anchor, anchor_y,
+    (entry,) = _phi_entries([x], tol, PhiTable(), anchor, anchor_y,
                             _MeasureStore(pot, family, n_nodes))
     return entry.value, entry.n_used, entry.bound
 
 
-def _phi_entries(xs: list[BasePoint], tol: float, table: PhiTable | None,
+def _phi_entries(xs: list[BasePoint], tol: float, table: PhiTable,
                  anchor: str, anchor_y: float,
                  known: _MeasureStore) -> list[PhiEntry]:
     """The entries of Phi at xs, in order, sharing the store ``known`` (see
@@ -431,10 +361,9 @@ def _phi_entries(xs: list[BasePoint], tol: float, table: PhiTable | None,
                 _fill(known, pending)
         _fill(known, pending)
     except BaseException:
-        if table is not None:
-            for x, _ in pending:
-                table.entries.pop(PhiTable.key(x, known.n_nodes, anchor,
-                                               anchor_y), None)
+        for x, _ in pending:
+            table.entries.pop(PhiTable.key(x, known.n_nodes, anchor,
+                                           anchor_y), None)
         raise
     return entries
 
@@ -448,17 +377,16 @@ def _fill(known: _MeasureStore, pending: list) -> None:
         pending.clear()
 
 
-def _phi_entry(x: BasePoint, tol: float, table: PhiTable | None, anchor: str,
+def _phi_entry(x: BasePoint, tol: float, table: PhiTable, anchor: str,
                anchor_y: float, known: _MeasureStore,
                pending: list) -> PhiEntry:
     """``compute_phi``'s loop at x.  On an exact hit, x's pull is
     registered in ``known`` and its entry, whose value the next fill
     writes, is appended to ``pending``."""
     key = PhiTable.key(x, known.n_nodes, anchor, anchor_y)
-    if table is not None:
-        hit = table.entries.get(key)
-        if hit is not None and hit.bound <= tol:
-            return hit
+    hit = table.entries.get(key)
+    if hit is not None and hit.bound <= tol:
+        return hit
     if x.capacity < 1:
         raise CapacityExhaustedError("Phi_0 needs capacity >= 1, have 0")
 
@@ -494,8 +422,7 @@ def _phi_entry(x: BasePoint, tol: float, table: PhiTable | None, anchor: str,
         raise NoConvergenceError(
             f"Phi increments above tolerance after n = {n_cap} (capacity "
             f"{x.capacity}); raise capacity or loosen tol")
-    if table is not None:
-        table.entries[key] = entry
+    table.entries[key] = entry
     return entry
 
 
@@ -511,7 +438,6 @@ def _block_steps(incs: list[float], certified: float) -> int:
 
 
 def phi_evaluator(pot: TrigPotential, family: MpFamily, tol: float = 1e-9,
-                  table: PhiTable | None = None,
                   anchor: str = "delta", anchor_y: float = DEFAULT_ANCHOR_Y,
                   n_nodes: int = DEFAULT_FIBER_NODES):
     """A callable giving Phi at one BasePoint, or a list of the values at
@@ -519,19 +445,20 @@ def phi_evaluator(pot: TrigPotential, family: MpFamily, tol: float = 1e-9,
     Hölder estimate and the eigen-equation and intertwining checks.
 
     Its calls share one store of known fiber measures, so the merging orbits
-    of a dyadic base grid's preimage nodes resolve each orbit point once.
-    A list is evaluated in order, as ``compute_phi`` would one point after
-    the other with that store, and gives the same entries; a single point
-    is a list of one.  The exact values' pulls are filled _BLOCK_POINTS
-    (64) points at a time, so a fill builds the stencils of one block's
-    chains in one request and holds them until it ends, 32 KB each at 512
-    fiber nodes: at most 191 stencils (6.1 MB) in a fill of a 512-node
-    base grid, 223 (7.1 MB) of a 1024-node one.  The store
-    holds one n_nodes vector per resolved point and lives as long as the
+    of a dyadic base grid's preimage nodes resolve each orbit point once,
+    and one ``PhiTable`` (``evaluate.table``), so a repeated point costs
+    nothing.  A list is evaluated in order, as ``compute_phi`` would one
+    point after the other with that store, and gives the same entries; a
+    single point is a list of one.  The exact values' pulls are filled
+    _BLOCK_POINTS (64) points at a time, so a fill builds the stencils of
+    one block's chains in one request and holds them until it ends, 32 KB
+    each at 512 fiber nodes: at most 191 stencils (6.1 MB) in a fill of a
+    512-node base grid, 223 (7.1 MB) of a 1024-node one.  The store holds
+    one n_nodes vector per resolved point and lives as long as the
     evaluator: 2N vectors for an N-node base grid, e.g. 0.5 MB at 64 base
     nodes and 512 fiber nodes, 16 MB at 1024 and 1024.
     """
-    table = table if table is not None else PhiTable()
+    table = PhiTable()
     known = _MeasureStore(pot, family, n_nodes)
 
     def evaluate(x):
@@ -644,7 +571,7 @@ def estimate_holder(phi_eval, scales: tuple[float, ...],
     power law in the separation.
 
     ``phi_eval`` maps a BasePoint to Phi (a ``phi_evaluator``), so the
-    tolerance, grid, anchor and cache of every value are the evaluator's.
+    tolerance, grid, anchor and table of every value are the evaluator's.
     Pairs are built by exact digit addition from random points with
     ``capacity`` digits, so the base distance is exactly delta.  The power
     law is fitted through the per-scale medians: the pointwise gaps are

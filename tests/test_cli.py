@@ -1,9 +1,12 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from skewtherm.cli import Runner, main
+from skewtherm.cli import Runner, build_parser, main
 from skewtherm.config import ExperimentConfig
 from skewtherm.errors import ConfigError
 from skewtherm.fibers import MpFamily
@@ -25,6 +28,8 @@ def zero_config(tmp_path):
                         n_fiber=256, n_x=64, n_y=64, n_x_base=64,
                         constants_samples=2000, capacity=64)
 
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 COMMANDS = ["check-hypotheses", "compute-phi", "holder", "cones",
             "fiber-measures", "rpf-base", "rpf-full", "pressure", "intertwine",
@@ -343,65 +348,45 @@ class TestCli:
         assert main(["--config", str(cfg), "--out", str(out), command]) == 2
         assert json.loads((out / "error.json").read_text())["error"] == "config"
 
+    def test_base_grid_finer_than_capacity_exits_2(self, tmp_path,
+                                                   stencil_builds):
+        # 65536 base nodes have 131072 preimages, 17 digits each; the run
+        # stops before any Phi value
+        cfg = write_config(tmp_path / "cfg.json", capacity=16,
+                           n_x_base=65536)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "rpf-base"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "config"
+        assert "capacity >= 17, have 16" in err["message"]
+        assert stencil_builds == []
+
+    def test_phi_cache_is_not_an_option(self, tmp_path):
+        assert main(["--out", str(tmp_path / "out"), "--phi-cache",
+                     str(tmp_path / "phi.json"), "rpf-base"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_names_the_parser_options(self):
+        # the --options of README's CLI section are those of the parser and
+        # its subcommands
+        section = README.read_text().split("\n## CLI\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+        parser = build_parser()
+        parsers = [parser] + [sub for action in parser._actions
+                              if isinstance(action, argparse._SubParsersAction)
+                              for sub in action.choices.values()]
+        options = {opt for p in parsers for action in p._actions
+                   for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+        assert named == options
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_artifact_is_rejected_unwritten(self, tmp_path, bad):
-        runner = Runner(ExperimentConfig(), tmp_path, None)
+        runner = Runner(ExperimentConfig(), tmp_path)
         with pytest.raises(FloatingPointError, match="fit.json"):
             runner.write_json("fit.json", {"ok": 1.0, "rows": [[0.5, bad]]})
         assert not (tmp_path / "fit.json").exists()
-
-    def test_phi_cache_round_trip(self, zero_config, tmp_path):
-        out = tmp_path / "out"
-        cache = tmp_path / "phi.json"
-        assert main(["--config", str(zero_config), "--out", str(out),
-                     "--phi-cache", str(cache), "compute-phi",
-                     "--points", "3"]) == 0
-        assert cache.exists()
-        payload = json.loads(cache.read_text())
-        assert len(payload["entries"]) == 3
-
-    @pytest.mark.parametrize("content, reason", [
-        ("{not json", "not JSON"),
-        ('{"config_hash": "other", "entries": {}}', "config hash 'other'"),
-        ('{"config_hash": "HASH", "entries": {"k": 5}}', "not [value, n_used, bound]"),
-        ("[1, 2]", "not a JSON object"),
-        ('{"config_hash": "HASH", "entries": {"k": [NaN, 3, 0.0]}}', "not finite"),
-        ('{"config_hash": "HASH", "entries": {"k": ["0.25", "3", "1e-12"]}}',
-         "not [number, int, number]"),
-        ('{"config_hash": "HASH", "entries": {"k": [true, 2.7, 0.0]}}',
-         "not [number, int, number]"),
-        ('{"config_hash": "HASH", "entries": {"k": [0.25, 1e300, 1e-12]}}',
-         "not [number, int, number]"),
-    ], ids=["not-json", "hash-mismatch", "entry-shape", "top-level-list",
-            "non-finite", "strings", "bool-value", "float-n_used"])
-    def test_bad_phi_cache_warns_and_starts_empty(self, zero_config, tmp_path,
-                                                  capsys, content, reason):
-        config_hash = ExperimentConfig.load(zero_config).config_hash()
-        cache = tmp_path / "phi.json"
-        cache.write_text(content.replace("HASH", config_hash))
-        assert main(["--config", str(zero_config), "--out", str(tmp_path / "out"),
-                     "--phi-cache", str(cache), "compute-phi",
-                     "--points", "2"]) == 0
-        err = capsys.readouterr().err
-        assert err.count("warning:") == 1
-        assert "discarded" in err and reason in err
-        payload = json.loads(cache.read_text())
-        assert payload["config_hash"] == config_hash
-        assert len(payload["entries"]) == 2
-
-    def test_unwritable_phi_cache_exits_2(self, zero_config, tmp_path, capsys):
-        cache = tmp_path / "cache_dir"
-        cache.mkdir()
-        out = tmp_path / "out"
-        assert main(["--config", str(zero_config), "--out", str(out),
-                     "--phi-cache", str(cache), "compute-phi",
-                     "--points", "2"]) == 2
-        err = json.loads((out / "error.json").read_text())
-        assert err["error"] == "config"
-        assert str(cache) in err["message"]
-        lines = capsys.readouterr().err.splitlines()
-        assert [ln for ln in lines if ln.startswith("config error:")] == [
-            f"config error: {err['message']}"]
 
     def test_check_hypotheses(self, zero_config, tmp_path):
         out = tmp_path / "out"
@@ -490,34 +475,6 @@ class TestCli:
                      "cones", "--points", "1"]) == 0
         payload = json.loads((out / "cones.json").read_text())
         assert payload["reports"][0]["zeta_emp"] < 1.0
-
-    def test_holder_artifacts_do_not_depend_on_the_phi_cache(self, tmp_path):
-        # compute-phi fills the cache first, with the same random points;
-        # holder then reads values from it but writes what a plain run does
-        cfg = write_config(tmp_path / "cfg.json", n_fiber=64, n_theta=64,
-                           capacity=40)
-        names = ("holder.json", "holder_scales.csv")
-        plain, cached = tmp_path / "plain", tmp_path / "cached"
-        cache = tmp_path / "phi.json"
-        assert main(["--config", str(cfg), "--out", str(plain),
-                     "holder", "--pairs", "2"]) == 0
-        assert main(["--config", str(cfg), "--out", str(cached),
-                     "--phi-cache", str(cache), "compute-phi",
-                     "--points", "3"]) == 0
-        assert main(["--config", str(cfg), "--out", str(cached),
-                     "--phi-cache", str(cache), "holder", "--pairs", "2"]) == 0
-        assert json.loads((plain / "holder.json").read_text())["degenerate"] is False
-        for name in names:
-            assert (cached / name).read_text() == (plain / name).read_text()
-
-    def test_holder_caches_under_the_config_anchor(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", n_fiber=64, n_theta=64,
-                           capacity=40, anchor_y=0.25)
-        cache = tmp_path / "phi.json"
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--phi-cache", str(cache), "holder", "--pairs", "1"]) == 0
-        keys = json.loads(cache.read_text())["entries"]
-        assert keys and all(key.endswith(":64:delta:0.25") for key in keys)
 
     def test_holder_artifact(self, zero_config, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""tools/cli_artifacts.py on three runs and a 16-node config."""
+"""tools/cli_artifacts.py on two runs and a 16-node config."""
 
 import importlib.util
 import json
@@ -39,6 +39,7 @@ def changed_tree(tmp_path, old, new):
 
 def test_same_tree_matches_and_a_changed_constant_differs(tmp_path, capsys):
     tool = load()
+    assert len(tool.RUNS) == 12
     config = small_config(tmp_path)
     runs = [run for run in tool.RUNS if run[0] in ("compute-phi", "rpf-base")]
     assert len(runs) == 2
@@ -58,20 +59,3 @@ def test_same_tree_matches_and_a_changed_constant_differs(tmp_path, capsys):
     # random points; its fit and stdout stay
     found = tool.compare(SRC, changed, tmp_path / "diff", config, runs[:1])
     assert found == ["compute-phi: phi_values.csv differs"]
-
-
-def test_phi_cache_run_compares_the_cache(tmp_path):
-    # the cache file is written inside each tree's run directory; a looser
-    # nu_0 moves the bound of every exact value, which only the cache holds
-    tool = load()
-    config = small_config(tmp_path)
-    runs = [run for run in tool.RUNS if run[0] == "rpf-base-phi-cache"]
-    assert len(runs) == 1
-    assert tool.compare(SRC, SRC, tmp_path / "same", config, runs) == []
-    for side in ("old", "new"):
-        cache = tmp_path / "same" / side / "rpf-base-phi-cache" / "phi_cache.json"
-        assert len(json.loads(cache.read_text())["entries"]) == 32
-
-    changed = changed_tree(tmp_path, "_NU0_TOL = 1e-15\n", "_NU0_TOL = 1e-13\n")
-    found = tool.compare(SRC, changed, tmp_path / "diff", config, runs)
-    assert "rpf-base-phi-cache: phi_cache.json differs" in found

@@ -380,6 +380,18 @@ class TestRpfBase:
         sol = rpf_base_solve(ev, 128)
         assert sol.log_eigenvalue == pytest.approx(math.log(4.0), abs=1e-8)
 
+    def test_grid_finer_than_capacity_raises(self, family, small_potential,
+                                             stencil_builds):
+        # a 64-node grid's preimages need 7 digits; the check comes before
+        # any Phi value
+        ev = phi_evaluator(small_potential, family, tol=1e-3)
+        with pytest.raises(CapacityExhaustedError,
+                           match="capacity >= 7, have 6"):
+            rpf_base_solve(ev, 64, capacity=6)
+        assert stencil_builds == [] and len(ev.table) == 0
+        assert rpf_base_solve(ev, 64, capacity=7).residual <= 1e-8
+        assert len(ev.table) == 128
+
 
 class TestRpfFull:
     POT = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
@@ -616,6 +628,21 @@ class TestDisintegration:
                                     capacity=80)
         assert got == disintegrate_reference(pot, family, psi2, full, base, 25,
                                              80, 0.5)
+
+    def test_nodes_need_their_digits(self, family, small_potential):
+        # the nodes i/64 take 6 digits; any capacity from there on gives
+        # the same bits, and 5 would merge them in pairs
+        base = rpf_base_solve(lambda p: LOG2, 64)
+        full = rpf_full_solve(small_potential, family, 64, 64)
+        psi = GridFn2D.from_callable(
+            lambda X, Y: 1.0 + 0.3 * np.cos(2 * np.pi * (X + Y)), 64, 64)
+        got = [disintegrate_integral(small_potential, family, psi, full, base,
+                                     3, capacity=cap) for cap in (6, 25, 64)]
+        assert got[0] == got[1] == got[2]
+        with pytest.raises(CapacityExhaustedError,
+                           match="64 points needs capacity >= 6, have 5"):
+            disintegrate_integral(small_potential, family, psi, full, base, 3,
+                                  capacity=5)
 
     def test_one_point_matches_scalar_reads(self, solutions, rng):
         pot, family, base, full = solutions

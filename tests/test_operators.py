@@ -44,6 +44,7 @@ from skewtherm.operators import (
     _power_iterate,
     _Stencil,
     _steady_ratio,
+    base_preimage_points,
     base_stencil,
     fiber_stencil,
     fiber_stencils,
@@ -641,6 +642,15 @@ class TestBaseOperator:
             xb = (i / 32 + b) / 2
             expected += math.exp(0.1 * math.cos(2 * math.pi * xb)) * xi.interp(xb)
         assert (np.exp(out.log_offset) * out.values)[i] == pytest.approx(expected)
+
+    def test_preimage_points_need_their_digits(self):
+        # the preimages of a 64-node grid are k/128: 7 digits each, and
+        # with 6 they would merge in pairs
+        points = [p for fam in base_preimage_points(64, 7) for p in fam]
+        assert sorted(p.num for p in points) == list(range(128))
+        with pytest.raises(CapacityExhaustedError,
+                           match="128 points needs capacity >= 7, have 6"):
+            base_preimage_points(64, 6)
 
     def test_pipeline_phi_from_zero_potential_gives_four(self, family,
                                                          zero_potential):

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -16,7 +15,6 @@ from skewtherm.errors import (
     NonpositiveFunctionError,
 )
 from skewtherm.phi import (
-    PhiEntry,
     PhiSequence,
     PhiTable,
     compute_phi,
@@ -184,14 +182,20 @@ class TestComputePhi:
             long_run = PhiSequence(pot, family, x).value(40)
             assert abs(value - long_run) <= max(bound, 1e-12) * 3
 
-    def test_uses_table(self, family, rng):
+    def test_uses_table(self, family, rng, stencil_builds):
+        # a point repeated in one evaluator is a table hit: the same value,
+        # one entry and no stencil built for it
         pot = TrigPotential(terms=((0, 1, 0.01),))
-        table = PhiTable("h")
+        ev = phi_evaluator(pot, family, tol=1e-8)
         x = BasePoint.random(rng, 50)
-        v1 = compute_phi(pot, family, x, tol=1e-8, table=table)[0]
-        assert len(table) == 1
-        v2 = compute_phi(pot, family, x, tol=1e-8, table=table)[0]
-        assert v1 == v2
+        v1 = ev(x)
+        assert len(ev.table) == 1
+        builds = len(stencil_builds)
+        assert builds > 0
+        v2 = ev(x)
+        assert len(ev.table) == 1
+        assert len(stencil_builds) == builds
+        assert v1 == v2 == compute_phi(pot, family, x, tol=1e-8)[0]
 
     def test_blocks_built_ahead_leave_phi_unchanged(self, family, rng,
                                                     monkeypatch,
@@ -367,10 +371,15 @@ class TestBlockedTabulation:
 
     POT = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
 
-    def tabulate_both(self, family, n_x, tol, table=lambda: None):
-        ref = phi_evaluator(self.POT, family, tol=tol, table=table())
+    def tabulate_both(self, family, n_x, tol, first=()):
+        # both evaluators see the points of ``first`` before the grid: the
+        # reference one at a time, the other as one list
+        ref = phi_evaluator(self.POT, family, tol=tol)
+        for x in first:
+            ref(x)
         ref_stencil = base_stencil_reference(ref, n_x, 96)
-        ev = phi_evaluator(self.POT, family, tol=tol, table=table())
+        ev = phi_evaluator(self.POT, family, tol=tol)
+        ev(list(first))
         stencil = base_stencil(ev, n_x, 96)
         assert list(ev.table.entries.items()) == list(ref.table.entries.items())
         assert np.array_equal(stencil.idx, ref_stencil.idx.T)
@@ -384,17 +393,11 @@ class TestBlockedTabulation:
         assert max(e.bound for e in table.entries.values()) <= 1e-14
 
     @pytest.mark.parametrize("n_x", [16, 64, 512])
-    def test_table_with_every_third_point(self, family, n_x, tmp_path):
-        # the loaded entries are hits, so the orbits of the other points
-        # meet the store later than on an empty table
-        full = phi_evaluator(self.POT, family, tol=1e-12, table=PhiTable("h"))
-        full([x for fam in base_preimage_points(n_x, 96) for x in fam])
-        kept = PhiTable("h")
-        kept.entries = dict(list(full.table.entries.items())[::3])
-        path = tmp_path / "cache.json"
-        kept.save(path)
-        table = self.tabulate_both(family, n_x, 1e-12,
-                                   lambda: PhiTable.load(path, "h"))
+    def test_table_with_every_third_point(self, family, n_x):
+        # every third grid point is evaluated first, so the grid finds its
+        # entries in the table and their orbits in the store
+        points = [x for fam in base_preimage_points(n_x, 96) for x in fam]
+        table = self.tabulate_both(family, n_x, 1e-12, points[::3])
         assert len(table) == 2 * n_x
 
     def test_tolerance_below_the_nu0_bound(self, family):
@@ -479,103 +482,6 @@ class TestRegisterAndFill:
         assert len(stencil_builds) == 7  # x, ..., f^6(x)
         assert all(store.knows(x.forward(j)) for j in range(8))
 
-
-class TestPhiTable:
-    def test_round_trip(self, tmp_path):
-        table = PhiTable("abc")
-        table.entries["0101"] = PhiEntry(0.7, 12, 1e-9)
-        path = tmp_path / "cache.json"
-        table.save(path)
-        loaded = PhiTable.load(path, "abc")
-        assert loaded.entries["0101"].value == 0.7
-
-    def test_old_format_loads_entries_and_ignores_the_rate(self, tmp_path):
-        # older files also stored a fitted rate; values alone are read back,
-        # and the next save drops the rate
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"config_hash": "abc", "tau_emp": 0.5,
-                                    "c1_emp": 0.1,
-                                    "entries": {"0101": [0.7, 12, 1e-9]}}))
-        loaded = PhiTable.load(path, "abc")
-        assert loaded.discarded is None
-        entry = loaded.entries["0101"]
-        assert (entry.value, entry.n_used, entry.bound) == (0.7, 12, 1e-9)
-        loaded.save(path)
-        assert json.loads(path.read_text()) == {
-            "config_hash": "abc", "entries": {"0101": [0.7, 12, 1e-9]}}
-
-    def test_hash_mismatch_discards(self, tmp_path):
-        table = PhiTable("abc")
-        table.entries["0101"] = PhiEntry(0.7, 12, 1e-9)
-        path = tmp_path / "cache.json"
-        table.save(path)
-        loaded = PhiTable.load(path, "other")
-        assert len(loaded) == 0
-
-    def test_shared_table_keys_on_grid_and_anchor(self, family, rng):
-        # one table serving two grid sizes and two anchors returns each
-        # query's own value, not the first one stored for the same digits
-        pot = TrigPotential(terms=((0, 1, 0.002), (1, 1, 0.0015)))
-        x = BasePoint.random(rng, 80)
-        table = PhiTable("h")
-        queries = [dict(n_nodes=16), dict(n_nodes=1024),
-                   dict(n_nodes=16, anchor="uniform")]
-        shared = [compute_phi(pot, family, x, tol=1e-10, table=table, **q)
-                  for q in queries]
-        fresh = [compute_phi(pot, family, x, tol=1e-10, **q) for q in queries]
-        assert shared == fresh
-        assert len(table) == 3
-
-    def test_missing_file(self, tmp_path):
-        loaded = PhiTable.load(tmp_path / "nope.json", "abc")
-        assert len(loaded) == 0
-
-    @pytest.mark.parametrize("entry", [[123.0, -4, -1.0], [123.0, 4, -1.0],
-                                       [123.0, -4, 1e-12]],
-                             ids=["both", "bound", "n_used"])
-    def test_negative_bound_or_depth_discards(self, family, tmp_path, entry):
-        # a negative bound is below every tolerance; served, it would pass
-        # as certified
-        pot = TrigPotential(terms=((0, 1, 0.01),))
-        x = BasePoint.from_fraction(3, 8, 40)
-        path = tmp_path / "cache.json"
-        key = PhiTable.key(x, 512, "delta", 0.5)
-        path.write_text(json.dumps({"config_hash": "abc",
-                                    "entries": {key: entry}}))
-        loaded = PhiTable.load(path, "abc")
-        assert len(loaded) == 0
-        assert "negative" in loaded.discarded
-        assert compute_phi(pot, family, x, tol=1e-9, table=loaded) == \
-            compute_phi(pot, family, x, tol=1e-9)
-
-
-    @pytest.mark.parametrize("entry", [
-        ["0.25", "3", "1e-12"], [True, 2.7, 0.0], [0.25, 1e300, 1e-12],
-        [0.25, 3.0, 1e-12], [0.25, False, 1e-12], [10 ** 400, 3, 1e-12]],
-        ids=["strings", "bool-value", "float-n_used", "integral-float-n_used",
-             "bool-n_used", "int-too-large"])
-    def test_entry_of_another_type_discards(self, family, tmp_path, entry):
-        # value and bound are JSON numbers, n_used a JSON int, as to_json
-        # writes them; nothing is coerced
-        pot = TrigPotential(terms=((0, 1, 0.01),))
-        x = BasePoint.from_fraction(3, 8, 40)
-        path = tmp_path / "cache.json"
-        key = PhiTable.key(x, 512, "delta", 0.5)
-        path.write_text(json.dumps({"config_hash": "abc",
-                                    "entries": {key: entry}}))
-        loaded = PhiTable.load(path, "abc")
-        assert len(loaded) == 0
-        assert loaded.discarded.startswith("malformed")
-        assert compute_phi(pot, family, x, tol=1e-9, table=loaded) == \
-            compute_phi(pot, family, x, tol=1e-9)
-
-    def test_integer_value_and_bound_load_as_floats(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"config_hash": "abc",
-                                    "entries": {"0101": [1, 12, 0]}}))
-        entry = PhiTable.load(path, "abc").entries["0101"]
-        assert (entry.value, entry.n_used, entry.bound) == (1.0, 12, 0.0)
-        assert isinstance(entry.value, float) and isinstance(entry.bound, float)
 
 class TestConvergenceFit:
     def test_zero_potential_degenerate(self, family, zero_potential, rng):

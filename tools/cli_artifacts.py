@@ -4,11 +4,9 @@
 
 OLD_SRC and NEW_SRC are directories holding the ``skewtherm`` package (a
 checkout's ``src``).  Each of the eleven subcommands runs at its defaults,
-``verify`` once more with ``--seed 777``, and ``rpf-base`` and ``pressure``
-once more with a ``--phi-cache`` file in their run directory, under both
-trees, writing to OUT/old/<run> and OUT/new/<run>.  Every artifact (a
-cache file's values, n_used and bounds among them), the stdout and the
-exit code of each run are compared byte for byte; each difference is
+and ``verify`` once more with ``--seed 777``, under both trees, writing to
+OUT/old/<run> and OUT/new/<run>: 12 runs.  Every artifact, the stdout and
+the exit code of each run are compared byte for byte; each difference is
 printed.  Each run's peak RSS under both trees (``ru_maxrss`` of the child
 process) is printed too, as a line that is not a difference.  Exits 1 if
 there is a difference, 0 if the two trees give the same bytes.
@@ -27,10 +25,6 @@ RUNS = [(command, [command]) for command in (
     "check-hypotheses", "compute-phi", "holder", "cones", "fiber-measures",
     "rpf-base", "rpf-full", "pressure", "intertwine", "words", "verify")]
 RUNS.append(("verify-seed-777", ["--seed", "777", "verify"]))
-# "{out}" stands for the run's directory
-RUNS += [(f"{command}-phi-cache",
-          ["--phi-cache", "{out}/phi_cache.json", command])
-         for command in ("rpf-base", "pressure")]
 
 
 def run(src: Path, out: Path, args: list[str],
@@ -40,7 +34,6 @@ def run(src: Path, out: Path, args: list[str],
     env = {**os.environ, "PYTHONPATH": str(src.resolve()),
            "PYTHONHASHSEED": "0"}
     options = ["--config", str(config.resolve())] if config else []
-    args = [arg.replace("{out}", str(out.resolve())) for arg in args]
     with subprocess.Popen(
             [sys.executable, "-m", "skewtherm.cli", *options,
              "--out", str(out.resolve()), *args],
