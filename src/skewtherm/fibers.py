@@ -133,43 +133,34 @@ def _solve_increasing(p, target, y):
         f"Newton preimage solve not converged in {_NEWTON_CAP} steps")
 
 
-def _split_points(p):
-    """Split points c + c^(p+1) = 1 for the rows of exponents p, shape (m, k),
-    by Newton from y = 1, right of the root, then ``_round_up_short``."""
-    return _round_up_short(_solve_increasing(p, 1.0, np.ones_like(p)), p)
-
-
 def _round_up_short(c, p):
-    """The split points c of the exponents p, both shape (m, k), each taken
+    """The split points c of the exponents p, both of one shape, each taken
     one ulp right where rounding left it short, so that c + c^(p+1) >= 1 in
-    the arithmetic of the check.
+    scalar arithmetic (the C library's pow).
 
-    A row of one exponent is checked in scalar arithmetic (the C library's
-    pow), longer rows in numpy's array arithmetic; the two pows can round
-    differently.  So ``fiber_forward``, which uses numpy's pow, sends c to
-    0, to just above 0 or, for a few exponents, to 1 - 2^-53 (22 of 2000
-    uniform random base points of the default family): the same circle
-    point in every case.
+    ``fiber_forward`` uses numpy's pow, which can round differently.  So it
+    sends c to 0, to just above 0 or, for a few exponents, to 1 - 2^-53 (22
+    of 2000 uniform random base points of the default family): the same
+    circle point in every case.
     """
-    if p.shape[1] == 1:
-        short = [[ci + ci ** (pi + 1.0) < 1.0] for ci, pi in
-                 zip(c[:, 0].tolist(), p[:, 0].tolist())]
-    else:
-        short = c + c ** (p + 1.0) < 1.0
+    short = np.fromiter((ci + ci ** (pi + 1.0) < 1.0 for ci, pi in
+                         zip(map(float, c.flat), map(float, p.flat))),
+                        dtype=bool, count=c.size).reshape(c.shape)
     return np.where(short, np.nextafter(c, 2.0), c)
 
 
 def branch_boundary_for_exponent(p):
-    """The split point c with c + c^(p+1) = 1, for a scalar p or an array
-    (solved together).
+    """The split point c with c + c^(p+1) = 1, for a scalar p or elementwise
+    for an array.
 
-    An array is one Newton row, which stops when its slowest exponent
-    converges, and is checked in numpy's pow (``_round_up_short``), so an
-    exponent's c depends on the array it comes in: 91 of 5000 random p in
-    [0.5, 1) (numpy rng seed 0) give a c one ulp from a scalar call's.
+    Each exponent is its own Newton row from y = 1, right of the root, and
+    is checked by ``_round_up_short``, so its c does not depend on the
+    array it comes in.
     """
     p = np.asarray(p, dtype=float)
-    c = _split_points(p.reshape(1, -1)).reshape(p.shape)
+    rows = p.reshape(-1, 1)
+    c = _round_up_short(_solve_increasing(rows, 1.0, np.ones_like(rows)),
+                        rows).reshape(p.shape)
     return float(c) if c.ndim == 0 else c
 
 
@@ -185,14 +176,15 @@ def _branch_rows(p, t, start=None):
     [0, c), y2 solves y + y^(p+1) = t + 1 on [c, 1).  Each row is one
     stacked (2, len(t)) Newton solve.  Without a ``start`` it starts on the
     chords of the two convex branches, c*t and c + (1-c)*t, which lie left
-    of the roots, and c comes from its own solve (``_split_points``).  A
-    grid table's rows, with t[0] = 0, may start from ``start`` instead, an
-    (m, 2, len(t)) array that the solve overwrites and returns: c is then
-    the branch-2 root at t = 0, whose target is 1, read off the same solve.
+    of the roots, and c comes from its own solve
+    (``branch_boundary_for_exponent``).  A grid table's rows, with t[0] = 0,
+    may start from ``start`` instead, an (m, 2, len(t)) array that the solve
+    overwrites and returns: c is then the branch-2 root at t = 0, whose
+    target is 1, read off the same solve.
     """
     targets = np.stack((t, t + 1.0))
     if start is None:
-        c = _split_points(p)
+        c = branch_boundary_for_exponent(p)
         ys = _solve_increasing(p[:, None], targets,
                                np.stack((c * t, c + (1.0 - c) * t), axis=1))
     else:
@@ -231,13 +223,14 @@ def inverse_branches_for_exponent(p, t):
     (2, n) array.
 
     So a target's preimages depend on the batch it comes in: the row of
-    all targets stops when its slowest target converges, and a row of more
-    than one exponent takes its split points from numpy's pow
-    (``_round_up_short``).  Against one call per target, over 5000 random
-    (p in [0.5, 1), t in [0, 1)), numpy rng seed 0, 103 y1 and 225 y2
-    values differ, by at most 2 ulps.  Grid tables (``grid_preimages``)
-    solve one exponent per row, each stopping where it would alone, and
-    are not affected.
+    all targets stops when its slowest target converges.  Against one call
+    per target, over 5000 random (p in [0.5, 1), t in [0, 1)), numpy rng
+    seed 0, 101 y1 and 222 y2 values differ, by at most 2 ulps.  Grid
+    tables (``grid_preimages``) solve one exponent per row, each stopping
+    where it would alone, and are not affected.  Solving one row per
+    target instead costs about 4 times as much for 65536 targets of one
+    exponent (9.7 -> 41.0 ms) and 1.8 times for 20000 mixed exponents
+    (11.9 -> 21.0 ms; min of 7 runs, 2 vCPU host).
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0

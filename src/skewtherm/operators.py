@@ -374,20 +374,6 @@ def apply_full_operator(pot: TrigPotential, family: MpFamily,
     return _full_stencil(pot, family, *big_psi.shape).step(big_psi)
 
 
-def full_operator_column(pot: TrigPotential, family: MpFamily, x: BasePoint,
-                         big_psi: GridFn2D) -> GridFn:
-    """The full operator's output restricted to the fiber over an exact x.
-
-    Uses the exact base preimages of x (digit-prepended), so no interpolation
-    happens at x itself; Psi is read by interpolating its slices at the base
-    preimages along the fiber, which is its bilinear interpolation.
-    """
-    n_y = big_psi.shape[1]
-    out = sum(fiber_stencil(pot, family, xb, n_y).apply(
-        big_psi.slice_at(float(xb)).values) for xb in x.preimages())
-    return GridFn(out, big_psi.log_offset)
-
-
 @functools.lru_cache(maxsize=16)
 def _base_stencil_geometry(n_x: int):
     """Interpolation stencils at the two preimage families of the base grid:

@@ -1,5 +1,7 @@
 """Branch-word bookkeeping: good/bad classification, counting, and the
 mass and contraction estimates attached to depth-n preimage trees.
+Words are counted by a closed form (``count_I``), which the tests check
+against an enumeration of every word.
 
 Words are branch-index sequences over {1, ..., d}; letter i is the branch
 chosen at tree depth i counting from the deepest preimage, so the windows in
@@ -10,7 +12,6 @@ classified with vectorized popcounts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,28 +88,13 @@ def _min_qualifying_count(iota: float, length: int) -> int:
     return max(0, math.ceil(iota * length - _COUNT_EPS))
 
 
-def count_I(iota: float, n: int, q: int, d: int,
-            exhaustive: bool = False) -> int:
+def count_I(iota: float, n: int, q: int, d: int) -> int:
     """Number of length-n words with at least iota*n neutral letters.
 
     The closed form sums C(n, k) q^k (d-q)^(n-k) over qualifying neutral
-    counts k; the exhaustive route enumerates words and is available up to
-    d^n = 2^24 as an independent cross-check.  iota = 0 counts every word
-    (the iota -> 0 limit of the threshold).
+    counts k.  iota = 0 counts every word (the iota -> 0 limit of the
+    threshold).
     """
-    if exhaustive:
-        if d ** n > 1 << 24:
-            raise ValueError("exhaustive enumeration capped at 2^24 words")
-        kmin = _min_qualifying_count(iota, n)
-        if d == 2 and q == 1:
-            idx = np.arange(1 << n, dtype=np.uint64)
-            neutral = n - np.bitwise_count(idx).astype(np.int64)
-            return int(np.count_nonzero(neutral >= kmin))
-        count = 0
-        for letters in itertools.product(range(1, d + 1), repeat=n):
-            if sum(1 for l in letters if l <= q) >= kmin:
-                count += 1
-        return count
     kmin = _min_qualifying_count(iota, n)
     return sum(math.comb(n, k) * q ** k * (d - q) ** (n - k)
                for k in range(kmin, n + 1))

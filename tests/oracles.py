@@ -38,7 +38,6 @@ from skewtherm.operators import (
     base_preimage_points,
     fiber_stencil,
     fiber_weights,
-    full_operator_column,
 )
 from skewtherm.phi import CONSERVATIVE_TAU, MAX_PHI_DEPTH, PhiSequence
 
@@ -72,6 +71,14 @@ def binomial_count_oracle(iota, n, q, d):
     kmin = max(0, math.ceil(iota * n - 1e-9))
     return sum(math.comb(n, k) * q ** k * (d - q) ** (n - k)
                for k in range(kmin, n + 1))
+
+
+def exhaustive_count_oracle(iota, n, q, d):
+    """Count of words with at least iota*n neutral letters, by enumerating
+    all d^n words."""
+    kmin = max(0, math.ceil(iota * n - 1e-9))
+    return sum(1 for letters in itertools.product(range(1, d + 1), repeat=n)
+               if sum(1 for l in letters if l <= q) >= kmin)
 
 
 BISECT_WIDTH = 1e-12
@@ -612,7 +619,8 @@ def intertwine_residual_chains(pot, family, big_psi, x_samples, n, phi_eval,
     over x and over each base preimage separately."""
     worst = 0.0
     for x in x_samples:
-        column = full_operator_column(pot, family, x, big_psi)
+        column = GridFn(full_operator_column_reference(pot, family, x,
+                                                       big_psi))
         lhs = fiber_integrate(pot, family, x, column, n, anchor_y)
         rhs = 0.0
         for xbar in x.preimages():

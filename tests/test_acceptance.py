@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_theta
+from oracles import brute_force_theta, exhaustive_count_oracle
 from skewtherm import BasePoint, GridFn, GridFn2D, MpFamily, TrigPotential
 from skewtherm.cones import (
     ConeParams,
@@ -265,7 +265,7 @@ def test_criterion_8_word_lemmas(constants):
     for n in (8, 12, 16):
         for iota in (0.3, 0.7, 0.995):
             fast = count_I(iota, n, q=1, d=2)
-            slow = count_I(iota, n, q=1, d=2, exhaustive=True)
+            slow = exhaustive_count_oracle(iota, n, q=1, d=2)
             assert fast == slow, (n, iota, fast, slow)
 
     # bad-mass decay in the window length

@@ -21,7 +21,6 @@ from skewtherm.fibers import (
     _grid_preimage_tables,
     _lattice_start,
     _PreimageTables,
-    _split_points,
     branch_boundary_for_exponent,
     grid_preimages,
     inverse_branches_for_exponent,
@@ -124,6 +123,15 @@ class TestBranchBoundary:
         c = branch_boundary(fam, 0.0)
         assert fiber_forward(fam, 0.0, c) == pytest.approx(0.0, abs=1e-11)
 
+    def test_array_equals_one_call_per_exponent(self):
+        # a split point depends on its exponent alone, not on the array it
+        # comes in, and is never left short in scalar arithmetic
+        ps = np.random.default_rng(0).uniform(0.5, 1.0, size=5000)
+        cs = branch_boundary_for_exponent(ps)
+        for p, c in zip(ps.tolist(), cs.tolist()):
+            assert c == branch_boundary_for_exponent(p)
+            assert c + c ** (p + 1.0) >= 1.0
+
 
 class TestInverseBranches:
     def test_p1_t0_closed_form(self):
@@ -197,7 +205,8 @@ class TestNewtonAgainstBisection:
         np.testing.assert_allclose(y1, o1, rtol=0, atol=1e-15)
         np.testing.assert_allclose(y2, o2, rtol=0, atol=1e-15)
         c = branch_boundary_for_exponent(p)
-        assert np.all(c + c ** (p + 1.0) >= 1.0)
+        assert all(ci + ci ** (pi + 1.0) >= 1.0
+                   for ci, pi in zip(c.tolist(), p.tolist()))
 
     @pytest.mark.parametrize("p", SWEEP_P)
     def test_split_point_maps_right_of_one(self, p):
@@ -245,7 +254,7 @@ class TestStackedPreimageSolve:
         # solve bit for bit and keeps c + c^(p+1) >= 1 in scalar arithmetic
         rng = np.random.default_rng(5000)
         ps = rng.uniform(family.p0, family.p0 + family.p1, size=5000)
-        cs = _split_points(ps[:, None])[:, 0]
+        cs = branch_boundary_for_exponent(ps)
         for p, c in zip(ps.tolist(), cs.tolist()):
             assert c == branch_boundary_scalar(p)
             assert c + c ** (p + 1.0) >= 1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import exhaustive_count_oracle
 from skewtherm import BasePoint, HypothesisConstants, TrigPotential
 from skewtherm.words import (
     Word,
@@ -79,12 +80,12 @@ class TestCountI:
     def test_exhaustive_equals_binomial_n16(self):
         for iota in (0.3, 0.5, 0.9, 0.995):
             fast = count_I(iota, 16, q=1, d=2)
-            slow = count_I(iota, 16, q=1, d=2, exhaustive=True)
+            slow = exhaustive_count_oracle(iota, 16, q=1, d=2)
             assert fast == slow
 
     def test_exhaustive_general_d(self):
         fast = count_I(0.5, 5, q=2, d=3)
-        slow = count_I(0.5, 5, q=2, d=3, exhaustive=True)
+        slow = exhaustive_count_oracle(0.5, 5, q=2, d=3)
         assert fast == slow
 
     @given(st.integers(1, 12), st.floats(0.05, 0.95))
